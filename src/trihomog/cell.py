@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import integrate
 
-from .jets import index_order, multi_indices
+from .jets import index_order
 
 TWO_PI = 2.0 * np.pi
 

@@ -12,10 +12,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .limit1d import LimitBC, solve_limit_spectrum, save_spectrum
-from .numerics import thread_count
 from .oscillation import PerturbationParams, load_profile
 from .sweep import (SweepConfig, SweepError, default_profile, load_config,
                     run_cell_k, run_converge, run_verify)
@@ -88,8 +85,8 @@ def _cmd_limit_spec(args):
 
 
 def _cmd_eps_spec(args):
-    from .epsdomain import (EpsProblem, solve_eps_spectrum,
-                            solve_eps_spectrum_bloch, save_eps_result)
+    from .epsdomain import (EpsProblem, solve_eps_spectrum_bloch,
+                            save_eps_result)
     profile = _load_profile_arg(args.profile)
     eps = _parse_eps(args.eps)
     try:
@@ -98,10 +95,7 @@ def _cmd_eps_spec(args):
                              elements_per_period=args.elements_per_period)
     except ValueError as err:
         raise InputError(str(err))
-    if params.periods >= 3:
-        result = solve_eps_spectrum_bloch(problem, args.count)
-    else:
-        result = solve_eps_spectrum(problem, args.count)
+    result = solve_eps_spectrum_bloch(problem, args.count)
     if args.out:
         save_eps_result(result, args.out)
     for lam in result.eigenvalues:
@@ -191,11 +185,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        thread_count()
-    except Exception as err:
-        print(str(err), file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InputError as err:

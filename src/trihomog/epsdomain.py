@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .hermite import (Mesh1D, build_space_2d, gauss_rule, _to_csr)
 from .jets import (multi_indices, multinomial, index_order,
@@ -63,6 +62,10 @@ class EpsProblem:
             raise EpsError("need >= 4 tangential elements per period")
         if self.n_coarse + self.n_layer < 16:
             raise EpsError("need >= 16 vertical elements")
+        if self.params.epsilon >= 0.5:
+            # the boundary layer (-2 eps, 0) must fit in (-1, 0); this also
+            # guarantees the >= 3 periods of the Bloch path
+            raise EpsError("eps too large for the boundary-layer mesh")
 
     @property
     def nx(self):
@@ -263,12 +266,11 @@ class EpsAssembly:
         """Load vector of f given on the physical domain: integrates
         f(x, tau) phi |det J| with the cached row tables."""
         full = np.zeros(self.space.n_full)
-        nx = self.problem.nx
         sq, _ = gauss_rule(self.problem.quad_order)
-        for j, geo in enumerate(self._rows):
+        for geo in self._rows:
             hx = geo["hx"]
             # flattened quadrature index is qx-major, matching the tables
-            xq = (np.arange(nx)[:, None]
+            xq = (np.arange(self.columns)[:, None]
                   + np.repeat(sq, len(sq))[None, :]) * hx
             fv = np.asarray(f(xq, geo["tau"]), dtype=float)
             load = (fv * geo["detJ"] * geo["w"][None, :]) @ geo["T"][0]
@@ -307,9 +309,11 @@ def save_eps_result(result, path):
 
 
 def solve_eps_spectrum(problem, count, assembly=None, tol=None):
-    """Lowest eigenpairs of the oscillating-domain problem.  The form
-    contains + int u^2, so the spectrum sits above 1 and the default shift
-    0.5 lies safely below it."""
+    """Lowest eigenpairs of the oscillating-domain problem, solved on the
+    full torus pencil: the reference for the Bloch reduction
+    (solve_eps_spectrum_bloch, the production path).  The form contains
+    + int u^2, so the spectrum sits above 1 and the default shift 0.5 lies
+    safely below it."""
     if count > 20:
         raise EpsError("count capped at 20 (mesh resolves only the low end)")
     if assembly is None:

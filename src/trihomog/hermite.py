@@ -69,13 +69,6 @@ class HermiteBasis1D:
 _BASIS = HermiteBasis1D()
 
 
-def shape_eval(basis, s, deriv=0):
-    """The six shape values (or derivative of order <= 5) at local s."""
-    if np.any((np.asarray(s) < -1e-12) | (np.asarray(s) > 1 + 1e-12)):
-        raise DiscretizationError("local coordinate outside [0, 1]")
-    return basis.eval(s, deriv)
-
-
 @lru_cache(maxsize=None)
 def gauss_rule(order):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -447,16 +440,6 @@ def _to_csr(space, rows, cols, vals):
         shape=(n, n)).tocsr()
     mat.sum_duplicates()
     return mat
-
-
-def export_coordinate_text(matrix, path):
-    """Debug export: one 'row col value' line per stored entry, 17
-    significant digits, sorted."""
-    coo = sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i in order:
-            fh.write("%d %d %.17g\n" % (coo.row[i], coo.col[i], coo.data[i]))
 
 
 # ---------------------------------------------------------------------------

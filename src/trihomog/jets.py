@@ -22,7 +22,7 @@ arithmetic that broadcasts over arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -27,13 +27,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import brentq
-from scipy.sparse import linalg as spla
 
-from .hermite import (Mesh1D, graded_mesh, build_space_1d, assemble_quadratic,
+from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
                       quadratic_energy, evaluate_fe, assemble_rhs)
-from .numerics import EigenRequest, solve_smallest, solve_linear
+from .numerics import (EigenRequest, EquilibratedLU, solve_smallest,
+                       solve_linear)
 
 LIMIT_KINDS = ("intermediate", "strange", "dirichlet")
 
@@ -134,12 +133,10 @@ def _resolvent_entry(S0, M, idx, lam):
     """x = (S0 - lam M)^{-1} e_idx and its idx entry, via an equilibrated
     sparse factorization (S0 - lam M is positive definite below the
     spectrum)."""
-    A = (S0 - lam * M).tocsc()
-    d = 1.0 / np.sqrt(np.maximum(np.abs(A.diagonal()), 1e-300))
-    As = (sparse.diags(d) @ A @ sparse.diags(d)).tocsc()
-    rhs = np.zeros(A.shape[0])
+    fac = EquilibratedLU((S0 - lam * M).tocsc())
+    rhs = np.zeros(S0.shape[0])
     rhs[idx] = 1.0
-    x = d * spla.splu(As).solve(d * rhs)
+    x = fac.d * fac.solve(fac.d * rhs)
     return x, float(x[idx])
 
 

@@ -23,12 +23,11 @@ All derivative formulas are closed-form; no numerical differencing is used.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import (composition_expansions, index_order, multi_indices, _unit)
+from .jets import composition_expansions, index_order, multi_indices
 
 TWO_PI = 2.0 * np.pi
 

@@ -17,11 +17,11 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import compute_k_report, kreport_to_dict, save_k_report
+from .cell import compute_k_report, save_k_report
 from .epsdomain import (EpsProblem, solve_eps_spectrum,
                         solve_eps_spectrum_bloch, save_eps_result)
 from .limit1d import LimitBC, solve_limit_spectrum
@@ -107,7 +107,7 @@ def predicted_regime(alpha, profile):
     if constant or alpha > 1.5:
         return REGIME_INTERMEDIATE
     if alpha == 1.5:
-        return REGIME_STRANGE if not constant else REGIME_INTERMEDIATE
+        return REGIME_STRANGE
     return REGIME_DIRICHLET
 
 
@@ -210,18 +210,16 @@ def _solve_case(profile, alpha, eps, config):
     problem = EpsProblem(profile, PerturbationParams(epsilon=eps, alpha=alpha),
                          elements_per_period=epp,
                          n_coarse=config.n_coarse, n_layer=config.n_layer)
-    if problem.params.periods >= 3:
-        return solve_eps_spectrum_bloch(problem, config.count)
-    return solve_eps_spectrum(problem, config.count)
+    return solve_eps_spectrum_bloch(problem, config.count)
 
 
 def run_converge(config, out_dir=None, log=None):
     """The classification sweep.  Solves every (alpha, eps) case, compares
-    with the limit spectra, emits the convergence table (CSV + JSON) and
-    per-case result JSON files.  Returns the table; raises SweepError after
-    writing everything if the strange-term adjudication favours the paper's
-    literal minus sign (loud-failure contract)."""
-    out_dir = out_dir or config.out_dir
+    with the limit spectra and, when ``out_dir`` is given, writes the
+    convergence table (CSV + JSON) and per-case result JSON files there.
+    Returns the table; raises SweepError after writing everything if the
+    strange-term adjudication favours the paper's literal minus sign
+    (loud-failure contract)."""
     profile = config.profile()
     report = compute_k_report(profile)
     k_value = report.k_energy
@@ -376,8 +374,7 @@ def _verify_chain3():
 
 
 def _verify_hermite():
-    from .hermite import (build_space_1d, graded_mesh, evaluate_fe,
-                          HermiteBasis1D)
+    from .hermite import build_space_1d, graded_mesh, evaluate_fe
     mesh = graded_mesh(8, 0.75, -1.0, 0.0)
     space = build_space_1d(mesh, bc_bottom="free", bc_top="free")
     poly = np.polynomial.Polynomial(np.arange(1, 7, dtype=float))

@@ -21,13 +21,6 @@ def test_missing_verb_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TRIHOMOG_THREADS", "zero")
-    code, _, err = run_cli(capsys, "cell-k")
-    assert code == 2
-    assert err.strip()
-
-
 def test_cell_k_default(capsys, tmp_path):
     out = tmp_path / "k.json"
     code, stdout, _ = run_cli(capsys, "cell-k", "--out", str(out))
@@ -88,6 +81,16 @@ def test_eps_spec_bad_eps_exits_2(capsys):
     code, _, err = run_cli(capsys, "eps-spec", "--alpha", "2",
                            "--eps", "0.3")
     assert code == 2
+
+
+def test_eps_spec_eps_too_large_exits_2(capsys):
+    # eps = 1/2 is a valid perturbation, but the boundary layer (-2 eps, 0)
+    # does not fit the unit depth: an input error, caught before any solve
+    code, stdout, err = run_cli(capsys, "eps-spec", "--alpha", "2",
+                                "--eps", "1/2")
+    assert code == 2
+    assert "input error" in err and "eps too large" in err
+    assert not stdout
 
 
 def test_converge_with_config(capsys, tmp_path):

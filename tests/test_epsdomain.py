@@ -39,6 +39,8 @@ def test_problem_validation(cosine_profile):
                    n_coarse=4, n_layer=4)
     with pytest.raises(EpsError):
         vertical_mesh(0.5)          # layer split at -2 eps hits the bottom
+    with pytest.raises(EpsError):
+        EpsProblem(cosine_profile, PerturbationParams(0.5, 2.0))
 
 
 def test_vertical_mesh_resolves_boundary_layer():
@@ -87,6 +89,27 @@ def test_bloch_reduction_matches_full_solve(cosine_assembly):
     bloch = solve_eps_spectrum_bloch(prob, 3)
     np.testing.assert_allclose(bloch.eigenvalues, full.eigenvalues,
                                rtol=1e-10)
+
+
+def test_ring_load_matches_torus_rows(cosine_assembly):
+    # an eps-periodic, x-dependent load on the one-period ring gives the
+    # element loads of the first period of the full torus
+    prob, torus = cosine_assembly
+    ring = EpsAssembly(prob, columns=prob.elements_per_period)
+    eps = prob.params.epsilon
+
+    def f(x, y):
+        return (1.0 + np.cos(2.0 * np.pi * x / eps)) * y * (1.0 + y)
+
+    full_ring = ring.space.embed(ring.assemble_rhs(f))
+    full_torus = torus.space.embed(torus.assemble_rhs(f))
+    atol = 1e-12 * np.max(np.abs(full_torus))
+    for j in range(ring.space.vmesh.n_elements):
+        for i in range(prob.elements_per_period):
+            np.testing.assert_allclose(
+                full_ring[ring.space.element_dofs_2d(i, j)],
+                full_torus[torus.space.element_dofs_2d(i, j)],
+                rtol=1e-12, atol=atol)
 
 
 def test_bloch_needs_three_periods(cosine_profile):

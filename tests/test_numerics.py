@@ -6,8 +6,8 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
-from trihomog.numerics import (EigenRequest, SolverError, solve_linear,
-                               solve_smallest, thread_count)
+from trihomog.numerics import (EigenRequest, EquilibratedLU, SolverError,
+                               solve_linear, solve_smallest)
 
 
 def test_diagonal_pencil():
@@ -107,14 +107,67 @@ def test_solve_linear_against_dense():
     assert np.linalg.norm(x - x_true) < 1e-6 * np.linalg.norm(x_true)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("TRIHOMOG_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TRIHOMOG_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("TRIHOMOG_THREADS", "0")
+def test_equilibrated_lu_solves_shifted_pencil():
+    rng = np.random.default_rng(41)
+    A, B = _random_spd_pencil(rng, n=30)
+    fac = EquilibratedLU(A.tocsc(), B.tocsc(), shift=-1.0)
+    b = rng.normal(size=30)
+    x = fac.d * fac.solve(fac.d * b)
+    ref = np.linalg.solve(A.toarray() + B.toarray(), b)
+    np.testing.assert_allclose(x, ref, rtol=1e-10)
+    np.testing.assert_array_equal(fac.operator().matvec(fac.d * b),
+                                  fac.solve(fac.d * b))
+    y = fac.solve_refined(fac.d * b)
+    np.testing.assert_allclose(fac.d * y, ref, rtol=1e-10)
+
+
+def test_equilibrated_lu_nudges_singular_shift():
+    A = sparse.diags([1.0, 2.0, 3.0]).tocsc()
+    B = sparse.identity(3, format="csc")
+    fac = EquilibratedLU(A, B, shift=1.0)      # A - B is singular
+    assert fac.sigma == pytest.approx(0.9)
     with pytest.raises(SolverError):
-        thread_count()
-    monkeypatch.setenv("TRIHOMOG_THREADS", "two")
-    with pytest.raises(SolverError):
-        thread_count()
+        EquilibratedLU(sparse.diags([1.0, 0.0, 3.0]).tocsc())
+
+
+def test_lanczos_seed_reuses_and_releases_the_factor(monkeypatch):
+    # eigsh gets the factor as OPinv, so a pencil large enough for the
+    # Lanczos seed is factored exactly once.  scipy's ARPACK wrapper for
+    # complex pencils leaves a reference cycle that holds OPinv; the factor
+    # must still be freed when the solve returns, not at some later garbage
+    # collection
+    import gc
+    import weakref
+    from scipy.sparse import linalg as spla
+    from scipy.sparse.linalg._eigen.arpack import arpack
+    factors = []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+    def recording(real):
+        def splu(*args, **kwargs):
+            factor = Factor(real(*args, **kwargs))
+            factors.append(weakref.ref(factor))
+            return factor
+        return splu
+
+    monkeypatch.setattr(spla, "splu", recording(spla.splu))
+    monkeypatch.setattr(arpack, "splu", recording(arpack.splu))
+    n = 800
+    off = -(1.0 + 0.1j) * np.ones(n - 1)
+    A = sparse.diags([off.conj(), 2.5 * np.ones(n), off], [-1, 0, 1]).tocsc()
+    B = sparse.identity(n, format="csc")
+    gc.disable()
+    try:
+        lam, _ = solve_smallest(A, B, EigenRequest(count=3, shift=0.0))
+        assert len(factors) == 1
+        assert factors[0]() is None
+    finally:
+        gc.enable()
+    ref = 2.5 - 2.0 * abs(off[0]) * np.cos(np.pi * np.arange(1, 4) / (n + 1))
+    np.testing.assert_allclose(lam, ref, rtol=1e-10)

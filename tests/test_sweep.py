@@ -102,6 +102,12 @@ def test_converge_csv_is_deterministic(tiny_table):
     assert rerun.to_csv_text() == (out / "convergence.csv").read_text()
 
 
+def test_converge_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_converge(SweepConfig(**TINY), out_dir=None)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_case_json_contents(tiny_table):
     table, out = tiny_table
     data = json.loads((out / "cases" / "eps_a2_n4.json").read_text())
