@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import (Mesh1D, build_space_2d, gauss_rule, _to_csr)
+from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
+                      reference_table, scatter_elements, to_csr, to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
 from .numerics import EigenRequest, solve_smallest, solve_linear
@@ -53,7 +54,6 @@ class EpsProblem:
     elements_per_period: int = 4
     n_coarse: int = 16
     n_layer: int = 8
-    quad_order: int = 8
 
     def __post_init__(self):
         if self.profile.dim != 1:
@@ -121,29 +121,29 @@ class EpsAssembly:
 
     # -- assembly -----------------------------------------------------------
 
-    def _shape_tables(self, sq, hx, ht):
+    @staticmethod
+    def _shape_tables(hx, ht):
         """T[g, q, l]: reference derivative g (index into IDX10) of local
         shape l at the flattened quadrature point q."""
-        basis = self.space.basis
-        nq = len(sq)
-        tabx = np.stack([basis.eval(sq, d) for d in range(4)])   # (4,nq,6)
-        tabt = np.stack([basis.eval(sq, d) for d in range(4)])
-        scale_x = hx ** (np.arange(6) % 3)
-        scale_t = ht ** (np.arange(6) % 3)
+        ref = reference_table()
+        nq = ref.shape[1]
+        fx = [to_element(ref[m], hx, m) for m in range(4)]     # (nq, 6) each
+        ft = [to_element(ref[n], ht, n) for n in range(4)]
         T = np.empty((len(IDX10), nq * nq, 36))
         for gi, (m, n) in enumerate(IDX10):
-            fx = tabx[m] * scale_x / hx ** m                     # (nq, 6)
-            ft = tabt[n] * scale_t / ht ** n
-            T[gi] = (fx[:, None, :, None] * ft[None, :, None, :]
+            T[gi] = (fx[m][:, None, :, None] * ft[n][None, :, None, :]
                      ).reshape(nq * nq, 36)
         return T
 
-    def _row_geometry(self, j, sq):
-        """Chain-rule data of row j at all quadrature points: C3 (third-
-        derivative transform rows), detJ, and the physical vertical
-        coordinate tau."""
+    def _row_geometry(self, j):
+        """Cached data of element row j at all quadrature points (flattened
+        index q = qx * nq + qt): C3 (third-derivative transform rows), detJ,
+        the physical coordinates x and tau, the shape table T, the element
+        dofs and the quadrature weights w."""
         problem, space = self.problem, self.space
         cols = self.columns
+        sq, wq = gauss_rule(QUAD_ORDER)
+        nq = len(sq)
         hx = 1.0 / problem.nx
         tn = space.vmesh.nodes
         ht = tn[j + 1] - tn[j]
@@ -157,7 +157,6 @@ class EpsAssembly:
         tau = forward[(0, 0)]
         inverse = invert_shear_derivs(forward, 2)
         coeffs = transform_coeffs(inverse, nvars=2)
-        nq = len(sq)
         C3 = np.zeros((len(IDX3), len(IDX10), cols, nq * nq))
         for bi, beta in enumerate(IDX3):
             row = coeffs.coeffs[beta]
@@ -169,28 +168,19 @@ class EpsAssembly:
         detj = np.broadcast_to(coeffs.det_jacobian, tau.shape
                                ).reshape(cols, nq * nq)
         return {"C3": C3, "detJ": detj, "tau": tau.reshape(cols, nq * nq),
-                "hx": hx, "ht": ht}
-
-    def _row_dofs(self, j):
-        return np.stack([self.space.element_dofs_2d(i, j)
-                         for i in range(self.columns)])
+                "x": np.repeat(xq, nq, axis=1),
+                "T": self._shape_tables(hx, ht),
+                "dofs": space.element_dofs_2d(np.arange(cols), j),
+                "w": np.outer(wq, wq).ravel() * hx * ht}
 
     def _assemble(self):
-        space, problem = self.space, self.problem
-        sq, wq = gauss_rule(problem.quad_order)
-        wq2 = np.outer(wq, wq).ravel()
-        rows_a, cols_a, vals_a = [], [], []
-        rows_b, cols_b, vals_b = [], [], []
+        space = self.space
+        parts_a, parts_b = [], []
         t0 = time.perf_counter()
         for j in range(space.vmesh.n_elements):
-            geo = self._row_geometry(j, sq)
-            T = self._shape_tables(sq, geo["hx"], geo["ht"])
-            dofs = self._row_dofs(j)
-            geo["T"] = T
-            geo["dofs"] = dofs
-            geo["w"] = wq2 * geo["hx"] * geo["ht"]
+            geo = self._row_geometry(j)
             self._rows.append(geo)
-            C3, detj, w = geo["C3"], geo["detJ"], geo["w"]
+            C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
             # stiffness weights W[i,q,g,d] = sum_b mult_b C3[b,g] C3[b,d] detJ
             # plus the value-pair term detJ; then elem = T' W T per element
             W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
@@ -210,20 +200,11 @@ class EpsAssembly:
             if not (np.all(np.isfinite(elems)) and
                     np.all(np.isfinite(elems_b))):
                 raise EpsError("non-finite entries in eps assembly")
-            self._scatter_rows(dofs, elems, rows_a, cols_a, vals_a)
-            self._scatter_rows(dofs, elems_b, rows_b, cols_b, vals_b)
-        self.stiffness = _to_csr(space, rows_a, cols_a, vals_a)
-        self.mass = _to_csr(space, rows_b, cols_b, vals_b)
+            parts_a.append(scatter_elements(space, geo["dofs"], elems))
+            parts_b.append(scatter_elements(space, geo["dofs"], elems_b))
+        self.stiffness = to_csr(space, parts_a)
+        self.mass = to_csr(space, parts_b)
         self.assembly_seconds = time.perf_counter() - t0
-
-    def _scatter_rows(self, dofs, elems, rows, cols, vals):
-        free = self.space.full_to_free[dofs]                     # (i,36)
-        r = np.repeat(free[:, :, None], 36, axis=2)
-        c = np.repeat(free[:, None, :], 36, axis=1)
-        mask = (r >= 0) & (c >= 0)
-        rows.append(r[mask])
-        cols.append(c[mask])
-        vals.append(elems[mask])
 
     # -- quadrature energies ------------------------------------------------
 
@@ -266,13 +247,8 @@ class EpsAssembly:
         """Load vector of f given on the physical domain: integrates
         f(x, tau) phi |det J| with the cached row tables."""
         full = np.zeros(self.space.n_full)
-        sq, _ = gauss_rule(self.problem.quad_order)
         for geo in self._rows:
-            hx = geo["hx"]
-            # flattened quadrature index is qx-major, matching the tables
-            xq = (np.arange(self.columns)[:, None]
-                  + np.repeat(sq, len(sq))[None, :]) * hx
-            fv = np.asarray(f(xq, geo["tau"]), dtype=float)
+            fv = np.asarray(f(geo["x"], geo["tau"]), dtype=float)
             load = (fv * geo["detJ"] * geo["w"][None, :]) @ geo["T"][0]
             np.add.at(full, geo["dofs"].ravel(), load.ravel())
         return full[self.space.free_to_full]
@@ -459,13 +435,7 @@ def compare_to_limit(assembly, eps_vec, u_lim, align=True):
         u = assembly._element_values(geo, full, [0])[0]          # (i,q)
         tau = geo["tau"]
         w = geo["detJ"] * geo["w"][None, :]
-        nx = u.shape[0]
-        sqlen = int(np.sqrt(len(geo["w"])))
-        sq, _ = gauss_rule(assembly.problem.quad_order)
-        xq = ((np.arange(nx)[:, None, None] + sq[None, :, None])
-              / nx)
-        xq = np.broadcast_to(xq, (nx, sqlen, sqlen)).reshape(nx, -1)
-        v = np.asarray(u_lim(xq, np.minimum(tau, 0.0)), dtype=float)
+        v = np.asarray(u_lim(geo["x"], np.minimum(tau, 0.0)), dtype=float)
         inside = tau <= 0.0
         samples.append((u, v, w, inside))
         l2_eps += float(np.sum(u ** 2 * w * inside))

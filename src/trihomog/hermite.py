@@ -8,6 +8,14 @@ reference rectangle: periodic uniform mesh tangentially, an arbitrary
 (typically geometrically graded) mesh vertically, nine degrees of freedom
 d_x^a d_t^b (a, b in {0,1,2}) per node.
 
+Every assembler, here and in epsdomain, takes its shape values from one
+place: ``reference_table`` holds the six shapes and their first three
+derivatives at the QUAD_ORDER Gauss points of [0, 1], computed once, and
+``to_element`` scales reference values to an element of size h.  Element
+dof numbering is ``element_dofs_1d`` / ``element_dofs_2d`` (index arrays
+accepted), and stacked element matrices reach the sparse matrix through
+``scatter_elements`` and ``to_csr``.
+
 Degrees of freedom are stored as raw nodal derivatives; the h^{-6}
 conditioning of sixth-order stiffness matrices is tamed by symmetric diagonal
 equilibration at solve time (see numerics), which leaves generalized
@@ -17,7 +25,7 @@ eigenvalues invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +34,12 @@ from scipy import sparse
 from .jets import DerivativeJet3
 
 BC_KINDS = ("clamped1", "clamped2", "free", "periodic")
+
+#: Gauss points per direction and element; exact for degree 15
+QUAD_ORDER = 8
+
+_SIDE = np.arange(6) // 3        # node (0 left, 1 right) of local dof l
+_DOF_ORDER = np.arange(6) % 3    # derivative order of local dof l
 
 
 class DiscretizationError(ValueError):
@@ -73,6 +87,24 @@ _BASIS = HermiteBasis1D()
 def gauss_rule(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+
+
+@lru_cache(maxsize=None)
+def reference_table():
+    """Read-only ref[d, q, l]: d-th derivative (d <= 3) of shape l at Gauss
+    point q of the QUAD_ORDER rule on [0, 1]."""
+    sq, _ = gauss_rule(QUAD_ORDER)
+    ref = np.stack([_BASIS.eval(sq, d) for d in range(4)])
+    ref.flags.writeable = False
+    return ref
+
+
+def to_element(ref, h, d):
+    """Physical values on an element of size h from reference values
+    ref[..., l] of the d-th derivative of the six shapes: raw nodal dof l
+    carries h^(l % 3), and each derivative brings 1/h.  ``h`` is a number
+    or an array that broadcasts against ref[..., :1]."""
+    return ref * h ** _DOF_ORDER / h ** d
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +165,6 @@ class TensorElementSpace:
     bc_bottom: str
     bc_top: str
     nx: int = 0                     # tangential elements (2D only)
-    basis: HermiteBasis1D = field(default_factory=lambda: _BASIS)
     full_to_free: np.ndarray = None
     free_to_full: np.ndarray = None
 
@@ -145,32 +176,19 @@ class TensorElementSpace:
     def n_full(self):
         return len(self.full_to_free)
 
-    @property
-    def dofs_per_node(self):
-        return 3 if self.dim == 1 else 9
-
-    def node_index(self, i, j=None):
-        if self.dim == 1:
-            return i
-        return i * (self.vmesh.n_elements + 1) + j
-
     def element_dofs_1d(self, e):
-        """Full dof indices (6,) of element e, ordered (side, a)."""
-        return np.array([3 * (e + s) + a for s in (0, 1) for a in range(3)])
+        """Full dof indices (..., 6) of element(s) e, ordered (side, a)."""
+        return 3 * (np.asarray(e)[..., None] + _SIDE) + _DOF_ORDER
 
     def element_dofs_2d(self, i, j):
-        """Full dof indices (36,) of element (i, j), local index
-        l = 6 p + q with p = 3 side_x + a, q = 3 side_t + b."""
+        """Full dof indices (..., 36) of element(s) (i, j) (broadcast
+        together), local index l = 6 p + q with p = 3 side_x + a,
+        q = 3 side_t + b."""
+        ii = (np.asarray(i)[..., None, None] + _SIDE[:, None]) % self.nx
+        jj = np.asarray(j)[..., None, None] + _SIDE
         nt1 = self.vmesh.n_elements + 1
-        out = np.empty(36, dtype=int)
-        for p in range(6):
-            ii = (i + p // 3) % self.nx
-            a = p % 3
-            for q in range(6):
-                jj = j + q // 3
-                b = q % 3
-                out[6 * p + q] = (ii * nt1 + jj) * 9 + a * 3 + b
-        return out
+        out = (ii * nt1 + jj) * 9 + _DOF_ORDER[:, None] * 3 + _DOF_ORDER
+        return out.reshape(out.shape[:-2] + (36,))
 
     def embed(self, free_vec):
         """Zero-extend a free-dof vector to the full dof set."""
@@ -232,131 +250,104 @@ def _finish_space(space, constrained):
 # assembly
 # ---------------------------------------------------------------------------
 
-def _local_jet_1d(space, e, sq, deriv_max=3):
-    """Derivative table of the six element shapes at local points sq:
-    tab[d, point, l] = d-th derivative (in physical t) of shape l."""
-    h = space.vmesh.sizes()[e]
-    tab = np.empty((deriv_max + 1, len(sq), 6))
-    scale_a = np.array([h ** (l % 3) for l in range(6)])
-    for d in range(deriv_max + 1):
-        tab[d] = space.basis.eval(sq, d) * scale_a / h ** d
-    return tab
-
-
-def assemble(space, integrand, quad_order=8):
-    """Element-wise Gauss quadrature of a symmetric bilinear integrand
-    ``integrand(point, jetU, jetV) -> value`` over all elements, with
-    constrained degrees eliminated.  Returns a symmetric CSR matrix on the
-    free degrees of freedom.
-
-    This is the generic (callback-based) assembler; performance-critical
-    paths use assemble_quadratic / the vectorised eps-domain assembler,
-    which are tested against this one.
-    """
-    if space.dim == 1:
-        return _assemble_1d_callback(space, integrand, quad_order)
-    return _assemble_2d_callback(space, integrand, quad_order)
-
-
 def _check_finite(values):
     if not np.all(np.isfinite(values)):
         raise DiscretizationError("non-finite integrand value in assembly")
 
 
-def _assemble_1d_callback(space, integrand, quad_order):
-    sq, wq = gauss_rule(quad_order)
-    rows, cols, vals = [], [], []
-    nodes = space.vmesh.nodes
-    for e in range(space.vmesh.n_elements):
-        h = nodes[e + 1] - nodes[e]
-        tab = _local_jet_1d(space, e, sq)
-        dofs = space.element_dofs_1d(e)
-        emat = np.zeros((6, 6))
+def scatter_elements(space, dofs, elems):
+    """COO triple (rows, cols, vals) of the free-free entries of stacked
+    element matrices elems (E, k, k) whose full dof indices are dofs (E, k),
+    element by element in row-major order."""
+    free = space.full_to_free[dofs]
+    rows = np.broadcast_to(free[:, :, None], elems.shape)
+    cols = np.broadcast_to(free[:, None, :], elems.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], elems[keep]
+
+
+def to_csr(space, parts):
+    """CSR matrix on the free dofs summing the COO triples ``parts``."""
+    rows, cols, vals = zip(*parts)
+    n = space.n_free
+    # the concatenated int64 indices are temporaries: coo_matrix keeps its
+    # own (narrower) copies, and they are freed before the CSR conversion
+    mat = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _require_1d(space, name):
+    if space.dim != 1:
+        raise DiscretizationError("%s is 1D only" % name)
+
+
+def _element_table(space):
+    """tab[e, d, q, l]: d-th physical derivative of shape l of element e at
+    its Gauss point q."""
+    h = space.vmesh.sizes()[:, None, None]
+    ref = reference_table()
+    return np.stack([to_element(ref[d], h, d) for d in range(4)], axis=1)
+
+
+def _element_dofs(space):
+    return space.element_dofs_1d(np.arange(space.vmesh.n_elements))
+
+
+def _matrix_1d(space, elems):
+    _check_finite(elems)
+    return to_csr(space, [scatter_elements(space, _element_dofs(space),
+                                           elems)])
+
+
+def assemble(space, integrand):
+    """Element-wise Gauss quadrature of a symmetric bilinear integrand
+    ``integrand(point, jetU, jetV) -> value`` on a 1D space, one point and
+    one shape pair at a time, with constrained degrees eliminated.  Returns
+    a symmetric CSR matrix on the free degrees of freedom.
+
+    This is the slow, general reference the test suite checks
+    assemble_quadratic against; the solvers use assemble_quadratic (1D) and
+    EpsAssembly (2D)."""
+    _require_1d(space, "assemble")
+    sq, wq = gauss_rule(QUAD_ORDER)
+    nodes, sizes = space.vmesh.nodes, space.vmesh.sizes()
+    tab = _element_table(space)
+    elems = np.zeros((space.vmesh.n_elements, 6, 6))
+    for e, emat in enumerate(elems):
         for qi in range(len(sq)):
-            point = nodes[e] + h * sq[qi]
-            jets = [DerivativeJet3(1, {(d,): tab[d, qi, l] for d in range(4)})
+            point = nodes[e] + sizes[e] * sq[qi]
+            jets = [DerivativeJet3(1, {(d,): tab[e, d, qi, l]
+                                       for d in range(4)})
                     for l in range(6)]
             for a in range(6):
                 for b in range(a, 6):
-                    v = integrand(point, jets[a], jets[b]) * wq[qi] * h
+                    v = integrand(point, jets[a], jets[b]) * wq[qi] * sizes[e]
                     emat[a, b] += v
                     if a != b:
                         emat[b, a] += v
-        _check_finite(emat)
-        _scatter(space, dofs, emat, rows, cols, vals)
-    return _to_csr(space, rows, cols, vals)
+    return _matrix_1d(space, elems)
 
 
-def _assemble_2d_callback(space, integrand, quad_order):
-    sq, wq = gauss_rule(quad_order)
-    rows, cols, vals = [], [], []
-    xnodes = np.arange(space.nx + 1) / space.nx
-    tnodes = space.vmesh.nodes
-    idx10 = [(m, n) for m in range(4) for n in range(4 - m)]
-    for i in range(space.nx):
-        hx = 1.0 / space.nx
-        for j in range(space.vmesh.n_elements):
-            ht = tnodes[j + 1] - tnodes[j]
-            dofs = space.element_dofs_2d(i, j)
-            emat = np.zeros((36, 36))
-            tabx = [space.basis.eval(sq, d) for d in range(4)]
-            tabt = [space.basis.eval(sq, d) for d in range(4)]
-            for qx in range(len(sq)):
-                for qt in range(len(sq)):
-                    point = (xnodes[i] + hx * sq[qx], tnodes[j] + ht * sq[qt])
-                    jets = []
-                    for p in range(6):
-                        a = p % 3
-                        for q in range(6):
-                            b = q % 3
-                            derivs = {}
-                            for (m, n) in idx10:
-                                derivs[(m, n)] = (hx ** (a - m) * ht ** (b - n)
-                                                  * tabx[m][qx, p]
-                                                  * tabt[n][qt, q])
-                            jets.append(DerivativeJet3(2, derivs))
-                    w = wq[qx] * wq[qt] * hx * ht
-                    for A in range(36):
-                        for B in range(A, 36):
-                            v = integrand(point, jets[A], jets[B]) * w
-                            emat[A, B] += v
-                            if A != B:
-                                emat[B, A] += v
-            _check_finite(emat)
-            _scatter(space, dofs, emat, rows, cols, vals)
-    return _to_csr(space, rows, cols, vals)
+def assemble_quadratic(space, weights):
+    """Fast 1D assembler for the form
+
+        sum_{d1,d2} W[d1,d2] u^(d1) v^(d2)
+
+    with a constant (4, 4) array ``weights`` of derivative-pair weights,
+    all elements at once.  Used by the Fourier-mode limit solver."""
+    _require_1d(space, "assemble_quadratic")
+    _, wq = gauss_rule(QUAD_ORDER)
+    tab = _element_table(space)                                 # (E,4,nq,6)
+    w = wq * space.vmesh.sizes()[:, None]                       # (E, nq)
+    elems = np.einsum('eq,df,edqa,efqb->eab', w, weights, tab, tab,
+                      optimize=True)
+    return _matrix_1d(space, elems)
 
 
-def assemble_quadratic(space, weights, quad_order=8):
-    """Fast 1D assembler for integrands of the form
-
-        sum_{d1,d2} W[d1,d2](t) u^(d1) v^(d2),
-
-    where ``weights(t)`` returns an array (npts, 4, 4) (or a constant (4, 4)
-    array).  Used by the Fourier-mode limit solver."""
-    if space.dim != 1:
-        raise DiscretizationError("assemble_quadratic is 1D only")
-    sq, wq = gauss_rule(quad_order)
-    rows, cols, vals = [], [], []
-    nodes = space.vmesh.nodes
-    const_w = None
-    if isinstance(weights, np.ndarray):
-        const_w = weights
-    for e in range(space.vmesh.n_elements):
-        h = nodes[e + 1] - nodes[e]
-        tab = _local_jet_1d(space, e, sq)       # (4, nq, 6)
-        pts = nodes[e] + h * sq
-        W = const_w if const_w is not None else np.asarray(weights(pts))
-        if W.ndim == 2:
-            W = np.broadcast_to(W, (len(sq), 4, 4))
-        emat = np.einsum('q,qde,dqa,eqb->ab', wq * h, W, tab, tab,
-                         optimize=True)
-        _check_finite(emat)
-        _scatter(space, space.element_dofs_1d(e), emat, rows, cols, vals)
-    return _to_csr(space, rows, cols, vals)
-
-
-def quadratic_energy(space, weights, free_vec, quad_order=8):
+def quadratic_energy(space, weights, free_vec):
     """Value of the 1D quadratic form with derivative-pair weights (same
     convention as assemble_quadratic) on one dof vector, evaluated from the
     finite-element derivative values at the Gauss points rather than through
@@ -366,85 +357,43 @@ def quadratic_energy(space, weights, free_vec, quad_order=8):
     this route forms each derivative first (cancellation only eps*h^{-3})
     and then combines, so eigenvalue solvers use it for final Rayleigh
     quotients."""
-    if space.dim != 1:
-        raise DiscretizationError("quadratic_energy is 1D only")
-    sq, wq = gauss_rule(quad_order)
-    nodes = space.vmesh.nodes
+    _require_1d(space, "quadratic_energy")
+    _, wq = gauss_rule(QUAD_ORDER)
     full = space.embed(np.asarray(free_vec, dtype=float))
-    const_w = weights if isinstance(weights, np.ndarray) else None
-    total = 0.0
-    for e in range(space.vmesh.n_elements):
-        h = nodes[e + 1] - nodes[e]
-        tab = _local_jet_1d(space, e, sq)           # (4, nq, 6)
-        xe = full[space.element_dofs_1d(e)]
-        du = np.einsum('dqa,a->dq', tab, xe)        # (4, nq)
-        W = const_w if const_w is not None else \
-            np.asarray(weights(nodes[e] + h * sq))
-        if W.ndim == 2:
-            vals = np.einsum('de,dq,eq->q', W, du, du)
-        else:
-            vals = np.einsum('qde,dq,eq->q', W, du, du)
-        total += float((wq * h * vals).sum())
-    return total
+    du = np.einsum('edqa,ea->edq', _element_table(space),
+                   full[_element_dofs(space)])                  # (E, 4, nq)
+    vals = np.einsum('df,edq,efq->eq', weights, du, du)
+    return float((wq * space.vmesh.sizes()[:, None] * vals).sum())
 
 
-def assemble_rhs(space, f, quad_order=8):
-    """Gauss quadrature of a load function against all free basis functions.
-    ``f`` takes the physical point (scalar in 1D, (x, t) pair in 2D)."""
-    sq, wq = gauss_rule(quad_order)
-    out = np.zeros(space.n_free)
-    nodes = space.vmesh.nodes
-    if space.dim == 1:
-        for e in range(space.vmesh.n_elements):
-            h = nodes[e + 1] - nodes[e]
-            pts = nodes[e] + h * sq
-            fv = np.asarray([f(t) for t in pts], dtype=float)
-            _check_finite(fv)
-            tab = _local_jet_1d(space, e, sq)
-            elem = np.einsum('q,q,qa->a', wq * h, fv, tab[0])
-            free = space.full_to_free[space.element_dofs_1d(e)]
-            np.add.at(out, free[free >= 0], elem[free >= 0])
-        return out
-    hx = 1.0 / space.nx
-    val_x = space.basis.eval(sq, 0)
-    for i in range(space.nx):
-        for j in range(space.vmesh.n_elements):
-            ht = nodes[j + 1] - nodes[j]
-            scale = np.array([hx ** (p % 3) for p in range(6)])
-            scal_t = np.array([ht ** (q % 3) for q in range(6)])
-            fv = np.array([[f((i * hx + hx * sx, nodes[j] + ht * st))
-                            for st in sq] for sx in sq])
-            _check_finite(fv)
-            elem = np.einsum('x,t,xt,xp,tq->pq', wq, wq, fv,
-                             val_x * scale, val_x * scal_t).ravel() * hx * ht
-            free = space.full_to_free[space.element_dofs_2d(i, j)]
-            np.add.at(out, free[free >= 0], elem[free >= 0])
-    return out
-
-
-def _scatter(space, dofs, emat, rows, cols, vals):
-    free = space.full_to_free[dofs]
-    keep = free >= 0
-    fi = free[keep]
-    sub = emat[np.ix_(keep, keep)]
-    r, c = np.meshgrid(fi, fi, indexing='ij')
-    rows.append(r.ravel())
-    cols.append(c.ravel())
-    vals.append(sub.ravel())
-
-
-def _to_csr(space, rows, cols, vals):
-    n = space.n_free
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
+def assemble_rhs(space, f):
+    """Gauss quadrature of a load f(t), called at one point at a time,
+    against all free basis functions of a 1D space (the eps-domain load is
+    EpsAssembly.assemble_rhs)."""
+    _require_1d(space, "assemble_rhs")
+    sq, wq = gauss_rule(QUAD_ORDER)
+    nodes, sizes = space.vmesh.nodes, space.vmesh.sizes()
+    pts = nodes[:-1, None] + sizes[:, None] * sq                # (E, nq)
+    fv = np.array([f(t) for t in pts.ravel()], dtype=float)
+    _check_finite(fv)
+    w = wq * sizes[:, None] * fv.reshape(pts.shape)
+    elems = np.einsum('eq,eqa->ea', w, _element_table(space)[:, 0])
+    full = np.zeros(space.n_full)
+    np.add.at(full, _element_dofs(space).ravel(), elems.ravel())
+    return full[space.free_to_full]
 
 
 # ---------------------------------------------------------------------------
 # point evaluation of assembled fields
 # ---------------------------------------------------------------------------
+
+def _locate(mesh, t):
+    """Element index, local coordinate and element size of the points t."""
+    e = np.clip(np.searchsorted(mesh.nodes, t, side='right') - 1, 0,
+                mesh.n_elements - 1)
+    h = mesh.sizes()[e]
+    return e, (t - mesh.nodes[e]) / h, h
+
 
 def evaluate_fe(space, free_vec, points, deriv=None):
     """Evaluate a finite-element field (given by its free-dof vector) at
@@ -453,43 +402,22 @@ def evaluate_fe(space, free_vec, points, deriv=None):
     1D: points is an array of t values.  2D: points is (x_array, t_array)
     with x interpreted periodically on [0, 1)."""
     full = space.embed(np.asarray(free_vec, dtype=float))
-    nodes = space.vmesh.nodes
     if space.dim == 1:
         d = deriv[0] if deriv else 0
         t = np.atleast_1d(np.asarray(points, dtype=float))
-        e = np.clip(np.searchsorted(nodes, t, side='right') - 1, 0,
-                    space.vmesh.n_elements - 1)
-        h = space.vmesh.sizes()[e]
-        s = (t - nodes[e]) / h
-        shp = space.basis.eval(s, d)            # (npts, 6)
-        scale = np.array([h ** (l % 3) for l in range(6)]).T
-        out = np.zeros(len(t))
-        for l in range(6):
-            dofs = 3 * e + 3 * (l // 3) + (l % 3)
-            out += full[dofs] * shp[:, l] * scale[:, l] / h ** d
-        return out
-    m, n = deriv if deriv else (0, 0)
-    x, t = points
-    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    hx = 1.0 / space.nx
-    i = np.clip((x / hx).astype(int), 0, space.nx - 1)
-    sx = x / hx - i
-    j = np.clip(np.searchsorted(nodes, t, side='right') - 1, 0,
-                space.vmesh.n_elements - 1)
-    ht = space.vmesh.sizes()[j]
-    st = (t - nodes[j]) / ht
-    shx = space.basis.eval(sx, m)
-    sht = space.basis.eval(st, n)
-    nt1 = space.vmesh.n_elements + 1
-    out = np.zeros(x.shape)
-    for p in range(6):
-        ii = (i + p // 3) % space.nx
-        a = p % 3
-        for q in range(6):
-            jj = j + q // 3
-            b = q % 3
-            dofs = (ii * nt1 + jj) * 9 + a * 3 + b
-            out += (full[dofs] * shx[:, p] * sht[:, q]
-                    * hx ** (a - m) * ht ** (b - n))
-    return out
+        e, s, h = _locate(space.vmesh, t)
+        shp = to_element(_BASIS.eval(s, d), h[:, None], d)     # (npts, 6)
+        dofs = space.element_dofs_1d(e)
+    else:
+        m, n = deriv if deriv else (0, 0)
+        x, t = points
+        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        hx = 1.0 / space.nx
+        i = np.clip((x / hx).astype(int), 0, space.nx - 1)
+        j, st, ht = _locate(space.vmesh, t)
+        shx = to_element(_BASIS.eval(x / hx - i, m), hx, m)
+        sht = to_element(_BASIS.eval(st, n), ht[:, None], n)
+        shp = (shx[:, :, None] * sht[:, None, :]).reshape(-1, 36)
+        dofs = space.element_dofs_2d(i, j)
+    return np.einsum('pl,pl->p', full[dofs], shp)

@@ -88,10 +88,10 @@ MASS_WEIGHTS = np.zeros((4, 4))
 MASS_WEIGHTS[0, 0] = 1.0
 
 
-def mode_form(xi, space, quad_order=8):
+def mode_form(xi, space):
     """Stiffness and mass matrices of the mode form a_xi on the space."""
-    S = assemble_quadratic(space, stiffness_weights(xi), quad_order)
-    M = assemble_quadratic(space, MASS_WEIGHTS, quad_order)
+    S = assemble_quadratic(space, stiffness_weights(xi))
+    M = assemble_quadratic(space, MASS_WEIGHTS)
     return S, M
 
 
@@ -114,8 +114,8 @@ def apply_strange_term(stiffness, K, space):
     return S.tocsr()
 
 
-def _mode_matrices(bc, xi, space, quad_order=8):
-    S, M = mode_form(xi, space, quad_order)
+def _mode_matrices(bc, xi, space):
+    S, M = mode_form(xi, space)
     if bc.kind == "strange" and bc.K != 0.0:
         S = apply_strange_term(S, bc.signed_k(), space)
     return S, M
@@ -175,7 +175,7 @@ def _secular_bottom(S0, M, K, idx, lam1):
     return lam, vec
 
 
-def solve_mode(bc, m, count, space, quad_order=8, tol=None):
+def solve_mode(bc, m, count, space, tol=None):
     """Lowest eigenpairs of the mode-m reduced problem.
 
     When the strange term lowers the form, the rank-one structure pushes at
@@ -185,7 +185,7 @@ def solve_mode(bc, m, count, space, quad_order=8, tol=None):
     so this solves twice, once far below for the runaway and once at the
     standard shift for the rest, and merges."""
     xi = 2.0 * np.pi * abs(m)
-    S0, M = mode_form(xi, space, quad_order)
+    S0, M = mode_form(xi, space)
     S = S0
     if bc.kind == "strange" and bc.K != 0.0:
         S = apply_strange_term(S0, bc.signed_k(), space)
@@ -248,8 +248,8 @@ def save_spectrum(spectrum, path):
 
 
 def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
-                         n_elements=DEFAULT_ELEMENTS, quad_order=8,
-                         eigenvectors=False, mesh=None):
+                         n_elements=DEFAULT_ELEMENTS, eigenvectors=False,
+                         mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
     solve the reduced eigenproblem, duplicate m != 0 entries onto -m (exact
     mode symmetry of the real form), merge, and keep the lowest ``count``."""
@@ -260,7 +260,7 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     vecs = {}
     for m in range(cutoff + 1):
         k = min(count, space.n_free)
-        lam, vec = solve_mode(bc, m, k, space, quad_order)
+        lam, vec = solve_mode(bc, m, k, space)
         for idx in range(len(lam)):
             entries.append((float(lam[idx]), m, idx))
             if m > 0:
@@ -307,7 +307,7 @@ class LimitPoissonSolution:
 
 
 def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
-                        quad_order=8, mesh=None):
+                        mesh=None):
     """Solve the limit Poisson problem for a right side given by tangential
     modes: f(xbar, t) = sum_m f_m(t) e^{2 pi i m xbar}.  ``f_modes`` maps m
     to a callable t -> complex amplitude.  Returns per-mode solutions and
@@ -318,12 +318,10 @@ def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
     w2 = trace_dof(space)
     for m, f in f_modes.items():
         xi = 2.0 * np.pi * abs(m)
-        S, _ = _mode_matrices(bc, xi, space, quad_order)
+        S, _ = _mode_matrices(bc, xi, space)
         S = S.tocsc()
-        rhs_re = assemble_rhs(space, lambda t: float(np.real(f(t))),
-                              quad_order)
-        rhs_im = assemble_rhs(space, lambda t: float(np.imag(f(t))),
-                              quad_order)
+        rhs_re = assemble_rhs(space, lambda t: float(np.real(f(t))))
+        rhs_im = assemble_rhs(space, lambda t: float(np.imag(f(t))))
         x = solve_linear(S, rhs_re).astype(complex)
         if np.any(rhs_im):
             x = x + 1j * solve_linear(S, rhs_im)

@@ -112,6 +112,27 @@ def test_ring_load_matches_torus_rows(cosine_assembly):
                 rtol=1e-12, atol=atol)
 
 
+def test_ring_compare_samples_the_ring_coordinates(cosine_assembly):
+    # u_lim = cos^2(2 pi x / eps) against a zero field: the one-period ring
+    # covers x in [0, eps), so its l2_lim^2 is 1/periods of the torus value
+    # int cos^4 = 3/8 (the sliver tau > 0 is excluded from both)
+    prob, torus = cosine_assembly
+    ring = EpsAssembly(prob, columns=prob.elements_per_period)
+    eps = prob.params.epsilon
+
+    def u_lim(x, y):
+        return np.cos(2.0 * np.pi * x / eps) ** 2 + 0.0 * y
+
+    sq = {}
+    for name, asm in (("torus", torus), ("ring", ring)):
+        rep = compare_to_limit(asm, np.zeros(asm.space.n_free), u_lim,
+                               align=False)
+        sq[name] = rep["l2_lim"] ** 2
+    assert abs(sq["torus"] - 0.375) < 1e-3
+    assert abs(sq["ring"] * prob.params.periods - sq["torus"]) \
+        < 1e-10 * sq["torus"]
+
+
 def test_bloch_needs_three_periods(cosine_profile):
     prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
                       elements_per_period=4)

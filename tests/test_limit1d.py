@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
-from trihomog.hermite import evaluate_fe, uniform_mesh
+from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
 from trihomog.limit1d import (LimitBC, LimitError, apply_strange_term,
                               limit_space, mode_form, save_spectrum,
                               solve_limit_poisson, solve_limit_spectrum,
@@ -256,3 +256,19 @@ def test_spectrum_file_roundtrip(tmp_path):
     assert len(back["eigs"]) == 4
     np.testing.assert_allclose([e["lambda"] for e in back["eigs"]],
                                spec.eigenvalues())
+
+
+def test_limit_spectrum_reuses_the_shape_table(monkeypatch):
+    # shape values come from one cached reference table (four evaluations
+    # per process, none if an earlier test built it), not from
+    # re-evaluating the polynomials per element and energy call
+    calls = []
+    real_eval = HermiteBasis1D.eval
+
+    def counting_eval(self, s, deriv=0):
+        calls.append(deriv)
+        return real_eval(self, s, deriv)
+
+    monkeypatch.setattr(HermiteBasis1D, "eval", counting_eval)
+    solve_limit_spectrum(LimitBC("intermediate"), count=3, cutoff=2)
+    assert len(calls) <= 4
