@@ -11,19 +11,19 @@ from .cell import (CellSolution, KReport, solve_cell, eval_V, k_energy,
                    corrector_vhat, compute_k_report,
                    UNIVERSAL_MODE_CONSTANT)
 from .jets import (DerivativeJet3, TransformCoeffs, invert_jet3,
-                   transform_coeffs, frobenius_d3, pullback_integrand)
+                   transform_coeffs)
 from .hermite import (HermiteBasis1D, Mesh1D, uniform_mesh, graded_mesh,
                       build_space_1d, build_space_2d, assemble,
                       assemble_quadratic, assemble_rhs, quadratic_energy,
                       evaluate_fe)
 from .numerics import (EigenRequest, EquilibratedLU, SolverError,
-                       solve_smallest, solve_linear)
+                       count_below, solve_smallest, solve_linear)
 from .limit1d import (LimitBC, LimitSpectrum, solve_limit_spectrum,
                       solve_limit_poisson, save_spectrum)
 from .epsdomain import (EpsProblem, EpsAssembly, EpsEigenResult,
-                        assemble_eps, solve_eps_spectrum,
-                        solve_eps_spectrum_bloch, solve_eps_poisson,
-                        compare_to_limit, save_eps_result, vertical_mesh)
+                        solve_eps_spectrum, solve_eps_spectrum_bloch,
+                        solve_eps_poisson, compare_to_limit, save_eps_result,
+                        vertical_mesh)
 from .sweep import (SweepConfig, ConvergenceTable, default_profile,
                     run_cell_k, run_converge, run_verify)
 

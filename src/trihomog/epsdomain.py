@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       reference_table, scatter_elements, to_csr, to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import EigenRequest, solve_smallest, solve_linear
+from .numerics import (EigenRequest, count_below, solve_linear,
+                       solve_smallest)
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -254,12 +255,6 @@ class EpsAssembly:
         return full[self.space.free_to_full]
 
 
-def assemble_eps(problem, space=None):
-    """Stiffness and mass of the pulled-back problem (spec entry point);
-    returns the assembly object whose .stiffness/.mass are the matrices."""
-    return EpsAssembly(problem, space)
-
-
 @dataclass(frozen=True)
 class EpsEigenResult:
     problem: EpsProblem
@@ -268,6 +263,9 @@ class EpsEigenResult:
     dof: int
     assembly_seconds: float
     solve_seconds: float
+    #: one record per Bloch pencil (see solve_eps_spectrum_bloch); empty
+    #: for the full-torus solve
+    pencils: list = field(default_factory=list)
 
     def to_dict(self):
         return {"alpha": self.problem.params.alpha,
@@ -275,7 +273,8 @@ class EpsEigenResult:
                 "eigs": [float(v) for v in self.eigenvalues],
                 "dof": int(self.dof),
                 "assembly_seconds": self.assembly_seconds,
-                "solve_seconds": self.solve_seconds}
+                "solve_seconds": self.solve_seconds,
+                "pencils": self.pencils}
 
 
 def save_eps_result(result, path):
@@ -348,7 +347,25 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
     periodicity of the sampled coefficients; production path for many
     periods, where the full pencil no longer fits.  ``refine`` recomputes
     each eigenvalue as a quadrature-energy Rayleigh quotient of the
-    eigenvector's per-period energies."""
+    eigenvector's per-period energies.
+
+    The pencils are walked in order p = 0, 1, ..., P/2.  Once ``count``
+    refined eigenvalues (with multiplicity) are in hand, each further pencil
+    is first checked by ``count_below`` at the shift
+
+        s = lam* + max(1e-3 lam*, 10 max |refined - raw|),
+
+    where lam* is the count-th smallest refined eigenvalue so far and the
+    maximum runs over the pairs solved so far (refinement can move a raw
+    Ritz value far, so the margin must cover that move).  A pencil with no
+    eigenvalue below s cannot supply one of the first ``count`` values and
+    is skipped as certified empty; any other answer, None included, means
+    it is solved.  Skipping only drops candidates that the merge would not
+    take, so the eigenvalues are bit-identical to solving every pencil.
+    ``pencils`` of the result records each pencil: p, theta, status
+    ("solved" or "certified"), the ``count_below`` answer and the shift of
+    its check (None when unchecked), its refined eigenvalues, how many of
+    the returned eigenvalues it supplies, and its seconds."""
     if count > 20:
         raise EpsError("count capped at 20 (mesh resolves only the low end)")
     if assembly is None:
@@ -359,9 +376,13 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
     P = problem.params.periods
     epp = problem.elements_per_period
     topo = assembly.columns // epp
+    mid = (epp, 2 * epp)
     opts = {"tol": tol} if tol is not None else {}
     found = []
+    pencils = []
+    move = 0.0
     for p in range(P // 2 + 1):
+        t_p = time.perf_counter()
         theta = 2.0 * np.pi * p / P
         z = np.exp(1j * theta)
         Ah = (A0 + z * A1 + np.conj(z) * Am).tocsc()
@@ -370,42 +391,58 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
         Bh = 0.5 * (Bh + Bh.getH())
         if p == 0 or 2 * p == P:
             Ah, Bh = Ah.real, Bh.real
-        k = min(count, m - 1)
-        req = EigenRequest(count=k, shift=0.5, **opts)
-        lam, vec = solve_smallest(Ah, Bh, req)
         mult = 2 if (0 < p < P / 2) else 1
-        for j in range(k):
-            found.append((lam[j], p, mult, vec[:, j]))
-    mid = (epp, 2 * epp)
-    if refine:
-        # Rayleigh quotient through the quadrature energies of the Bloch
-        # field over one period (assembled as the middle block of the ring);
-        # real and imaginary parts add for the sesquilinear forms.  Every
-        # candidate is refined *before* the merge sort: raw Ritz values at
-        # production sizes carry enough roundoff that the cross-block
-        # ordering can be wrong.
-        refined = []
-        for lam, p, mult, v in found:
-            theta = 2.0 * np.pi * p / P
+        record = {"p": p, "theta": theta, "status": "solved", "below": None,
+                  "shift": None, "eigenvalues": [], "kept": 0}
+        pencils.append(record)
+        if sum(r[2] for r in found) >= count:
+            lam_star = sorted(r[0] for r in found
+                              for _ in range(r[2]))[count - 1]
+            shift = lam_star + max(1e-3 * lam_star, 10.0 * move)
+            record.update(below=count_below(Ah, Bh, shift), shift=shift)
+        if record["below"] == 0:
+            record["status"] = "certified"
+        else:
+            k = min(count, m - 1)
+            lam, vec = solve_smallest(Ah, Bh,
+                                      EigenRequest(count=k, shift=0.5, **opts))
             phases = np.exp(1j * theta * np.arange(topo))
-            ring = (phases[:, None] * v[None, :]).ravel()
-            ea, eb = assembly.energies(ring.real, col_range=mid)
-            if np.iscomplexobj(v) and np.any(v.imag):
-                ea2, eb2 = assembly.energies(ring.imag, col_range=mid)
-                ea, eb = ea + ea2, eb + eb2
-            refined.append((ea / eb, p, mult, v))
-        found = refined
+            for j in range(k):
+                value = lam[j]
+                if refine:
+                    # Rayleigh quotient through the quadrature energies of
+                    # the Bloch field over one period (assembled as the
+                    # middle block of the ring); real and imaginary parts
+                    # add for the sesquilinear forms.  Every candidate is
+                    # refined *before* the merge sort: raw Ritz values at
+                    # production sizes carry enough roundoff that the
+                    # cross-block ordering can be wrong.
+                    v = vec[:, j]
+                    ring = (phases[:, None] * v[None, :]).ravel()
+                    ea, eb = assembly.energies(ring.real, col_range=mid)
+                    if np.iscomplexobj(v) and np.any(v.imag):
+                        ea2, eb2 = assembly.energies(ring.imag,
+                                                     col_range=mid)
+                        ea, eb = ea + ea2, eb + eb2
+                    value = ea / eb
+                    move = max(move, abs(value - lam[j]))
+                found.append((value, p, mult))
+                record["eigenvalues"].append(float(value))
+        record["seconds"] = time.perf_counter() - t_p
     found.sort(key=lambda r: r[0])
     lams = []
-    for lam, p, mult, v in found:
+    for lam, p, mult in found:
         if len(lams) >= count:
             break
-        lams.extend([lam] * min(mult, count - len(lams)))
+        taken = min(mult, count - len(lams))
+        lams.extend([lam] * taken)
+        pencils[p]["kept"] += taken
     lam = np.sort(np.array(lams))
     return EpsEigenResult(problem=problem, eigenvalues=lam, eigenvectors=None,
                           dof=P * m,
                           assembly_seconds=assembly.assembly_seconds,
-                          solve_seconds=time.perf_counter() - t0)
+                          solve_seconds=time.perf_counter() - t0,
+                          pencils=pencils)
 
 
 def solve_eps_poisson(problem, f, assembly=None):

@@ -33,8 +33,6 @@ from scipy import sparse
 
 from .jets import DerivativeJet3
 
-BC_KINDS = ("clamped1", "clamped2", "free", "periodic")
-
 #: Gauss points per direction and element; exact for degree 15
 QUAD_ORDER = 8
 

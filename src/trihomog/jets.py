@@ -156,9 +156,6 @@ class DerivativeJet3:
     def __getitem__(self, idx):
         return self.derivs[idx]
 
-    def order3(self):
-        return {k: v for k, v in self.derivs.items() if index_order(k) == 3}
-
 
 @dataclass(frozen=True)
 class TransformCoeffs:
@@ -215,7 +212,7 @@ def invert_shear_derivs(forward, nvars, min_slope=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# chain-rule coefficients and the pulled-back integrand
+# chain-rule coefficients
 # ---------------------------------------------------------------------------
 
 def transform_coeffs(inverse_jet, nvars=None):
@@ -245,36 +242,6 @@ def apply_coeffs(coeffs, ref_jet, beta):
     derivs = _as_derivs(ref_jet)
     row = coeffs.coeffs[beta]
     return sum(c * derivs[gamma] for gamma, c in row.items())
-
-
-def frobenius_d3(A, B):
-    """Full contraction of two symmetric order-3 derivative tensors given by
-    their multi-index components: each unordered derivative is counted with
-    its multiplicity among ordered index triples."""
-    a = _as_derivs(A) if hasattr(A, 'derivs') else A
-    b = _as_derivs(B) if hasattr(B, 'derivs') else B
-    a = {k: v for k, v in a.items() if index_order(k) == 3}
-    b = {k: v for k, v in b.items() if index_order(k) == 3}
-    if set(a) != set(b):
-        raise ValueError("dimension mismatch in order-3 contraction")
-    return sum(multinomial(k) * a[k] * b[k] for k in a)
-
-
-def pullback_integrand(coeffs, jet_u, jet_v):
-    """Value of (D^3 u : D^3 v + u v) |det J| at the physical image point,
-    with u, v given by their reference jets and the chain-rule coefficients
-    of the map."""
-    nvars = coeffs.nvars
-    zero = (0,) * nvars
-    phys_u = {}
-    phys_v = {}
-    for beta in coeffs.coeffs:
-        if index_order(beta) == 3:
-            phys_u[beta] = apply_coeffs(coeffs, jet_u, beta)
-            phys_v[beta] = apply_coeffs(coeffs, jet_v, beta)
-    u0 = _as_derivs(jet_u)[zero]
-    v0 = _as_derivs(jet_v)[zero]
-    return (frobenius_d3(phys_u, phys_v) + u0 * v0) * coeffs.det_jacobian
 
 
 def invert_jet3(forward, min_slope=1e-8):

@@ -109,6 +109,37 @@ class EquilibratedLU:
             matvec=lambda x: self.lu.solve(np.asarray(x).astype(dtype)))
 
 
+def count_below(A, B, shift):
+    """Number of eigenvalues of the Hermitian pencil A x = lambda B x (B
+    positive definite) below ``shift``, or None when it cannot be read off.
+
+    Sylvester's law of inertia: A - shift B has as many negative eigenvalues
+    as the pencil has eigenvalues below the shift, and so has the congruent
+    equilibrated matrix Ms = D (A - shift B) D.  A factorization of Ms with
+    a symmetric permutation and no pivoting, Ms = P' L U P with
+    U = diag(U) L^H, keeps that inertia in the pivots, so the count is the
+    number of negative Re U_ii (spectrum slicing, Parlett, The Symmetric
+    Eigenvalue Problem).  None when the factorization fails, when SuperLU
+    pivoted off the diagonal after all (perm_r != perm_c), or when a pivot
+    is too close to zero for its sign to mean anything: within
+    10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
+    without pivoting can leave in a pivot of a definite matrix."""
+    D = sparse.diags(equilibration(A))
+    M = (D @ A @ D - shift * (D @ B @ D)).tocsc()
+    try:
+        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal().real
+    tiny = 10 * M.shape[0] * np.finfo(float).eps * abs(M).max()
+    if np.any(np.abs(pivots) <= tiny):
+        return None
+    return int(np.count_nonzero(pivots < 0))
+
+
 def solve_smallest(A, B, request, energy=None):
     """The ``request.count`` eigenpairs of A x = lambda B x nearest (from
     above) the shift, i.e. the smallest ones when the shift sits below the

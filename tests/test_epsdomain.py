@@ -2,13 +2,18 @@
 energy, symmetry) and against the limit solver on domains where the limit
 is exact."""
 
+import json
+
 import numpy as np
 import pytest
 
-from trihomog.epsdomain import (EpsAssembly, EpsError, EpsProblem,
-                                compare_to_limit, solve_eps_poisson,
+from trihomog import epsdomain, jets
+from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
+                                compare_to_limit, save_eps_result,
+                                solve_eps_poisson,
                                 solve_eps_spectrum, solve_eps_spectrum_bloch,
                                 vertical_mesh)
+from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
 from trihomog.oscillation import OscillationProfile, PerturbationParams
 
@@ -71,6 +76,57 @@ def test_quadrature_energies_match_matrix_form(cosine_assembly):
     assert abs(eb - v @ (asm.mass @ v)) < 1e-12 * abs(eb)
 
 
+def test_node_blocks_match_pointwise_pullback():
+    # oracle for the vectorised chain-rule contraction of the assembly: the
+    # stiffness and mass blocks of the nine dofs at one boundary-layer node,
+    # rebuilt point by point from the scalar map jet (eval_pullback,
+    # invert_jet3, transform_coeffs) and the plain integrands
+    # (D^3 u : D^3 v + u v) |det J| and u v |det J|, summed over the four
+    # elements that share the node
+    profile = OscillationProfile(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+    params = PerturbationParams(0.25, 1.5)
+    prob = EpsProblem(profile, params, elements_per_period=4)
+    asm = EpsAssembly(prob)
+    space = asm.space
+    nodes = space.vmesh.nodes
+    hx = 1.0 / prob.nx
+    i0, j0 = 5, space.vmesh.n_elements - 1
+    elems = [(i0 - 1 + a, j0 - 1 + b) for a in (0, 1) for b in (0, 1)]
+    node = sorted(set.intersection(*(set(space.element_dofs_2d(i, j).tolist())
+                                     for i, j in elems)))
+    assert len(node) == 9
+    free = space.full_to_free[node]
+    assert np.all(free >= 0)
+    sq, wq = gauss_rule(QUAD_ORDER)
+    nq = len(sq)
+    stiff = np.zeros((9, 9))
+    mass = np.zeros((9, 9))
+    for i, j in elems:
+        ht = nodes[j + 1] - nodes[j]
+        T = EpsAssembly._shape_tables(hx, ht)
+        dofs = space.element_dofs_2d(i, j)
+        local = [int(np.flatnonzero(dofs == g)[0]) for g in node]
+        for qx in range(nq):
+            for qt in range(nq):
+                point = ((i + sq[qx]) * hx, nodes[j] + ht * sq[qt])
+                C = jets.transform_coeffs(jets.invert_jet3(
+                    profile.eval_pullback(params, point)))
+                ref = {g: T[gi, qx * nq + qt, local]
+                       for gi, g in enumerate(IDX10)}
+                phys = {b: jets.apply_coeffs(C, ref, b) for b in IDX3}
+                weight = C.det_jacobian * wq[qx] * wq[qt] * hx * ht
+                uv = np.outer(ref[(0, 0)], ref[(0, 0)]) * weight
+                mass += uv
+                stiff += uv
+                for b in IDX3:
+                    stiff += (jets.multinomial(b) * weight
+                              * np.outer(phys[b], phys[b]))
+    for matrix, oracle in ((asm.stiffness, stiff), (asm.mass, mass)):
+        np.testing.assert_allclose(matrix[free][:, free].toarray(), oracle,
+                                   rtol=1e-10,
+                                   atol=1e-13 * np.abs(oracle).max())
+
+
 def test_flat_domain_reproduces_limit_spectrum():
     # with g = 0 the eps problem *is* the limit problem; only discretization
     # separates the two solvers
@@ -131,6 +187,59 @@ def test_ring_compare_samples_the_ring_coordinates(cosine_assembly):
     assert abs(sq["torus"] - 0.375) < 1e-3
     assert abs(sq["ring"] * prob.params.periods - sq["torus"]) \
         < 1e-10 * sq["torus"]
+
+
+@pytest.fixture(scope="module")
+def critical_ring():
+    # alpha = 3/2, eps = 1/8: P = 8 periods, pencils p = 0..4
+    profile = OscillationProfile(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+    prob = EpsProblem(profile, PerturbationParams(0.125, 1.5),
+                      elements_per_period=4)
+    return prob, EpsAssembly(prob, columns=3 * prob.elements_per_period)
+
+
+# count 3 takes its last eigenvalue from the p = 1 band, count 8 from p = 2
+@pytest.mark.parametrize("count", [3, 8])
+def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
+                                                monkeypatch):
+    prob, ring = critical_ring
+    pruned = solve_eps_spectrum_bloch(prob, count, assembly=ring)
+    # a check that never answers is the fallback: every pencil is solved
+    monkeypatch.setattr(epsdomain, "count_below", lambda A, B, shift: None)
+    full = solve_eps_spectrum_bloch(prob, count, assembly=ring)
+    assert np.array_equal(pruned.eigenvalues, full.eigenvalues)
+    assert [r["status"] for r in full.pencils] == ["solved"] * 5
+    assert [r["p"] for r in pruned.pencils] == list(range(5))
+    certified = [r for r in pruned.pencils if r["status"] == "certified"]
+    assert certified
+    lam_star = pruned.eigenvalues[-1]
+    for rec, ref in zip(pruned.pencils, full.pencils):
+        assert rec["kept"] == ref["kept"]
+        if rec["status"] == "certified":
+            assert rec["below"] == 0 and rec["eigenvalues"] == []
+            # what a full solve finds there lies above the shift
+            assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
+        elif rec["below"] is not None and max(rec["eigenvalues"]) > \
+                rec["shift"]:
+            # the inertia count agrees with the solved eigenvalues
+            assert rec["below"] == sum(v < rec["shift"]
+                                       for v in rec["eigenvalues"])
+    assert sum(r["kept"] for r in pruned.pencils) == count
+
+
+def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
+    prob, ring = critical_ring
+    res = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    path = tmp_path / "res.json"
+    save_eps_result(res, str(path))
+    data = json.loads(path.read_text())
+    assert [r["status"] for r in data["pencils"]] == \
+        ["solved", "solved", "certified", "certified", "certified"]
+    assert set(data["pencils"][0]) == {"p", "theta", "status", "below",
+                                       "shift", "eigenvalues", "kept",
+                                       "seconds"}
+    assert data["pencils"][0]["below"] is None
+    assert data["pencils"][1]["below"] == 2
 
 
 def test_bloch_needs_three_periods(cosine_profile):

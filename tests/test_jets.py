@@ -133,30 +133,6 @@ def test_det_jacobian_of_vertical_shear():
                - (1.0 + profile.eval_g(params, point[0]))) < 1e-12
 
 
-def test_frobenius_contraction_multiplicities():
-    A = {(3, 0): 2.0, (2, 1): -1.0, (1, 2): 0.5, (0, 3): 3.0}
-    # ordered-triple contraction of a symmetric tensor with itself:
-    # multiplicities 1, 3, 3, 1
-    expect = 1 * 2.0 ** 2 + 3 * 1.0 ** 2 + 3 * 0.5 ** 2 + 1 * 3.0 ** 2
-    assert abs(jets.frobenius_d3(A, A) - expect) < 1e-14
-
-
-def test_pullback_integrand_flat_map_is_plain_form():
-    # with g = 0 the shear is the identity and the pulled-back integrand must
-    # reduce to D^3 u : D^3 v + u v
-    profile = OscillationProfile(1, {(0,): 0.0}, check_nonnegative=False)
-    params = PerturbationParams(0.25, 2.0)
-    jet = profile.eval_pullback(params, (0.3, -0.6))
-    C = jets.transform_coeffs(jets.invert_jet3(jet))
-    rng = np.random.default_rng(1)
-    idx = jets.multi_indices(2)
-    ju = {k: rng.normal() for k in idx}
-    jv = {k: rng.normal() for k in idx}
-    val = jets.pullback_integrand(C, ju, jv)
-    expect = jets.frobenius_d3(ju, jv) + ju[(0, 0)] * jv[(0, 0)]
-    assert abs(val - expect) < 1e-12 * (1 + abs(expect))
-
-
 def test_degenerate_shear_raises():
     forward = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): 0.0, (2, 0): 0.0,
                (1, 1): 0.0, (0, 2): 0.0, (3, 0): 0.0, (2, 1): 0.0,

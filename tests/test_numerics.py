@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 
 from trihomog.numerics import (EigenRequest, EquilibratedLU, SolverError,
-                               solve_linear, solve_smallest)
+                               count_below, solve_linear, solve_smallest)
 
 
 def test_diagonal_pencil():
@@ -171,3 +171,48 @@ def test_lanczos_seed_reuses_and_releases_the_factor(monkeypatch):
         gc.enable()
     ref = 2.5 - 2.0 * abs(off[0]) * np.cos(np.pi * np.arange(1, 4) / (n + 1))
     np.testing.assert_allclose(lam, ref, rtol=1e-10)
+
+
+def _banded_hermitian_pencil(rng, n, complex_entries):
+    """Sparse pentadiagonal Hermitian pencil with B positive definite and
+    an A whose pencil eigenvalues straddle several shifts."""
+    def band(scale):
+        offs = [scale * rng.normal(size=n - k) for k in (1, 2)]
+        if complex_entries:
+            offs = [o + 1j * scale * rng.normal(size=n - k)
+                    for o, k in zip(offs, (1, 2))]
+        return offs
+
+    a1, a2 = band(1.0)
+    b1, b2 = band(0.1)
+    A = sparse.diags([a2.conj(), a1.conj(), rng.uniform(1.0, 9.0, n), a1, a2],
+                     [-2, -1, 0, 1, 2]).tocsc()
+    B = sparse.diags([b2.conj(), b1.conj(), rng.uniform(1.0, 2.0, n), b1, b2],
+                     [-2, -1, 0, 1, 2]).tocsc()
+    return A, B
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_count_below_matches_dense_inertia(complex_entries):
+    # shifts below the spectrum, between neighbouring eigenvalues and above
+    # it; the count is the number of dense eigenvalues below the shift
+    rng = np.random.default_rng(43)
+    A, B = _banded_hermitian_pencil(rng, 60, complex_entries)
+    lam = eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    shifts = [lam[0] - 1.0, lam[-1] + 1.0]
+    shifts += [0.5 * (lam[j] + lam[j + 1]) for j in (0, 7, 23, 41, 58)]
+    for shift in shifts:
+        assert count_below(A, B, shift) == np.count_nonzero(lam < shift)
+
+
+def test_count_below_refuses_a_singular_shift():
+    # at an eigenvalue the shifted matrix is singular: the sign of its zero
+    # pivot means nothing, so no count comes back
+    A = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))  # 1 and 3
+    B = sparse.identity(2, format="csc")
+    assert count_below(A, B, 0.5) == 0
+    assert count_below(A, B, 4.0) == 2
+    assert count_below(A, B, 1.0) is None
+    assert count_below(A, B, 3.0) is None
+    D = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
+    assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
