@@ -21,9 +21,8 @@ from .numerics import (EigenRequest, EquilibratedLU, SolverError,
 from .limit1d import (LimitBC, LimitSpectrum, solve_limit_spectrum,
                       solve_limit_poisson, save_spectrum)
 from .epsdomain import (EpsProblem, EpsAssembly, EpsEigenResult,
-                        solve_eps_spectrum, solve_eps_spectrum_bloch,
-                        solve_eps_poisson, compare_to_limit, save_eps_result,
-                        vertical_mesh)
+                        solve_eps_spectrum_bloch, solve_eps_poisson,
+                        compare_to_limit, save_eps_result, vertical_mesh)
 from .sweep import (SweepConfig, ConvergenceTable, default_profile,
                     run_cell_k, run_converge, run_verify)
 

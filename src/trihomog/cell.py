@@ -198,12 +198,12 @@ def mode_energy_quadrature(mode):
     return val
 
 
-def k_energy(solution, check_quadrature=True, quad_rtol=1e-8):
+def k_energy(solution, check_quadrature=True):
     """K as the strip energy integral; returns (K, per-mode table).
 
     Each mode integral is evaluated in closed form and, when
     check_quadrature is set, cross-checked against adaptive quadrature;
-    disagreement beyond quad_rtol raises.
+    disagreement beyond 1e-8 relative raises.
     """
     table = {}
     total = 0.0
@@ -215,7 +215,7 @@ def k_energy(solution, check_quadrature=True, quad_rtol=1e-8):
         closed = mode_energy_closed_form(mode)
         if check_quadrature:
             quad = mode_energy_quadrature(mode)
-            if abs(closed - quad) > quad_rtol * (1.0 + abs(closed)):
+            if abs(closed - quad) > 1e-8 * (1.0 + abs(closed)):
                 raise CellError(
                     "closed-form and quadrature energies disagree for mode "
                     "%r: %.17g vs %.17g" % (k, closed, quad))
@@ -238,7 +238,7 @@ def k_boundary(solution):
     return float(total)
 
 
-def k_testfunction(solution, n_gauss=64):
+def k_testfunction(solution):
     """K by testing against the finite-strip field b(ybar) (1 + y_N)^4:
 
         int_{Y x (-1,0)} [ 3 D^2_y(dV/dy_N) : D^2_y(b (1+y_N)^4)
@@ -246,7 +246,7 @@ def k_testfunction(solution, n_gauss=64):
 
     evaluated per mode by Gauss quadrature in the vertical variable (the
     integrand is exponential times polynomial)."""
-    t, w = np.polynomial.legendre.leggauss(n_gauss)
+    t, w = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (t - 1.0)   # map to (-1, 0)
     w = 0.5 * w
     q = [(1.0 + t) ** 4, 4.0 * (1.0 + t) ** 3, 12.0 * (1.0 + t) ** 2,
@@ -277,14 +277,14 @@ class ResidualReport:
     scale: float         # max_k |b_k| (1 + xi^3)
 
 
-def residual_check(solution, n_grid=256):
+def residual_check(solution):
     """Interior and boundary residuals of the per-mode solutions.
 
     The interior residual applies the sixth-order operator symbolically to
     the exponential-polynomial form: conjugating (D^2 - xi^2)^3 by e^{xi t}
     gives (D^2 + 2 xi D)^3 acting on the quadratic polynomial part.
     """
-    t = np.linspace(-10.0, 0.0, n_grid)
+    t = np.linspace(-10.0, 0.0, 256)
     ode_max = bc_value = bc_slope = bc_third = scale = 0.0
     for k in solution.sorted_keys():
         mode = solution.modes[k]

@@ -46,6 +46,8 @@ def _load_profile_arg(path):
 
 
 def _cmd_cell_k(args):
+    if args.cutoff is not None and args.cutoff < 0:
+        raise InputError("--cutoff must be >= 0, got %d" % args.cutoff)
     profile = _load_profile_arg(args.profile)
     report, agreed = run_cell_k(profile, out_path=args.out,
                                 cutoff=args.cutoff)
@@ -58,6 +60,10 @@ def _cmd_cell_k(args):
 
 
 def _cmd_limit_spec(args):
+    if args.count < 1:
+        raise InputError("--count must be >= 1, got %d" % args.count)
+    if args.modes < 0:
+        raise InputError("--modes must be >= 0, got %d" % args.modes)
     kind = BC_NAMES[args.bc]
     k_value = 0.0
     if kind == "strange":
@@ -74,8 +80,11 @@ def _cmd_limit_spec(args):
             except ValueError:
                 raise InputError("--K must be 'auto' or a number, got %r"
                                  % args.K)
-    bc = LimitBC(kind, K=k_value, flip_sign=(kind == "strange"
-                                             and args.sign == "flipped"))
+    try:
+        bc = LimitBC(kind, K=k_value, flip_sign=(kind == "strange"
+                                                 and args.sign == "flipped"))
+    except ValueError as err:
+        raise InputError(str(err))
     spectrum = solve_limit_spectrum(bc, count=args.count, cutoff=args.modes)
     if args.out:
         save_spectrum(spectrum, args.out)
@@ -85,8 +94,11 @@ def _cmd_limit_spec(args):
 
 
 def _cmd_eps_spec(args):
-    from .epsdomain import (EpsProblem, solve_eps_spectrum_bloch,
+    from .epsdomain import (MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch,
                             save_eps_result)
+    if not 1 <= args.count <= MAX_COUNT:
+        raise InputError("--count must lie in 1..%d, got %d"
+                         % (MAX_COUNT, args.count))
     profile = _load_profile_arg(args.profile)
     eps = _parse_eps(args.eps)
     try:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .oscillation import OscillationProfile, PerturbationParams
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
 IDX3 = tuple(b for b in IDX10 if index_order(b) == 3)
 MULT3 = np.array([multinomial(b) for b in IDX3], dtype=float)
+MAX_COUNT = 20          # the mesh resolves only the low end of the spectrum
 
 
 class EpsError(ValueError):
@@ -73,25 +74,19 @@ class EpsProblem:
         return self.elements_per_period * self.params.periods
 
 
-def vertical_mesh(eps, n_coarse=16, n_layer=8, ratio=0.75):
+def vertical_mesh(eps, n_coarse=16, n_layer=8):
     """Vertical mesh on (-1, 0): uniform below -2 eps, geometric layer with
-    `ratio` shrink inside (-2 eps, 0) so the smallest elements sit at the
-    oscillating side."""
+    0.75 shrink per element inside (-2 eps, 0) so the smallest elements sit
+    at the oscillating side."""
     split = -2.0 * eps
     if split <= -1.0:
         raise EpsError("eps too large for the boundary-layer mesh")
     coarse = np.linspace(-1.0, split, n_coarse + 1)
-    sizes = ratio ** np.arange(n_layer)
+    sizes = 0.75 ** np.arange(n_layer)
     sizes *= (0.0 - split) / sizes.sum()
     layer = split + np.cumsum(sizes)
     layer[-1] = 0.0
     return Mesh1D(np.concatenate([coarse, layer]))
-
-
-def build_problem_space(problem):
-    vm = vertical_mesh(problem.params.epsilon, problem.n_coarse, problem.n_layer)
-    return build_space_2d(problem.nx, vm, bc_bottom="clamped1",
-                          bc_top="clamped1")
 
 
 class EpsAssembly:
@@ -99,24 +94,17 @@ class EpsAssembly:
     needed to evaluate the pulled-back energies of dof vectors by
     quadrature."""
 
-    def __init__(self, problem, space=None, columns=None):
+    def __init__(self, problem, columns=None):
         """``columns`` restricts assembly to that many tangential element
         columns (with ring topology) while keeping the true element size
         1/nx; used by the Bloch path, which only needs one period block and
         its neighbour couplings (assembled here from a 3-period ring)."""
         self.problem = problem
         self.columns = problem.nx if columns is None else columns
-        self.is_ring = self.columns != problem.nx
-        if space is not None:
-            self.space = space
-        elif self.is_ring:
-            vm = vertical_mesh(problem.params.epsilon, problem.n_coarse,
-                               problem.n_layer)
-            self.space = build_space_2d(self.columns, vm,
-                                        bc_bottom="clamped1",
-                                        bc_top="clamped1")
-        else:
-            self.space = build_problem_space(problem)
+        vm = vertical_mesh(problem.params.epsilon, problem.n_coarse,
+                           problem.n_layer)
+        self.space = build_space_2d(self.columns, vm, bc_bottom="clamped1",
+                                    bc_top="clamped1")
         self._rows = []
         self._assemble()
 
@@ -259,13 +247,11 @@ class EpsAssembly:
 class EpsEigenResult:
     problem: EpsProblem
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     dof: int
     assembly_seconds: float
     solve_seconds: float
-    #: one record per Bloch pencil (see solve_eps_spectrum_bloch); empty
-    #: for the full-torus solve
-    pencils: list = field(default_factory=list)
+    #: one record per Bloch pencil (see solve_eps_spectrum_bloch)
+    pencils: list
 
     def to_dict(self):
         return {"alpha": self.problem.params.alpha,
@@ -281,28 +267,6 @@ def save_eps_result(result, path):
     with open(path, "w") as fh:
         json.dump(result.to_dict(), fh, indent=1)
         fh.write("\n")
-
-
-def solve_eps_spectrum(problem, count, assembly=None, tol=None):
-    """Lowest eigenpairs of the oscillating-domain problem, solved on the
-    full torus pencil: the reference for the Bloch reduction
-    (solve_eps_spectrum_bloch, the production path).  The form contains
-    + int u^2, so the spectrum sits above 1 and the default shift 0.5 lies
-    safely below it."""
-    if count > 20:
-        raise EpsError("count capped at 20 (mesh resolves only the low end)")
-    if assembly is None:
-        assembly = EpsAssembly(problem)
-    t0 = time.perf_counter()
-    opts = {"tol": tol} if tol is not None else {}
-    req = EigenRequest(count=count, shift=0.5, **opts)
-    lam, vec = solve_smallest(assembly.stiffness.tocsc(),
-                              assembly.mass.tocsc(), req,
-                              energy=assembly.energies)
-    return EpsEigenResult(problem=problem, eigenvalues=lam, eigenvectors=vec,
-                          dof=assembly.space.n_free,
-                          assembly_seconds=assembly.assembly_seconds,
-                          solve_seconds=time.perf_counter() - t0)
 
 
 def _bloch_blocks(assembly):
@@ -339,15 +303,16 @@ def _bloch_blocks(assembly):
     return out[0], out[1], m
 
 
-def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
-                             refine=True):
-    """Lowest eigenpairs via the Bloch (block-circulant) reduction: one
-    complex Hermitian solve per quasimomentum, merged with multiplicity two
-    for conjugate pairs.  Exact for the discrete pencil up to the roundoff
-    periodicity of the sampled coefficients; production path for many
-    periods, where the full pencil no longer fits.  ``refine`` recomputes
-    each eigenvalue as a quadrature-energy Rayleigh quotient of the
-    eigenvector's per-period energies.
+def solve_eps_spectrum_bloch(problem, count, assembly=None):
+    """Lowest eigenvalues of the oscillating-domain problem via the Bloch
+    (block-circulant) reduction: one complex Hermitian solve per
+    quasimomentum, merged with multiplicity two for conjugate pairs.  Exact
+    for the discrete pencil up to the roundoff periodicity of the sampled
+    coefficients; the one eps eigen entry point, since the full torus pencil
+    does not fit at production sizes.  Each eigenvalue is recomputed as a
+    quadrature-energy Rayleigh quotient of the eigenvector's per-period
+    energies.  The form contains + int u^2, so the spectrum sits above 1
+    and the shift 0.5 lies safely below it.
 
     The pencils are walked in order p = 0, 1, ..., P/2.  Once ``count``
     refined eigenvalues (with multiplicity) are in hand, each further pencil
@@ -366,8 +331,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
     ("solved" or "certified"), the ``count_below`` answer and the shift of
     its check (None when unchecked), its refined eigenvalues, how many of
     the returned eigenvalues it supplies, and its seconds."""
-    if count > 20:
-        raise EpsError("count capped at 20 (mesh resolves only the low end)")
+    if not 1 <= count <= MAX_COUNT:
+        raise EpsError("count must lie in 1..%d (the mesh resolves only the "
+                       "low end)" % MAX_COUNT)
     if assembly is None:
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)
@@ -377,7 +343,6 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
     epp = problem.elements_per_period
     topo = assembly.columns // epp
     mid = (epp, 2 * epp)
-    opts = {"tol": tol} if tol is not None else {}
     found = []
     pencils = []
     move = 0.0
@@ -404,28 +369,23 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
             record["status"] = "certified"
         else:
             k = min(count, m - 1)
-            lam, vec = solve_smallest(Ah, Bh,
-                                      EigenRequest(count=k, shift=0.5, **opts))
+            lam, vec = solve_smallest(Ah, Bh, EigenRequest(count=k, shift=0.5))
             phases = np.exp(1j * theta * np.arange(topo))
             for j in range(k):
-                value = lam[j]
-                if refine:
-                    # Rayleigh quotient through the quadrature energies of
-                    # the Bloch field over one period (assembled as the
-                    # middle block of the ring); real and imaginary parts
-                    # add for the sesquilinear forms.  Every candidate is
-                    # refined *before* the merge sort: raw Ritz values at
-                    # production sizes carry enough roundoff that the
-                    # cross-block ordering can be wrong.
-                    v = vec[:, j]
-                    ring = (phases[:, None] * v[None, :]).ravel()
-                    ea, eb = assembly.energies(ring.real, col_range=mid)
-                    if np.iscomplexobj(v) and np.any(v.imag):
-                        ea2, eb2 = assembly.energies(ring.imag,
-                                                     col_range=mid)
-                        ea, eb = ea + ea2, eb + eb2
-                    value = ea / eb
-                    move = max(move, abs(value - lam[j]))
+                # Rayleigh quotient through the quadrature energies of the
+                # Bloch field over one period (assembled as the middle block
+                # of the ring); real and imaginary parts add for the
+                # sesquilinear forms.  Every candidate is refined *before*
+                # the merge sort: raw Ritz values at production sizes carry
+                # enough roundoff that the cross-block ordering can be wrong.
+                v = vec[:, j]
+                ring = (phases[:, None] * v[None, :]).ravel()
+                ea, eb = assembly.energies(ring.real, col_range=mid)
+                if np.iscomplexobj(v) and np.any(v.imag):
+                    ea2, eb2 = assembly.energies(ring.imag, col_range=mid)
+                    ea, eb = ea + ea2, eb + eb2
+                value = ea / eb
+                move = max(move, abs(value - lam[j]))
                 found.append((value, p, mult))
                 record["eigenvalues"].append(float(value))
         record["seconds"] = time.perf_counter() - t_p
@@ -438,8 +398,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None, tol=None,
         lams.extend([lam] * taken)
         pencils[p]["kept"] += taken
     lam = np.sort(np.array(lams))
-    return EpsEigenResult(problem=problem, eigenvalues=lam, eigenvectors=None,
-                          dof=P * m,
+    return EpsEigenResult(problem=problem, eigenvalues=lam, dof=P * m,
                           assembly_seconds=assembly.assembly_seconds,
                           solve_seconds=time.perf_counter() - t0,
                           pencils=pencils)

@@ -125,17 +125,16 @@ def uniform_mesh(n, a=-1.0, b=0.0):
     return Mesh1D(np.linspace(a, b, n + 1))
 
 
-def graded_mesh(n, ratio=0.75, a=-1.0, b=0.0, min_size_ratio=1.0 / 64):
+def graded_mesh(n, ratio=0.75, a=-1.0, b=0.0):
     """Quasi-uniform mesh with a geometric boundary layer at the right
     endpoint b: away from b the elements share one size, and the last few
-    shrink by `ratio` per step until they reach ``min_size_ratio`` times the
-    bulk size.  Bounding the bulk size keeps the interpolation error small
-    everywhere, and flooring the smallest size keeps the h^{-6} dynamic
-    range of sixth-order stiffness matrices representable in double
-    precision."""
-    if n < 2 or not (0 < ratio < 1) or not (0 < min_size_ratio <= 1):
+    shrink by `ratio` per step until they reach 1/64 of the bulk size.
+    Bounding the bulk size keeps the interpolation error small everywhere,
+    and flooring the smallest size keeps the h^{-6} dynamic range of
+    sixth-order stiffness matrices representable in double precision."""
+    if n < 2 or not (0 < ratio < 1):
         raise DiscretizationError("invalid grading parameters")
-    depth = min(n - 1, int(math.ceil(math.log(min_size_ratio)
+    depth = min(n - 1, int(math.ceil(math.log(1.0 / 64)
                                      / math.log(ratio))))
     tail = ratio ** np.arange(1, depth + 1)
     sizes = np.concatenate([np.ones(n - depth), tail])

@@ -28,17 +28,18 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 3
+MIN_SLOPE = 1e-8        # a shear with |d tau/dt| below this is degenerate
 
 
 # ---------------------------------------------------------------------------
 # multi-index utilities
 # ---------------------------------------------------------------------------
 
-def multi_indices(nvars, max_order=MAX_ORDER):
-    """All multi-indices over ``nvars`` variables with total order <= max_order,
-    in graded lexicographic order (order 0 first)."""
+def multi_indices(nvars):
+    """All multi-indices over ``nvars`` variables with total order <=
+    MAX_ORDER, in graded lexicographic order (order 0 first)."""
     out = []
-    for order in range(max_order + 1):
+    for order in range(MAX_ORDER + 1):
         out.extend(_indices_of_order(nvars, order))
     return out
 
@@ -87,8 +88,8 @@ def multinomial(idx):
 # derivative is 1 and higher derivatives vanish.
 
 @lru_cache(maxsize=None)
-def composition_expansions(arg_spec, nvars, max_order=MAX_ORDER):
-    """Expansions of all D^beta, |beta| <= max_order, for the composition
+def composition_expansions(arg_spec, nvars):
+    """Expansions of all D^beta, |beta| <= MAX_ORDER, for the composition
     f(w_1, ..., w_m) where arg_spec[i] is ('var', j) for w_i = z_j or
     ('fn',) for the (unique) inner function.
 
@@ -98,7 +99,7 @@ def composition_expansions(arg_spec, nvars, max_order=MAX_ORDER):
     m = len(arg_spec)
     zero_g = (0,) * m
     expansions = {(0,) * nvars: (((zero_g, (), 1),))}
-    for beta in multi_indices(nvars, max_order):
+    for beta in multi_indices(nvars):
         if index_order(beta) == 0:
             continue
         v = next(i for i, k in enumerate(beta) if k > 0)
@@ -176,7 +177,7 @@ def _as_derivs(jet):
 # jet inversion for vertical shears
 # ---------------------------------------------------------------------------
 
-def invert_shear_derivs(forward, nvars, min_slope=1e-8):
+def invert_shear_derivs(forward, nvars):
     """Derivatives of the inverse of a vertical shear.
 
     ``forward`` maps multi-indices over reference variables (xbar, t) to
@@ -191,8 +192,8 @@ def invert_shear_derivs(forward, nvars, min_slope=1e-8):
     """
     e_t = _unit(nvars, nvars - 1)
     slope = forward[e_t]
-    if np.any(np.abs(slope) < min_slope):
-        raise ValueError("degenerate shear: |d tau/dt| below %g" % min_slope)
+    if np.any(np.abs(slope) < MIN_SLOPE):
+        raise ValueError("degenerate shear: |d tau/dt| below %g" % MIN_SLOPE)
     expansions = composition_expansions(_shear_spec(nvars), nvars)
     inverse = {}
     for beta in multi_indices(nvars):
@@ -244,7 +245,7 @@ def apply_coeffs(coeffs, ref_jet, beta):
     return sum(c * derivs[gamma] for gamma, c in row.items())
 
 
-def invert_jet3(forward, min_slope=1e-8):
+def invert_jet3(forward):
     """Invert a vertical-shear map jet (a MapJet3 or a raw derivative dict).
 
     Returns the jet of the inverse map as a plain derivative dictionary over
@@ -252,7 +253,7 @@ def invert_jet3(forward, min_slope=1e-8):
     """
     derivs = _as_derivs(forward)
     nvars = len(next(iter(derivs)))
-    inverse = invert_shear_derivs(derivs, nvars, min_slope=min_slope)
+    inverse = invert_shear_derivs(derivs, nvars)
     point = getattr(forward, 'point', None)
     zero = (0,) * nvars
     inverse[zero] = point[-1] if point is not None else 0.0

@@ -175,7 +175,7 @@ def _secular_bottom(S0, M, K, idx, lam1):
     return lam, vec
 
 
-def solve_mode(bc, m, count, space, tol=None):
+def solve_mode(bc, m, count, space):
     """Lowest eigenpairs of the mode-m reduced problem.
 
     When the strange term lowers the form, the rank-one structure pushes at
@@ -191,21 +191,20 @@ def solve_mode(bc, m, count, space, tol=None):
         S = apply_strange_term(S0, bc.signed_k(), space)
     Sc, Mc = S.tocsc(), M.tocsc()
     count = min(count, space.n_free)
-    opts = {"tol": tol} if tol is not None else {}
     energy = lambda x: _mode_energy(bc, xi, space, x)
     # without the K-term the form gives lambda >= xi^6 + 1 outright, and the
     # rank-one interlacing keeps every eigenvalue but the first above the
     # previous unperturbed one, so this shift sits below everything the
     # regular cluster can reach while staying close to it
     base_shift = xi ** 6 + 0.5
-    req = EigenRequest(count=count, shift=base_shift, **opts)
+    req = EigenRequest(count=count, shift=base_shift)
     lam_u, vec_u = solve_smallest(Sc, Mc, req, energy=energy)
     if not (bc.kind == "strange" and bc.signed_k() > 0.0):
         return lam_u, vec_u
     # the lowering sign can throw exactly one eigenvalue per mode far below
     # the cluster; chase it through the rank-one secular equation
     lam1, _ = solve_smallest(S0.tocsc(), Mc,
-                             EigenRequest(count=1, shift=base_shift, **opts))
+                             EigenRequest(count=1, shift=base_shift))
     bottom = _secular_bottom(S0, M, bc.signed_k(), trace_dof(space),
                              float(lam1[0]))
     if bottom is None:
@@ -248,8 +247,7 @@ def save_spectrum(spectrum, path):
 
 
 def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
-                         n_elements=DEFAULT_ELEMENTS, eigenvectors=False,
-                         mesh=None):
+                         n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
     solve the reduced eigenproblem, duplicate m != 0 entries onto -m (exact
     mode symmetry of the real form), merge, and keep the lowest ``count``."""
@@ -257,21 +255,16 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
         raise LimitError("count must be positive")
     space = limit_space(bc, n_elements, mesh=mesh)
     entries = []
-    vecs = {}
     for m in range(cutoff + 1):
         k = min(count, space.n_free)
-        lam, vec = solve_mode(bc, m, k, space)
+        lam, _ = solve_mode(bc, m, k, space)
         for idx in range(len(lam)):
             entries.append((float(lam[idx]), m, idx))
             if m > 0:
                 entries.append((float(lam[idx]), -m, idx))
-        vecs[m] = vec
     entries.sort(key=lambda e: (e[0], abs(e[1]), e[1]))
-    spectrum = LimitSpectrum(bc=bc, entries=tuple(entries[:count]),
-                             cutoff=cutoff, n_elements=n_elements)
-    if eigenvectors:
-        return spectrum, space, vecs
-    return spectrum
+    return LimitSpectrum(bc=bc, entries=tuple(entries[:count]),
+                         cutoff=cutoff, n_elements=n_elements)
 
 
 @dataclass(frozen=True)

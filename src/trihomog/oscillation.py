@@ -33,6 +33,8 @@ TWO_PI = 2.0 * np.pi
 
 _B_POSITIVITY_GRID = 4096  # samples per tangential dimension at construction
 _B_POSITIVITY_TOL = -1e-12
+_H_GRID = 64               # samples per axis of verify_h_bounds
+_UNFOLD_GRID = 48          # samples per axis of unfolded_h_limit_error
 
 
 class ProfileError(ValueError):
@@ -164,13 +166,13 @@ class OscillationProfile:
         x = np.asarray(xbar, dtype=float)
         return params.epsilon ** params.alpha * self.eval_b(x / params.epsilon)
 
-    def g_jet(self, params, xbar, max_order=3):
-        """Tangential derivatives of g_eps up to max_order, keyed by
+    def g_jet(self, params, xbar):
+        """Tangential derivatives of g_eps up to order 3, keyed by
         tangential multi-index (arrays broadcast over xbar)."""
         eps, alpha = params.epsilon, params.alpha
         x = np.asarray(xbar, dtype=float)
         out = {}
-        for a in multi_indices(self.dim, max_order):
+        for a in multi_indices(self.dim):
             scale = eps ** (alpha - index_order(a))
             out[a] = scale * self.eval_b(x / eps, a)
         return out
@@ -282,20 +284,20 @@ def _falling(a, i):
 # derivative-bound diagnostics (transition function)
 # ---------------------------------------------------------------------------
 
-def verify_h_bounds(profile, params, resolution=64):
+def verify_h_bounds(profile, params):
     """Scaled derivative maxima of h_eps.
 
-    Returns a dict j -> max over a (resolution x resolution) grid of
+    Returns a dict j -> max over a _H_GRID x _H_GRID grid of
     |D^j h_eps| * eps^{-(alpha - j)}, for j = 0..3.  The scaled maxima stay
     uniformly bounded as eps decreases for fixed alpha.
     """
     eps, alpha = params.epsilon, params.alpha
     # one oscillation period in xbar suffices (h is eps-periodic in xbar)
-    axes = [np.linspace(0.0, eps, resolution, endpoint=False)] * profile.dim
+    axes = [np.linspace(0.0, eps, _H_GRID, endpoint=False)] * profile.dim
     grid = np.meshgrid(*axes, indexing='ij')
     xbar = np.stack(grid, axis=-1)[..., np.newaxis, :]
     g = profile.eval_g(params, xbar)[..., 0]
-    s = np.linspace(0.0, 1.0, resolution)
+    s = np.linspace(0.0, 1.0, _H_GRID)
     xN = -1.0 + (g[..., np.newaxis] + 1.0) * s  # fills [-1, g(xbar)]
     n = profile.dim + 1
     indices = multi_indices(n)
@@ -311,7 +313,7 @@ def verify_h_bounds(profile, params, resolution=64):
     return report
 
 
-def unfolded_h_limit_error(profile, params, resolution=48):
+def unfolded_h_limit_error(profile, params):
     """Sup-norm distance between the unfolded, rescaled derivatives of h_eps
     and their homogenized limits at the critical exponent.
 
@@ -325,10 +327,10 @@ def unfolded_h_limit_error(profile, params, resolution=48):
     if abs(params.alpha - 1.5) > 1e-12:
         raise ProfileError("unfolded limit is defined at alpha = 3/2 only")
     eps = params.epsilon
-    axes = [np.linspace(-0.5, 0.5, resolution, endpoint=False)] * profile.dim
+    axes = [np.linspace(-0.5, 0.5, _UNFOLD_GRID, endpoint=False)] * profile.dim
     grid = np.meshgrid(*axes, indexing='ij')
     ybar = np.stack(grid, axis=-1)[..., np.newaxis, :]
-    yN = np.linspace(-1.0, 0.0, resolution)
+    yN = np.linspace(-1.0, 0.0, _UNFOLD_GRID)
     n = profile.dim + 1
     indices = [idx for idx in multi_indices(n) if index_order(idx) in (2, 3)]
     derivs = profile._h_derivs(params, eps * ybar, eps * yN, indices)

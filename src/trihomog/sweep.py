@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import compute_k_report, save_k_report
-from .epsdomain import (EpsProblem, solve_eps_spectrum,
-                        solve_eps_spectrum_bloch, save_eps_result)
+from .epsdomain import (EpsProblem, solve_eps_spectrum_bloch,
+                        save_eps_result, vertical_mesh)
 from .limit1d import LimitBC, solve_limit_spectrum
 from .oscillation import (OscillationProfile, PerturbationParams,
                           load_profile)
@@ -171,9 +171,9 @@ def _fmt(value):
     return "%.17g" % float(value)
 
 
-def run_cell_k(profile_path, out_path=None, cutoff=None, rtol=1e-9):
-    """K report of a profile with the three-route agreement gate; returns
-    (report, agreed)."""
+def run_cell_k(profile_path, out_path=None, cutoff=None):
+    """K report of a profile with the three-route agreement gate (1e-9
+    relative); returns (report, agreed)."""
     profile = load_profile(profile_path) if isinstance(profile_path, str) \
         else profile_path
     if cutoff is not None:
@@ -183,7 +183,7 @@ def run_cell_k(profile_path, out_path=None, cutoff=None, rtol=1e-9):
     report = compute_k_report(profile)
     if out_path:
         save_k_report(report, out_path)
-    return report, report.agreement() <= rtol
+    return report, report.agreement() <= 1e-9
 
 
 def _limit_targets(profile, count, cutoff, n_elements, k_value):
@@ -432,11 +432,10 @@ def _verify_numerics():
 
 
 def _verify_flat_limit():
-    from .epsdomain import vertical_mesh
-    flat = OscillationProfile(1, {(0,): 0.0}, check_nonnegative=False)
+    flat = OscillationProfile(1, {(0,): 0.0})
     params = PerturbationParams(epsilon=1 / 4, alpha=2.0)
     problem = EpsProblem(flat, params)
-    res = solve_eps_spectrum(problem, 3)
+    res = solve_eps_spectrum_bloch(problem, 3)
     vm = vertical_mesh(params.epsilon, problem.n_coarse, problem.n_layer)
     ref = solve_limit_spectrum(LimitBC("intermediate"), count=3,
                                mesh=vm).eigenvalues()

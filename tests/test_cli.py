@@ -93,6 +93,24 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     assert not stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("eps-spec", "--alpha", "2", "--eps", "1/4", "--count", "0"),
+    ("eps-spec", "--alpha", "2", "--eps", "1/4", "--count", "21"),
+    ("limit-spec", "--bc", "int", "--count", "0"),
+    ("limit-spec", "--bc", "int", "--modes", "-1"),
+    ("limit-spec", "--bc", "strange", "--K", "-5"),
+    ("cell-k", "--cutoff", "-1"),
+], ids=["eps-count-0", "eps-count-21", "limit-count-0", "limit-modes-neg",
+        "limit-k-neg", "cell-cutoff-neg"])
+def test_out_of_range_input_exits_2(capsys, argv):
+    # rejected before any solve, with one line on stderr and nothing printed
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert not stdout
+
+
 def test_converge_with_config(capsys, tmp_path):
     cfg = {"alphas": [2.0], "eps_values": [0.25], "count": 1,
            "cutoff": 1, "elements_per_period": 4, "n_elements_1d": 32}

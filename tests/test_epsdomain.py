@@ -10,12 +10,13 @@ import pytest
 from trihomog import epsdomain, jets
 from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
                                 compare_to_limit, save_eps_result,
-                                solve_eps_poisson,
-                                solve_eps_spectrum, solve_eps_spectrum_bloch,
+                                solve_eps_poisson, solve_eps_spectrum_bloch,
                                 vertical_mesh)
 from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
 from trihomog.oscillation import OscillationProfile, PerturbationParams
+
+from conftest import solve_eps_spectrum
 
 
 def _flat_profile():
@@ -132,10 +133,11 @@ def test_flat_domain_reproduces_limit_spectrum():
     # separates the two solvers
     prob = EpsProblem(_flat_profile(), PerturbationParams(0.25, 2.0),
                       elements_per_period=4)
-    res = solve_eps_spectrum(prob, 3)
+    res = solve_eps_spectrum_bloch(prob, 3)
     lim = solve_limit_spectrum(LimitBC("intermediate"), count=3).eigenvalues()
     np.testing.assert_allclose(res.eigenvalues, lim, rtol=1e-5)
-    # the m = +-1 pair of the limit appears as a double eigenvalue
+    # the m = +-1 pair of the limit appears as a double eigenvalue (the
+    # p = 1 Bloch pencil, counted twice)
     assert abs(res.eigenvalues[1] - res.eigenvalues[2]) < 1e-8 * lim[1]
 
 
@@ -143,8 +145,7 @@ def test_bloch_reduction_matches_full_solve(cosine_assembly):
     prob, asm = cosine_assembly
     full = solve_eps_spectrum(prob, 3, assembly=asm)
     bloch = solve_eps_spectrum_bloch(prob, 3)
-    np.testing.assert_allclose(bloch.eigenvalues, full.eigenvalues,
-                               rtol=1e-10)
+    np.testing.assert_allclose(bloch.eigenvalues, full, rtol=1e-10)
 
 
 def test_ring_load_matches_torus_rows(cosine_assembly):
@@ -253,9 +254,9 @@ def test_bloch_needs_three_periods(cosine_profile):
 def test_count_cap(cosine_profile):
     prob = EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0))
     with pytest.raises(EpsError):
-        solve_eps_spectrum(prob, 21)
-    with pytest.raises(EpsError):
         solve_eps_spectrum_bloch(prob, 21)
+    with pytest.raises(EpsError):
+        solve_eps_spectrum_bloch(prob, 0)
 
 
 def test_commensurate_translation_invariance(cosine_profile):
@@ -270,7 +271,7 @@ def test_commensurate_translation_invariance(cosine_profile):
     for prof in (cosine_profile, shifted):
         prob = EpsProblem(prof, PerturbationParams(eps, 1.5),
                           elements_per_period=10)
-        lam.append(solve_eps_spectrum(prob, 1).eigenvalues[0])
+        lam.append(solve_eps_spectrum_bloch(prob, 1).eigenvalues[0])
     assert abs(lam[0] - lam[1]) < 1e-10 * lam[0]
 
 

@@ -19,7 +19,7 @@ def test_multinomial_counts():
 
 
 def test_multi_index_enumeration():
-    idx = jets.multi_indices(2, 3)
+    idx = jets.multi_indices(2)
     assert len(idx) == 10                      # C(2+3, 3) for two variables
     assert idx[0] == (0, 0)
     assert all(jets.index_order(i) <= 3 for i in idx)

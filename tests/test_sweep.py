@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from trihomog import sweep
 from trihomog.sweep import (REGIME_DIRICHLET, REGIME_INTERMEDIATE,
                             REGIME_STRANGE, ConvergenceTable, SweepConfig,
                             SweepError, config_from_dict, default_profile,
@@ -121,10 +122,21 @@ def test_verify_level_validation():
         run_verify("paranoid")
 
 
-def test_verify_fast_passes():
+def test_verify_fast_passes(monkeypatch):
+    # the flat-limit check vouches for the eps path that eps-spec and
+    # converge run, solve_eps_spectrum_bloch
+    calls = []
+    real = sweep.solve_eps_spectrum_bloch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_eps_spectrum_bloch", counted)
     report = run_verify("fast")
     names = [c["name"] for c in report["checks"]]
     assert names == ["profile-bounds", "cell-k", "chain3", "hermite",
                      "limit1d", "numerics", "epsdomain-flat-limit"]
     failing = [c for c in report["checks"] if not c["passed"]]
     assert report["passed"] and not failing, failing
+    assert len(calls) == 1
