@@ -7,8 +7,8 @@ alpha = 3/2 is critical: above it the oscillation is spectrally invisible
 (intermediate limit), at it the strange term with coefficient K appears,
 below it the limit degenerates to Dirichlet conditions on the flat line.
 
-This demo runs a reduced eps range in about two minutes; the production
-experiment is `trihomog converge` (about six minutes).
+This demo runs a reduced eps range in about 20 seconds; the production
+experiment is `trihomog converge` (about 1.5 minutes).
 
 Run:  python demos/regime_classification.py
 """

@@ -30,7 +30,7 @@ def show(profile, name):
         mode = solution.modes[k]
         if mode.xi == 0.0:
             continue
-        bk = solution.amplitudes[k]
+        bk = mode.c1
         ratio = mode_energy_closed_form(mode) / (mode.xi ** 3 * abs(bk) ** 2)
         print("    mode %-6s xi = %8.4f   ratio = %.12f" % (k, mode.xi, ratio))
     print()

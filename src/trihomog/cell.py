@@ -109,8 +109,7 @@ class ModeProfile:
 class CellSolution:
     """Per-mode solution of the strip problem for one boundary profile."""
     dim: int
-    modes: dict          # k tuple -> ModeProfile
-    amplitudes: dict     # k tuple -> b_k (boundary data of the modes)
+    modes: dict          # k tuple -> ModeProfile; c1 is the boundary datum b_k
     cutoff: int
 
     def sorted_keys(self):
@@ -131,9 +130,7 @@ def solve_cell(profile, zero_mode_gauge=0.0):
         else:
             xi = TWO_PI * math.hypot(*k)
             modes[k] = ModeProfile(k=k, xi=xi, c1=bk, c2=-0.5 * xi * bk)
-    return CellSolution(dim=profile.dim, modes=modes,
-                        amplitudes=dict(profile.coefficients),
-                        cutoff=profile.cutoff)
+    return CellSolution(dim=profile.dim, modes=modes, cutoff=profile.cutoff)
 
 
 def eval_V(solution, ybar, y_n, deriv=None):
@@ -232,7 +229,7 @@ def k_boundary(solution):
         mode = solution.modes[k]
         if mode.xi == 0.0:
             continue
-        bk = solution.amplitudes[k]
+        bk = mode.c1
         bracket = mode.eval(4, 0.0) - 3.0 * mode.xi ** 2 * mode.eval(2, 0.0)
         total += (-bracket * np.conj(bk)).real
     return float(total)
@@ -255,7 +252,7 @@ def k_testfunction(solution):
     for k in solution.sorted_keys():
         mode = solution.modes[k]
         xi = mode.xi
-        bk = np.conj(solution.amplitudes[k])
+        bk = np.conj(mode.c1)
         term1 = sum(math.comb(2, m) * xi ** (2 * (2 - m))
                     * mode.eval(m + 1, t) * q[m] for m in range(3))
         term2 = t * sum(math.comb(3, m) * xi ** (2 * (3 - m))
@@ -294,7 +291,7 @@ def residual_check(solution):
             p = P.polyadd(P.polyder(p, 2), 2.0 * xi * P.polyder(p, 1))
         res = np.abs(np.exp(xi * t) * P.polyval(t, p)) if len(p) else 0.0
         ode_max = max(ode_max, float(np.max(res)))
-        bk = solution.amplitudes[k]
+        bk = mode.c1
         bc_value = max(bc_value, abs(mode.eval(0, 0.0)))
         bc_slope = max(bc_slope, abs(mode.eval(1, 0.0) - bk))
         if xi > 0.0:

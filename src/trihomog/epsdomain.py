@@ -33,8 +33,7 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       reference_table, scatter_elements, to_csr, to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import (EigenRequest, count_below, solve_linear,
-                       solve_smallest)
+from .numerics import count_below, solve_linear, solve_smallest
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -145,16 +144,16 @@ class EpsAssembly:
                    for k, v in forward.items()}
         tau = forward[(0, 0)]
         inverse = invert_shear_derivs(forward, 2)
-        coeffs = transform_coeffs(inverse, nvars=2)
+        coeffs, det_jacobian = transform_coeffs(inverse, 2)
         C3 = np.zeros((len(IDX3), len(IDX10), cols, nq * nq))
         for bi, beta in enumerate(IDX3):
-            row = coeffs.coeffs[beta]
+            row = coeffs[beta]
             for gi, gamma in enumerate(IDX10):
                 if gamma in row:
                     val = np.broadcast_to(np.asarray(row[gamma], dtype=float),
                                           tau.shape)
                     C3[bi, gi] = val.reshape(cols, nq * nq)
-        detj = np.broadcast_to(coeffs.det_jacobian, tau.shape
+        detj = np.broadcast_to(det_jacobian, tau.shape
                                ).reshape(cols, nq * nq)
         return {"C3": C3, "detJ": detj, "tau": tau.reshape(cols, nq * nq),
                 "x": np.repeat(xq, nq, axis=1),
@@ -192,6 +191,7 @@ class EpsAssembly:
             parts_a.append(scatter_elements(space, geo["dofs"], elems))
             parts_b.append(scatter_elements(space, geo["dofs"], elems_b))
         self.stiffness = to_csr(space, parts_a)
+        del parts_a         # frees the stiffness triples before the mass CSR
         self.mass = to_csr(space, parts_b)
         self.assembly_seconds = time.perf_counter() - t0
 
@@ -369,7 +369,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
             record["status"] = "certified"
         else:
             k = min(count, m - 1)
-            lam, vec = solve_smallest(Ah, Bh, EigenRequest(count=k, shift=0.5))
+            lam, vec = solve_smallest(Ah, Bh, k, 0.5)
             phases = np.exp(1j * theta * np.arange(topo))
             for j in range(k):
                 # Rayleigh quotient through the quadrature energies of the

@@ -31,8 +31,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .jets import DerivativeJet3
-
 #: Gauss points per direction and element; exact for degree 15
 QUAD_ORDER = 8
 
@@ -235,7 +233,8 @@ def build_space_2d(nx, vmesh, bc_bottom="clamped1", bc_top="clamped1"):
 
 
 def _finish_space(space, constrained):
-    full_to_free = np.full(len(constrained), -1, dtype=int)
+    # int32 free indices keep the COO triples of the assemblies small
+    full_to_free = np.full(len(constrained), -1, dtype=np.int32)
     free = np.flatnonzero(~constrained)
     full_to_free[free] = np.arange(len(free))
     space.full_to_free = full_to_free
@@ -267,8 +266,6 @@ def to_csr(space, parts):
     """CSR matrix on the free dofs summing the COO triples ``parts``."""
     rows, cols, vals = zip(*parts)
     n = space.n_free
-    # the concatenated int64 indices are temporaries: coo_matrix keeps its
-    # own (narrower) copies, and they are freed before the CSR conversion
     mat = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
@@ -302,7 +299,8 @@ def _matrix_1d(space, elems):
 def assemble(space, integrand):
     """Element-wise Gauss quadrature of a symmetric bilinear integrand
     ``integrand(point, jetU, jetV) -> value`` on a 1D space, one point and
-    one shape pair at a time, with constrained degrees eliminated.  Returns
+    one shape pair at a time, with constrained degrees eliminated; jetU and
+    jetV map (d,) to the d-th derivative (d <= 3) of the shape.  Returns
     a symmetric CSR matrix on the free degrees of freedom.
 
     This is the slow, general reference the test suite checks
@@ -316,8 +314,7 @@ def assemble(space, integrand):
     for e, emat in enumerate(elems):
         for qi in range(len(sq)):
             point = nodes[e] + sizes[e] * sq[qi]
-            jets = [DerivativeJet3(1, {(d,): tab[e, d, qi, l]
-                                       for d in range(4)})
+            jets = [{(d,): tab[e, d, qi, l] for d in range(4)}
                     for l in range(6)]
             for a in range(6):
                 for b in range(a, 6):

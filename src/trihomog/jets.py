@@ -22,7 +22,6 @@ arithmetic that broadcasts over arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -143,37 +142,6 @@ def _shear_spec(nvars):
 
 
 # ---------------------------------------------------------------------------
-# public jet containers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivativeJet3:
-    """Derivatives of a scalar field at a point, up to order 3, keyed by
-    multi-index.  Symmetry of the derivative tensors is implicit in the
-    multi-index storage."""
-    nvars: int
-    derivs: dict
-
-    def __getitem__(self, idx):
-        return self.derivs[idx]
-
-
-@dataclass(frozen=True)
-class TransformCoeffs:
-    """Linear relation expressing physical derivatives D^beta u in terms of
-    reference derivatives D^gamma u~ at one point of the reference rectangle:
-    coeffs[beta][gamma] multiplies D^gamma u~.  Also carries |det J| of the
-    forward map."""
-    nvars: int
-    coeffs: dict
-    det_jacobian: object
-
-
-def _as_derivs(jet):
-    return jet.derivs if hasattr(jet, 'derivs') else jet
-
-
-# ---------------------------------------------------------------------------
 # jet inversion for vertical shears
 # ---------------------------------------------------------------------------
 
@@ -216,13 +184,13 @@ def invert_shear_derivs(forward, nvars):
 # chain-rule coefficients
 # ---------------------------------------------------------------------------
 
-def transform_coeffs(inverse_jet, nvars=None):
+def transform_coeffs(inverse, nvars):
     """Coefficients expressing each physical derivative D^beta u (|beta| <= 3)
     of u = u~ o Psi^{-1} as a linear combination of reference derivatives
-    D^gamma u~, given the inverse-map jet of the vertical shear Psi."""
-    derivs = _as_derivs(inverse_jet)
-    if nvars is None:
-        nvars = getattr(inverse_jet, 'nvars', None) or len(next(iter(derivs)))
+    D^gamma u~, given the inverse-map derivatives ``inverse`` of the vertical
+    shear Psi (as returned by invert_shear_derivs).  Returns (coeffs,
+    det_jacobian): coeffs[beta][gamma] multiplies D^gamma u~ at the point,
+    and det_jacobian is |det J| of the forward map."""
     expansions = composition_expansions(_shear_spec(nvars), nvars)
     coeffs = {}
     for beta in multi_indices(nvars):
@@ -230,34 +198,17 @@ def transform_coeffs(inverse_jet, nvars=None):
         for gamma, factors, coeff in expansions[beta]:
             term = coeff
             for delta in factors:
-                term = term * derivs[delta]
+                term = term * inverse[delta]
             row[gamma] = row.get(gamma, 0.0) + term
         coeffs[beta] = row
     e_last = _unit(nvars, nvars - 1)
-    det = np.abs(1.0 / derivs[e_last])
-    return TransformCoeffs(nvars=nvars, coeffs=coeffs, det_jacobian=det)
+    return coeffs, np.abs(1.0 / inverse[e_last])
 
 
-def apply_coeffs(coeffs, ref_jet, beta):
-    """Physical derivative D^beta u from reference derivatives of u~."""
-    derivs = _as_derivs(ref_jet)
-    row = coeffs.coeffs[beta]
-    return sum(c * derivs[gamma] for gamma, c in row.items())
-
-
-def invert_jet3(forward):
-    """Invert a vertical-shear map jet (a MapJet3 or a raw derivative dict).
-
-    Returns the jet of the inverse map as a plain derivative dictionary over
-    physical variables; the value entry is the reference vertical coordinate.
-    """
-    derivs = _as_derivs(forward)
-    nvars = len(next(iter(derivs)))
-    inverse = invert_shear_derivs(derivs, nvars)
-    point = getattr(forward, 'point', None)
-    zero = (0,) * nvars
-    inverse[zero] = point[-1] if point is not None else 0.0
-    return inverse
+def apply_coeffs(coeffs, ref_derivs, beta):
+    """Physical derivative D^beta u from the reference derivatives
+    ref_derivs[gamma] = D^gamma u~ (coeffs from transform_coeffs)."""
+    return sum(c * ref_derivs[gamma] for gamma, c in coeffs[beta].items())
 
 
 def compose_shear_derivs(outer, inner, nvars):

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 
 from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
                       quadratic_energy, evaluate_fe, assemble_rhs)
-from .numerics import (EigenRequest, EquilibratedLU, solve_smallest,
+from .numerics import (EquilibratedLU, SolverError, solve_smallest,
                        solve_linear)
 
 LIMIT_KINDS = ("intermediate", "strange", "dirichlet")
@@ -61,6 +61,8 @@ class LimitBC:
             raise LimitError("K is only meaningful for the strange-term case")
         if self.K < 0:
             raise LimitError("negative K; use flip_sign for the +K variant")
+        if not self.K < np.inf:
+            raise LimitError("K must be finite, got %r" % (self.K,))
 
     def signed_k(self):
         """Coefficient of the rank-one term as it enters the stiffness:
@@ -191,20 +193,27 @@ def solve_mode(bc, m, count, space):
         S = apply_strange_term(S0, bc.signed_k(), space)
     Sc, Mc = S.tocsc(), M.tocsc()
     count = min(count, space.n_free)
-    energy = lambda x: _mode_energy(bc, xi, space, x)
     # without the K-term the form gives lambda >= xi^6 + 1 outright, and the
     # rank-one interlacing keeps every eigenvalue but the first above the
     # previous unperturbed one, so this shift sits below everything the
     # regular cluster can reach while staying close to it
     base_shift = xi ** 6 + 0.5
-    req = EigenRequest(count=count, shift=base_shift)
-    lam_u, vec_u = solve_smallest(Sc, Mc, req, energy=energy)
+    _, vec_u = solve_smallest(Sc, Mc, count, base_shift)
+    # final eigenvalues are Rayleigh quotients through the quadrature
+    # energies, which avoid the h^{-6} cancellation of the matrix form
+    lam_u = np.empty(vec_u.shape[1])
+    for j in range(len(lam_u)):
+        ea, eb = _mode_energy(bc, xi, space, vec_u[:, j])
+        if eb <= 0:
+            raise SolverError("non-positive mass energy in Rayleigh quotient")
+        lam_u[j] = ea / eb
+    order = np.argsort(lam_u)
+    lam_u, vec_u = lam_u[order], vec_u[:, order]
     if not (bc.kind == "strange" and bc.signed_k() > 0.0):
         return lam_u, vec_u
     # the lowering sign can throw exactly one eigenvalue per mode far below
     # the cluster; chase it through the rank-one secular equation
-    lam1, _ = solve_smallest(S0.tocsc(), Mc,
-                             EigenRequest(count=1, shift=base_shift))
+    lam1, _ = solve_smallest(S0.tocsc(), Mc, 1, base_shift)
     bottom = _secular_bottom(S0, M, bc.signed_k(), trace_dof(space),
                              float(lam1[0]))
     if bottom is None:

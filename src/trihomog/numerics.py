@@ -11,11 +11,12 @@ the design here:
   shift below the spectrum does not, so it is the primary path at every
   problem size (dense solves only seed tiny problems).
 * Quadratic forms x' A x evaluated through the assembled matrix cancel at
-  the eps * h^{-6} level.  When the caller can evaluate the energies by
-  element-level quadrature of the finite-element derivatives (cancellation
-  only eps * h^{-3}), it passes that functional in and final eigenvalues are
-  Rayleigh quotients through it; stationarity makes the eigenvector error
-  enter only quadratically.
+  the eps * h^{-6} level.  The eigenvalues returned here are Ritz values of
+  the matrices; callers that can evaluate the energies by element-level
+  quadrature of the finite-element derivatives (cancellation only
+  eps * h^{-3}) recompute them as Rayleigh quotients of the returned
+  eigenvectors (limit1d.solve_mode, epsdomain.solve_eps_spectrum_bloch);
+  stationarity makes the eigenvector error enter only quadratically.
 
 Every solve goes through one factorization, ``EquilibratedLU``: symmetric
 Jacobi equilibration A -> D A D with D = diag(A)^{-1/2} (a congruence that
@@ -34,7 +35,6 @@ accurate the pair is.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -47,13 +47,6 @@ class SolverError(RuntimeError):
 
 EIGEN_TOL = 5e-5           # shift-inverted residual gate (with its floor)
 SEED = 20260824            # Lanczos start vector and residual-floor probe
-
-
-@dataclass(frozen=True)
-class EigenRequest:
-    """Parameters of one generalized eigenvalue solve A x = lambda B x."""
-    count: int
-    shift: float = 0.5
 
 
 def equilibration(A):
@@ -141,24 +134,20 @@ def count_below(A, B, shift):
     return int(np.count_nonzero(pivots < 0))
 
 
-def solve_smallest(A, B, request, energy=None):
-    """The ``request.count`` eigenpairs of A x = lambda B x nearest (from
-    above) the shift, i.e. the smallest ones when the shift sits below the
-    spectrum.  B must be positive definite.
-
-    ``energy``, if given, maps a dof vector x to the pair of quadratic-form
-    values (x'Ax, x'Bx) evaluated by element-level quadrature; final
-    eigenvalues are then Rayleigh quotients through it (see module
-    docstring).  Eigenvectors come back B-orthonormal, sorted by eigenvalue.
-    """
+def solve_smallest(A, B, count, shift):
+    """The ``count`` eigenpairs of A x = lambda B x nearest (from above) the
+    shift, i.e. the smallest ones when the shift sits below the spectrum.
+    B must be positive definite.  Eigenvalues are the matrix Ritz values
+    (see module docstring); eigenvectors come back B-orthonormal, sorted by
+    eigenvalue."""
     n = A.shape[0]
-    k = request.count
+    k = count
     if k < 1 or k > n:
         raise SolverError("requested %d eigenpairs of an order-%d problem"
                           % (k, n))
-    fac = EquilibratedLU(A, B, request.shift)
+    fac = EquilibratedLU(A, B, shift)
     As, Bs = fac.As, fac.Bs
-    vec = _initial_block(fac, request)
+    vec = _initial_block(fac, k)
     # shift-inverted subspace iteration + Rayleigh-Ritz until the wanted part
     # of the block passes the convergence check
     lam = None
@@ -188,25 +177,16 @@ def solve_smallest(A, B, request, energy=None):
         raise SolverError("shift-inverted eigen residual %.3e exceeds "
                           "gate %.1e" % (worst, gate))
     vec = vec[:, keep] * fac.d[:, None]
-    if energy is not None:
-        for j in range(k):
-            ea, eb = energy(vec[:, j])
-            if eb <= 0:
-                raise SolverError("non-positive mass energy in Rayleigh "
-                                  "quotient")
-            lam[j] = ea / eb
-    order = np.argsort(lam)
-    lam, vec = lam[order], vec[:, order]
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
 
 
-def _initial_block(fac, request):
+def _initial_block(fac, count):
     As, Bs = fac.As, fac.Bs
     n = As.shape[0]
-    m = min(n, request.count + 4)
-    if request.count > max(1, n - 2) or n < 600:
+    m = min(n, count + 4)
+    if count > max(1, n - 2) or n < 600:
         from scipy.linalg import eigh
         _, vec = eigh(As.toarray(), Bs.toarray())
         return np.ascontiguousarray(vec[:, :m])

@@ -15,7 +15,7 @@ The module evaluates:
   eps^{alpha-j} is lost per derivative), together with its unfolded limits,
 * the solver's pullback map Psi_eps(xbar, t) = (xbar, t + (t+1) g_eps(xbar)),
   a global vertical stretch of the reference rectangle onto the oscillating
-  domain, with derivatives up to order 3 packaged as a jet.
+  domain, with derivatives up to order 3 as a multi-index dictionary.
 
 All derivative formulas are closed-form; no numerical differencing is used.
 """
@@ -52,34 +52,19 @@ class PerturbationParams:
     alpha: float
 
     def __post_init__(self):
-        n = round(1.0 / self.epsilon)
-        if n < 1 or abs(self.epsilon * n - 1.0) > 1e-12:
+        eps = self.epsilon
+        if not 0 < eps <= 1 or abs(eps * round(1.0 / eps) - 1.0) > 1e-12:
             raise ProfileError(
                 "epsilon must be the reciprocal of a positive integer, got %r"
-                % (self.epsilon,))
-        if self.alpha <= 0:
-            raise ProfileError("alpha must be positive")
+                % (eps,))
+        if not 0 < self.alpha < np.inf:
+            raise ProfileError("alpha must be positive and finite, got %r"
+                               % (self.alpha,))
 
     @property
     def periods(self):
         """Number of oscillation periods per unit tangential length."""
         return round(1.0 / self.epsilon)
-
-
-@dataclass(frozen=True)
-class MapJet3:
-    """Jet of the vertical component of a shear map at one point: value and
-    derivatives up to order 3, keyed by multi-index over the N source
-    variables.  Tensor symmetry is implicit in the multi-index storage."""
-    point: tuple
-    derivs: dict
-
-    @property
-    def nvars(self):
-        return len(self.point)
-
-    def __getitem__(self, idx):
-        return self.derivs[idx]
 
 
 class OscillationProfile:
@@ -239,16 +224,15 @@ class OscillationProfile:
     # -- pullback map Psi_eps ----------------------------------------------
 
     def eval_pullback(self, params, point):
-        """Jet (value and derivatives up to order 3) of the vertical component
-        tau(xbar, t) = t + (t+1) g_eps(xbar) of the solver's stretch map at a
-        reference point (xbar, t) with t in [-1, 0]."""
-        point = tuple(np.atleast_1d(np.asarray(point, dtype=float)))
+        """Derivative dictionary (value and derivatives up to order 3, keyed
+        by multi-index over the N reference variables) of the vertical
+        component tau(xbar, t) = t + (t+1) g_eps(xbar) of the solver's
+        stretch map at a reference point (xbar, t) with t in [-1, 0]."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))
         t = point[-1]
         if t < -1.0 - 1e-12 or t > 1e-12:
             raise ProfileError("reference vertical coordinate outside [-1, 0]")
-        xbar = np.array(point[:-1])
-        derivs = self.pullback_derivs(params, xbar, t)
-        return MapJet3(point=point, derivs=derivs)
+        return self.pullback_derivs(params, point[:-1], t)
 
     def pullback_derivs(self, params, xbar, t):
         """Raw derivative dictionary of tau = t + (t+1) g_eps(xbar); entries

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import compute_k_report, save_k_report
-from .epsdomain import (EpsProblem, solve_eps_spectrum_bloch,
+from .epsdomain import (MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch,
                         save_eps_result, vertical_mesh)
 from .limit1d import LimitBC, solve_limit_spectrum
 from .oscillation import (OscillationProfile, PerturbationParams,
@@ -66,16 +66,18 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        if self.count < 1:
-            raise SweepError("count must be >= 1")
+        if not 1 <= self.count <= MAX_COUNT:
+            raise SweepError("count must lie in 1..%d, got %r"
+                             % (MAX_COUNT, self.count))
         for a in self.alphas:
-            if a <= 0:
-                raise SweepError("alpha must be positive")
+            if not 0 < a < np.inf:
+                raise SweepError("alpha must be positive and finite, got %r"
+                                 % (a,))
         for e in self.eps_values:
-            n = round(1.0 / e)
-            if n < 1 or abs(e * n - 1.0) > 1e-12:
+            if not 0 < e <= 1 or abs(e * round(1.0 / e) - 1.0) > 1e-12:
                 raise SweepError(
-                    "eps values must be reciprocals of integers")
+                    "eps values must be reciprocals of integers, got %r"
+                    % (e,))
 
     def profile(self):
         if self.profile_path:
@@ -171,11 +173,9 @@ def _fmt(value):
     return "%.17g" % float(value)
 
 
-def run_cell_k(profile_path, out_path=None, cutoff=None):
+def run_cell_k(profile, out_path=None, cutoff=None):
     """K report of a profile with the three-route agreement gate (1e-9
     relative); returns (report, agreed)."""
-    profile = load_profile(profile_path) if isinstance(profile_path, str) \
-        else profile_path
     if cutoff is not None:
         kept = {k: v for k, v in profile.coefficients.items()
                 if max(abs(c) for c in k) <= cutoff}
@@ -356,16 +356,16 @@ def _verify_cell():
 
 
 def _verify_chain3():
-    from .jets import compose_shear_derivs, invert_jet3
+    from .jets import compose_shear_derivs, invert_shear_derivs
     rng = np.random.default_rng(7)
     profile = default_profile()
     params = PerturbationParams(epsilon=1 / 4, alpha=2.0)
     pt = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(-1.0, 0.0)))
     jet = profile.eval_pullback(params, pt)
-    inv = invert_jet3(jet)
+    inv = invert_shear_derivs(jet, 2)
     # composing the forward vertical coordinate with the inverse jet must
     # reproduce the identity jet of the vertical variable
-    comp = compose_shear_derivs(jet.derivs, inv, 2)
+    comp = compose_shear_derivs(jet, inv, 2)
     err = max(abs(val - (1.0 if beta == (0, 1) else 0.0))
               for beta, val in comp.items())
     if err > 1e-11:
@@ -414,7 +414,7 @@ def _verify_limit1d():
 
 def _verify_numerics():
     from scipy.linalg import eigh
-    from .numerics import EigenRequest, solve_smallest
+    from .numerics import solve_smallest
     rng = np.random.default_rng(11)
     n = 50
     Q = rng.standard_normal((n, n))
@@ -422,8 +422,8 @@ def _verify_numerics():
     R = rng.standard_normal((n, n))
     B = R @ R.T + n * np.eye(n)
     from scipy import sparse
-    lam, _ = solve_smallest(sparse.csc_matrix(A), sparse.csc_matrix(B),
-                            EigenRequest(count=5, shift=0.0))
+    lam, _ = solve_smallest(sparse.csc_matrix(A), sparse.csc_matrix(B), 5,
+                            0.0)
     ref = eigh(A, B, eigvals_only=True)[:5]
     err = np.max(np.abs(lam - ref) / np.abs(ref))
     if err > 1e-10:

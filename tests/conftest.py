@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trihomog.epsdomain import EpsAssembly
-from trihomog.numerics import EigenRequest, solve_smallest
+from trihomog.numerics import solve_smallest
 from trihomog.oscillation import OscillationProfile
 
 CHECKOUT = Path(__file__).resolve().parents[1]
@@ -72,11 +72,11 @@ def solve_eps_spectrum(problem, count, assembly=None):
     full torus pencil: the reference the Bloch reduction
     (solve_eps_spectrum_bloch) is checked against.  The form contains
     + int u^2, so the spectrum sits above 1 and the shift 0.5 lies safely
-    below it."""
+    below it.  Each eigenvalue is the quadrature-energy Rayleigh quotient of
+    its eigenvector, as on the Bloch path."""
     if assembly is None:
         assembly = EpsAssembly(problem)
-    lam, _ = solve_smallest(assembly.stiffness.tocsc(),
-                            assembly.mass.tocsc(),
-                            EigenRequest(count=count, shift=0.5),
-                            energy=assembly.energies)
-    return lam
+    _, vec = solve_smallest(assembly.stiffness.tocsc(),
+                            assembly.mass.tocsc(), count, 0.5)
+    energies = [assembly.energies(vec[:, j]) for j in range(count)]
+    return np.sort([ea / eb for ea, eb in energies])

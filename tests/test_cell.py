@@ -40,7 +40,7 @@ def test_universal_mode_constant():
             mode = solution.modes[k]
             if mode.xi == 0.0:
                 continue
-            bk = solution.amplitudes[k]
+            bk = mode.c1
             ratios.append(mode_energy_closed_form(mode)
                           / (mode.xi ** 3 * abs(bk) ** 2))
     ratios = np.array(ratios)

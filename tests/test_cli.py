@@ -100,10 +100,25 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("limit-spec", "--bc", "int", "--modes", "-1"),
     ("limit-spec", "--bc", "strange", "--K", "-5"),
     ("cell-k", "--cutoff", "-1"),
+    ("eps-spec", "--alpha", "1.5", "--eps", "0"),
+    ("eps-spec", "--alpha", "nan", "--eps", "1/4"),
+    ("limit-spec", "--bc", "strange", "--K", "nan"),
+    ("limit-spec", "--bc", "strange", "--K", "inf"),
+    ("converge", "--config", {"eps_values": [0.0]}),
+    ("converge", "--config", {"alphas": [float("nan")]}),
+    ("converge", "--config", {"count": 21}),
 ], ids=["eps-count-0", "eps-count-21", "limit-count-0", "limit-modes-neg",
-        "limit-k-neg", "cell-cutoff-neg"])
-def test_out_of_range_input_exits_2(capsys, argv):
-    # rejected before any solve, with one line on stderr and nothing printed
+        "limit-k-neg", "cell-cutoff-neg", "eps-zero", "alpha-nan",
+        "limit-k-nan", "limit-k-inf", "converge-eps-zero",
+        "converge-alpha-nan", "converge-count-21"])
+def test_out_of_range_input_exits_2(capsys, tmp_path, argv):
+    # rejected before any solve, with one line on stderr and nothing printed;
+    # a dict stands for a SweepConfig JSON file holding it
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     lines = err.splitlines()

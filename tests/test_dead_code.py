@@ -1,0 +1,66 @@
+"""Dead-code guard over the package source: no unused import, and no
+module-level private function or class that nothing in the package uses.
+``__init__.py`` imports are the public API and count as used."""
+
+import ast
+
+from conftest import CHECKOUT
+
+PACKAGE = CHECKOUT / "src" / "trihomog"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _bound_names(node):
+    """Names an import statement binds, with its line number."""
+    for alias in node.names:
+        yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def _uses(tree):
+    """(top-level definition name or None, used name) for every name load
+    and attribute access in a module."""
+    out = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.append((owner, node.attr))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = {n for _, n in _uses(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += ["%s:%d %s" % (name, line, bound)
+                           for bound, line in _bound_names(node)
+                           if bound not in used]
+    assert not unused, "unused imports: %s" % unused
+
+
+def test_every_private_definition_is_used():
+    modules = _modules()
+    uses = [use for tree in modules.values() for use in _uses(tree)]
+    dead = []
+    for name, tree in modules.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            private = (top.name.startswith("_")
+                       and not top.name.startswith("__"))
+            # a recursive call from its own body does not count as a use
+            if private and not any(n == top.name and owner != top.name
+                                   for owner, n in uses):
+                dead.append("%s:%d %s" % (name, top.lineno, top.name))
+    assert not dead, "private definitions nothing uses: %s" % dead

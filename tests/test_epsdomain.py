@@ -81,7 +81,7 @@ def test_node_blocks_match_pointwise_pullback():
     # oracle for the vectorised chain-rule contraction of the assembly: the
     # stiffness and mass blocks of the nine dofs at one boundary-layer node,
     # rebuilt point by point from the scalar map jet (eval_pullback,
-    # invert_jet3, transform_coeffs) and the plain integrands
+    # invert_shear_derivs, transform_coeffs) and the plain integrands
     # (D^3 u : D^3 v + u v) |det J| and u v |det J|, summed over the four
     # elements that share the node
     profile = OscillationProfile(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
@@ -110,12 +110,13 @@ def test_node_blocks_match_pointwise_pullback():
         for qx in range(nq):
             for qt in range(nq):
                 point = ((i + sq[qx]) * hx, nodes[j] + ht * sq[qt])
-                C = jets.transform_coeffs(jets.invert_jet3(
-                    profile.eval_pullback(params, point)))
+                C, det_jacobian = jets.transform_coeffs(
+                    jets.invert_shear_derivs(
+                        profile.eval_pullback(params, point), 2), 2)
                 ref = {g: T[gi, qx * nq + qt, local]
                        for gi, g in enumerate(IDX10)}
                 phys = {b: jets.apply_coeffs(C, ref, b) for b in IDX3}
-                weight = C.det_jacobian * wq[qx] * wq[qt] * hx * ht
+                weight = det_jacobian * wq[qx] * wq[qt] * hx * ht
                 uv = np.outer(ref[(0, 0)], ref[(0, 0)]) * weight
                 mass += uv
                 stiff += uv

@@ -45,7 +45,7 @@ def _shear_setup(seed=0):
 
 def test_inverse_jet_matches_finite_differences():
     tau, tau_inv, jet, point = _shear_setup()
-    inv = jets.invert_jet3(jet)
+    inv = jets.invert_shear_derivs(jet, 2)
     tau0 = tau(*point)
     h = 1e-5
     fd_x = (tau_inv(point[0] + h, tau0) - tau_inv(point[0] - h, tau0)) / (2 * h)
@@ -59,8 +59,8 @@ def test_inverse_jet_matches_finite_differences():
 
 def test_forward_inverse_compose_to_identity():
     _, _, jet, _ = _shear_setup()
-    inv = jets.invert_jet3(jet)
-    comp = jets.compose_shear_derivs(jet.derivs, inv, 2)
+    inv = jets.invert_shear_derivs(jet, 2)
+    comp = jets.compose_shear_derivs(jet, inv, 2)
     for beta, val in comp.items():
         expect = 1.0 if beta == (0, 1) else 0.0
         assert abs(val - expect) < 1e-12, (beta, val)
@@ -99,8 +99,8 @@ def _fd(f, x, y, i, j, h):
 
 def test_transform_coeffs_against_finite_differences():
     tau, tau_inv, jet, point = _shear_setup()
-    inv = jets.invert_jet3(jet)
-    C = jets.transform_coeffs(inv)
+    inv = jets.invert_shear_derivs(jet, 2)
+    C, _ = jets.transform_coeffs(inv, 2)
     rng = np.random.default_rng(0)
     tau0 = tau(*point)
     for _ in range(10):
@@ -128,8 +128,9 @@ def test_det_jacobian_of_vertical_shear():
     _, _, jet, point = _shear_setup()
     profile = OscillationProfile(1, {(0,): 1.0, (1,): 0.5})
     params = PerturbationParams(0.25, 2.0)
-    C = jets.transform_coeffs(jets.invert_jet3(jet))
-    assert abs(C.det_jacobian
+    _, det_jacobian = jets.transform_coeffs(jets.invert_shear_derivs(jet, 2),
+                                            2)
+    assert abs(det_jacobian
                - (1.0 + profile.eval_g(params, point[0]))) < 1e-12
 
 

@@ -15,10 +15,10 @@ from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
 from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
-from trihomog.limit1d import (LimitBC, LimitError, apply_strange_term,
-                              limit_space, mode_form, save_spectrum,
-                              solve_limit_poisson, solve_limit_spectrum,
-                              solve_mode, trace_dof)
+from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
+                              apply_strange_term, limit_space, mode_form,
+                              save_spectrum, solve_limit_poisson,
+                              solve_limit_spectrum, solve_mode, trace_dof)
 
 K_COS = 20.0 * np.pi ** 3            # strange constant of 1 + cos(2 pi y)
 
@@ -189,6 +189,23 @@ def test_natural_third_derivative_vanishes():
     t = np.linspace(-1.0, 0.0, 1001)
     w3 = evaluate_fe(space, vec[:, 0], t, (3,))
     assert abs(w3[-1]) < 1e-8 * np.max(np.abs(w3))
+
+
+@pytest.mark.parametrize("bc", [
+    LimitBC("intermediate"), LimitBC("dirichlet"),
+    LimitBC("strange", K=K_COS, flip_sign=True),
+], ids=["int", "dir", "strange-flipped"])
+def test_solve_mode_returns_quadrature_rayleigh_quotients(bc):
+    # the eigenvalues are the quadrature-energy Rayleigh quotients of the
+    # eigenvectors returned with them, in ascending order
+    space = limit_space(bc)
+    lam, vec = solve_mode(bc, 1, 4, space)
+    quotients = []
+    for j in range(vec.shape[1]):
+        ea, eb = _mode_energy(bc, 2.0 * np.pi, space, vec[:, j])
+        quotients.append(ea / eb)
+    assert np.all(np.diff(lam) >= 0)
+    np.testing.assert_array_equal(lam, quotients)
 
 
 def test_eigenvalue_convergence_is_sixth_order():
