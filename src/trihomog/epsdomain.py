@@ -19,6 +19,13 @@ functional) reuse them.
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
 (-2 eps, 0), resolving the boundary layer that drives the strange term.
+
+The pulled-back coefficients are eps-periodic, so the torus matrices are
+block-circulant over the periods and both solves split into Bloch systems
+of one period block each (_bloch_blocks, _bloch_pencil): the spectrum as
+one Hermitian pencil per quasimomentum (solve_eps_spectrum_bloch), the
+Poisson problem as one Hermitian linear system per discrete Fourier mode of
+the load over the period blocks (solve_eps_poisson).
 """
 
 from __future__ import annotations
@@ -303,6 +310,18 @@ def _bloch_blocks(assembly):
     return out[0], out[1], m
 
 
+def _bloch_pencil(blocks, p, P):
+    """The Hermitian Bloch matrix C0 + z C1 + conj(z) Cm, z = exp(i theta),
+    theta = 2 pi p / P, of the period blocks (C0, C1, Cm), as CSC: averaged
+    with its conjugate transpose (the assembled blocks are symmetric only up
+    to roundoff) and real at p = 0 and p = P/2, where z is real."""
+    C0, C1, Cm = blocks
+    z = np.exp(1j * (2.0 * np.pi * p / P))
+    H = (C0 + z * C1 + np.conj(z) * Cm).tocsc()
+    H = 0.5 * (H + H.getH())
+    return H.real if p == 0 or 2 * p == P else H
+
+
 def solve_eps_spectrum_bloch(problem, count, assembly=None):
     """Lowest eigenvalues of the oscillating-domain problem via the Bloch
     (block-circulant) reduction: one complex Hermitian solve per
@@ -338,7 +357,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)
     t0 = time.perf_counter()
-    (A0, A1, Am), (B0, B1, Bm), m = _bloch_blocks(assembly)
+    stiffness, mass, m = _bloch_blocks(assembly)
     P = problem.params.periods
     epp = problem.elements_per_period
     topo = assembly.columns // epp
@@ -349,13 +368,8 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     for p in range(P // 2 + 1):
         t_p = time.perf_counter()
         theta = 2.0 * np.pi * p / P
-        z = np.exp(1j * theta)
-        Ah = (A0 + z * A1 + np.conj(z) * Am).tocsc()
-        Bh = (B0 + z * B1 + np.conj(z) * Bm).tocsc()
-        Ah = 0.5 * (Ah + Ah.getH())
-        Bh = 0.5 * (Bh + Bh.getH())
-        if p == 0 or 2 * p == P:
-            Ah, Bh = Ah.real, Bh.real
+        Ah = _bloch_pencil(stiffness, p, P)
+        Bh = _bloch_pencil(mass, p, P)
         mult = 2 if (0 < p < P / 2) else 1
         record = {"p": p, "theta": theta, "status": "solved", "below": None,
                   "shift": None, "eigenvalues": [], "kept": 0}
@@ -406,12 +420,31 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
 def solve_eps_poisson(problem, f, assembly=None):
     """Galerkin solution of the pulled-back Poisson problem with right side
-    f(x, y) given by its formula on the physical domain."""
+    f(x, y) given by its formula on the physical domain; returns the dof
+    vector on ``assembly`` (the full torus by default) and the assembly.
+
+    The load need not be eps-periodic, but the stiffness is block-circulant
+    over the P >= 3 periods an assembly spans (see _bloch_blocks).  The
+    discrete Fourier transform over the period blocks of the load then
+    splits the system into the Bloch systems H_p x_p = b_p,
+    p = 0, ..., P/2, of order n_free / P (_bloch_pencil; the
+    transforms for p > P/2 are the conjugates of those for P - p, since the
+    load is real), and the inverse transform reassembles the torus vector.
+    A ring of one or two periods is solved directly: it is its own only
+    block."""
     if assembly is None:
         assembly = EpsAssembly(problem)
     rhs = assembly.assemble_rhs(f)
-    x = solve_linear(assembly.stiffness.tocsc(), rhs)
-    return x, assembly
+    if assembly.columns < 3 * problem.elements_per_period:
+        return solve_linear(assembly.stiffness.tocsc(), rhs), assembly
+    stiffness, _, m = _bloch_blocks(assembly)
+    P = assembly.columns // problem.elements_per_period
+    loads = np.fft.rfft(rhs.reshape(P, m), axis=0)
+    for p in range(len(loads)):
+        H = _bloch_pencil(stiffness, p, P)
+        loads[p] = solve_linear(H, loads[p].real if np.isrealobj(H)
+                                else loads[p])
+    return np.fft.irfft(loads, n=P, axis=0).ravel(), assembly
 
 
 def compare_to_limit(assembly, eps_vec, u_lim, align=True):

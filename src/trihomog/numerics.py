@@ -268,14 +268,16 @@ def _worst_residual(fac, lam, vec):
 
 
 def solve_linear(A, rhs):
-    """Solve the symmetric system A x = rhs through an ``EquilibratedLU``
-    with one step of iterative refinement.  Raises if the normwise backward
-    error in equilibrated variables, ||b_s - A_s y|| against
-    ||A_s||_1 ||y|| + ||b_s|| with A_s = D A D, b_s = D rhs and x = D y,
-    exceeds 1e-8.  That check is weak on the h^{-6}-conditioned systems: it
-    passes solutions whose equilibrated residual is a sizeable fraction of
-    the data norm."""
-    rhs = np.asarray(rhs, dtype=float)
+    """Solve the Hermitian system A x = rhs (real symmetric or complex
+    Hermitian; the solve runs in the common dtype of A and rhs, at least
+    float) through an ``EquilibratedLU`` with one step of iterative
+    refinement.  Raises if the normwise backward error in equilibrated
+    variables, ||b_s - A_s y|| against ||A_s||_1 ||y|| + ||b_s|| with
+    A_s = D A D, b_s = D rhs and x = D y, exceeds 1e-8.  That check is weak
+    on the h^{-6}-conditioned systems: it passes solutions whose equilibrated
+    residual is a sizeable fraction of the data norm."""
+    rhs = np.asarray(rhs)
+    rhs = rhs.astype(np.result_type(A.dtype, rhs.dtype, float), copy=False)
     fac = EquilibratedLU(A)
     bs = fac.d * rhs
     y = fac.solve_refined(bs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trihomog.epsdomain import EpsAssembly
-from trihomog.numerics import solve_smallest
+from trihomog.numerics import solve_linear, solve_smallest
 from trihomog.oscillation import OscillationProfile
 
 CHECKOUT = Path(__file__).resolve().parents[1]
@@ -80,3 +80,9 @@ def solve_eps_spectrum(problem, count, assembly=None):
                             assembly.mass.tocsc(), count, 0.5)
     energies = [assembly.energies(vec[:, j]) for j in range(count)]
     return np.sort([ea / eb for ea, eb in energies])
+
+
+def solve_eps_poisson_direct(assembly, rhs):
+    """One direct solve of the whole assembled Poisson system: the reference
+    the Bloch split of solve_eps_poisson is checked against."""
+    return solve_linear(assembly.stiffness.tocsc(), rhs)

@@ -14,9 +14,10 @@ from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
                                 vertical_mesh)
 from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
+from trihomog.numerics import solve_linear
 from trihomog.oscillation import OscillationProfile, PerturbationParams
 
-from conftest import solve_eps_spectrum
+from conftest import solve_eps_poisson_direct, solve_eps_spectrum
 
 
 def _flat_profile():
@@ -308,3 +309,76 @@ def test_oscillating_poisson_reports_sliver(cosine_assembly):
     assert rep["l2_diff"] > 1e-2 * rep["l2_lim"]
     aligned = compare_to_limit(asm, x, u_lim, align=True)
     assert aligned["l2_diff"] <= np.sqrt(2.0) + 1e-12   # unit-norm fields
+
+
+def _count_solves(monkeypatch):
+    """Record (order, load norm) of every epsdomain.solve_linear call."""
+    calls = []
+
+    def counted(A, rhs):
+        calls.append((A.shape[0], np.linalg.norm(rhs)))
+        return solve_linear(A, rhs)
+
+    monkeypatch.setattr(epsdomain, "solve_linear", counted)
+    return calls
+
+
+def _galerkin_gap(asm, rhs, x):
+    """Relative gap of the Galerkin identity a(u, u) = <f, u>, with a(u, u)
+    by quadrature."""
+    ea, _ = asm.energies(x)
+    work = float(rhs @ x)
+    return abs(ea - work) / abs(work)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125])
+def test_torus_poisson_bloch_matches_direct(cosine_profile, eps,
+                                            monkeypatch):
+    # tangential modes 0..4 of the data reach every Bloch system, p = P/2
+    # included (mode 2 at P = 4, mode 4 at P = 8)
+    def f(x, y):
+        return (1.0 + np.cos(2.0 * np.pi * x) + np.sin(4.0 * np.pi * x)
+                + np.cos(6.0 * np.pi * x) + np.cos(8.0 * np.pi * x)
+                ) * y * (1.0 + y)
+
+    prob = EpsProblem(cosine_profile, PerturbationParams(eps, 2.0),
+                      elements_per_period=4)
+    asm = EpsAssembly(prob)
+    rhs = asm.assemble_rhs(f)
+    direct = solve_eps_poisson_direct(asm, rhs)
+    calls = _count_solves(monkeypatch)
+    x, out = solve_eps_poisson(prob, f, assembly=asm)
+    assert out is asm
+    P = prob.params.periods
+    assert [n for n, _ in calls] == [asm.space.n_free // P] * (P // 2 + 1)
+    loads = [b for _, b in calls]
+    assert min(loads) > 1e-3 * max(loads)
+    assert np.linalg.norm(x - direct) < 1e-8 * np.linalg.norm(direct)
+    assert _galerkin_gap(asm, rhs, x) < 1e-7
+
+
+def test_ring_poisson_is_one_direct_solve(cosine_profile, monkeypatch):
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
+                      elements_per_period=4)
+    ring = EpsAssembly(prob, columns=prob.elements_per_period)
+
+    def f(x, y):
+        return y * (1.0 + y)
+
+    direct = solve_eps_poisson_direct(ring, ring.assemble_rhs(f))
+    calls = _count_solves(monkeypatch)
+    x, _ = solve_eps_poisson(prob, f, assembly=ring)
+    assert [n for n, _ in calls] == [ring.space.n_free]
+    assert np.array_equal(x, direct)
+
+
+def test_torus_poisson_galerkin_identity(cosine_profile):
+    # the benchmark's torus case: 27,264 dof in 5 Bloch systems
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
+                      elements_per_period=16)
+
+    def f(x, y):
+        return np.cos(2.0 * np.pi * x) * y * (1.0 + y)
+
+    x, asm = solve_eps_poisson(prob, f)
+    assert _galerkin_gap(asm, asm.assemble_rhs(f), x) < 2e-5

@@ -92,6 +92,20 @@ def test_solve_linear_against_dense():
     assert np.linalg.norm(x - x_true) < 1e-6 * np.linalg.norm(x_true)
 
 
+def test_solve_linear_complex_hermitian_against_dense():
+    # the complex Bloch systems of the torus Poisson solve
+    rng = np.random.default_rng(39)
+    n = 60
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = Q @ np.diag(np.geomspace(1.0, 1e8, n)) @ Q.conj().T
+    A = sparse.csc_matrix(0.5 * (A + A.conj().T))
+    x_true = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rhs = A @ x_true
+    x = solve_linear(A, rhs)
+    assert x.dtype == complex
+    assert np.linalg.norm(x - x_true) < 1e-6 * np.linalg.norm(x_true)
+
+
 def test_equilibrated_lu_solves_shifted_pencil():
     rng = np.random.default_rng(41)
     A, B = _random_spd_pencil(rng, n=30)
