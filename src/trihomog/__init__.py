@@ -18,11 +18,11 @@ from .hermite import (HermiteBasis1D, Mesh1D, uniform_mesh, graded_mesh,
 from .numerics import (EquilibratedLU, SolverError,
                        count_below, solve_smallest, solve_linear)
 from .limit1d import (LimitBC, LimitSpectrum, solve_limit_spectrum,
-                      solve_limit_poisson, save_spectrum)
+                      solve_limit_poisson)
 from .epsdomain import (EpsProblem, EpsAssembly, EpsEigenResult,
                         solve_eps_spectrum_bloch, solve_eps_poisson,
-                        compare_to_limit, save_eps_result, vertical_mesh)
+                        compare_to_limit, vertical_mesh)
 from .sweep import (SweepConfig, ConvergenceTable, default_profile,
-                    run_cell_k, run_converge, run_verify)
+                    run_cell_k, run_converge, run_verify, write_json)
 
 __version__ = "0.1.0"

@@ -48,7 +48,6 @@ confirms it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,7 +75,6 @@ class CellError(RuntimeError):
 class ModeProfile:
     """Vertical profile w(t) = e^{xi t} (c1 t + c2 t^2) of one tangential
     mode (xi = 0 gives the polynomial zero-mode profile)."""
-    k: tuple
     xi: float
     c1: complex
     c2: complex
@@ -110,7 +108,6 @@ class CellSolution:
     """Per-mode solution of the strip problem for one boundary profile."""
     dim: int
     modes: dict          # k tuple -> ModeProfile; c1 is the boundary datum b_k
-    cutoff: int
 
     def sorted_keys(self):
         # fixed reduction order for bit-stable sums
@@ -126,11 +123,11 @@ def solve_cell(profile, zero_mode_gauge=0.0):
     modes = {}
     for k, bk in profile.coefficients.items():
         if all(x == 0 for x in k):
-            modes[k] = ModeProfile(k=k, xi=0.0, c1=bk, c2=complex(zero_mode_gauge))
+            modes[k] = ModeProfile(xi=0.0, c1=bk, c2=complex(zero_mode_gauge))
         else:
             xi = TWO_PI * math.hypot(*k)
-            modes[k] = ModeProfile(k=k, xi=xi, c1=bk, c2=-0.5 * xi * bk)
-    return CellSolution(dim=profile.dim, modes=modes, cutoff=profile.cutoff)
+            modes[k] = ModeProfile(xi=xi, c1=bk, c2=-0.5 * xi * bk)
+    return CellSolution(dim=profile.dim, modes=modes)
 
 
 def eval_V(solution, ybar, y_n, deriv=None):
@@ -323,7 +320,6 @@ class KReport:
     k_boundary: float
     k_testfunction: float
     per_mode: dict
-    cutoff: int
 
     def agreement(self):
         """Largest pairwise relative disagreement among the three routes."""
@@ -332,6 +328,17 @@ class KReport:
                    abs(self.k_energy - self.k_testfunction),
                    abs(self.k_boundary - self.k_testfunction)) / ref
 
+    def to_dict(self):
+        modes = []
+        for k in sorted(self.per_mode):
+            xi = TWO_PI * math.hypot(*k)
+            modes.append({"k": list(k), "xi": xi,
+                          "contribution": self.per_mode[k]})
+        return {"k_energy": self.k_energy,
+                "k_boundary": self.k_boundary,
+                "k_testfunction": self.k_testfunction,
+                "modes": modes}
+
 
 def compute_k_report(profile):
     """All three K routes for a profile, with the per-mode energy table."""
@@ -339,21 +346,4 @@ def compute_k_report(profile):
     ke, table = k_energy(solution)
     return KReport(k_energy=ke, k_boundary=k_boundary(solution),
                    k_testfunction=k_testfunction(solution),
-                   per_mode=table, cutoff=solution.cutoff)
-
-
-def kreport_to_dict(report):
-    modes = []
-    for k in sorted(report.per_mode):
-        xi = TWO_PI * math.hypot(*k)
-        modes.append({"k": list(k), "xi": xi,
-                      "contribution": report.per_mode[k]})
-    return {"k_energy": report.k_energy,
-            "k_boundary": report.k_boundary,
-            "k_testfunction": report.k_testfunction,
-            "modes": modes}
-
-
-def save_k_report(report, path):
-    with open(path, "w") as fh:
-        json.dump(kreport_to_dict(report), fh, indent=2)
+                   per_mode=table)

@@ -12,10 +12,10 @@ import argparse
 import json
 import sys
 
-from .limit1d import LimitBC, solve_limit_spectrum, save_spectrum
+from .limit1d import LimitBC, solve_limit_spectrum
 from .oscillation import PerturbationParams, load_profile
 from .sweep import (SweepConfig, SweepError, default_profile, load_config,
-                    run_cell_k, run_converge, run_verify)
+                    run_cell_k, run_converge, run_verify, write_json)
 
 BC_NAMES = {"int": "intermediate", "strange": "strange", "dir": "dirichlet"}
 
@@ -65,6 +65,9 @@ def _cmd_limit_spec(args):
     if args.modes < 0:
         raise InputError("--modes must be >= 0, got %d" % args.modes)
     kind = BC_NAMES[args.bc]
+    if kind != "strange" and args.K != "auto":
+        raise InputError("--K applies only to --bc strange, got --K %s "
+                         "with --bc %s" % (args.K, args.bc))
     k_value = 0.0
     if kind == "strange":
         if args.K == "auto":
@@ -87,15 +90,14 @@ def _cmd_limit_spec(args):
         raise InputError(str(err))
     spectrum = solve_limit_spectrum(bc, count=args.count, cutoff=args.modes)
     if args.out:
-        save_spectrum(spectrum, args.out)
+        write_json(args.out, spectrum.to_dict())
     for lam, m, idx in spectrum.entries:
         print("lambda %.17g  m %+d  idx %d" % (lam, m, idx))
     return 0
 
 
 def _cmd_eps_spec(args):
-    from .epsdomain import (MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch,
-                            save_eps_result)
+    from .epsdomain import MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch
     if not 1 <= args.count <= MAX_COUNT:
         raise InputError("--count must lie in 1..%d, got %d"
                          % (MAX_COUNT, args.count))
@@ -109,7 +111,7 @@ def _cmd_eps_spec(args):
         raise InputError(str(err))
     result = solve_eps_spectrum_bloch(problem, args.count)
     if args.out:
-        save_eps_result(result, args.out)
+        write_json(args.out, result.to_dict())
     for lam in result.eigenvalues:
         print("lambda %.17g" % lam)
     print("dof %d  assembly %.2fs  solve %.2fs"

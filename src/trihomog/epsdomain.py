@@ -30,7 +30,6 @@ the load over the period blocks (solve_eps_poisson).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -109,8 +108,7 @@ class EpsAssembly:
         self.columns = problem.nx if columns is None else columns
         vm = vertical_mesh(problem.params.epsilon, problem.n_coarse,
                            problem.n_layer)
-        self.space = build_space_2d(self.columns, vm, bc_bottom="clamped1",
-                                    bc_top="clamped1")
+        self.space = build_space_2d(self.columns, vm)
         self._rows = []
         self._assemble()
 
@@ -268,12 +266,6 @@ class EpsEigenResult:
                 "assembly_seconds": self.assembly_seconds,
                 "solve_seconds": self.solve_seconds,
                 "pencils": self.pencils}
-
-
-def save_eps_result(result, path):
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=1)
-        fh.write("\n")
 
 
 def _bloch_blocks(assembly):
@@ -441,9 +433,7 @@ def solve_eps_poisson(problem, f, assembly=None):
     P = assembly.columns // problem.elements_per_period
     loads = np.fft.rfft(rhs.reshape(P, m), axis=0)
     for p in range(len(loads)):
-        H = _bloch_pencil(stiffness, p, P)
-        loads[p] = solve_linear(H, loads[p].real if np.isrealobj(H)
-                                else loads[p])
+        loads[p] = solve_linear(_bloch_pencil(stiffness, p, P), loads[p])
     return np.fft.irfft(loads, n=P, axis=0).ravel(), assembly
 
 

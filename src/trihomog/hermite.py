@@ -14,7 +14,9 @@ derivatives at the QUAD_ORDER Gauss points of [0, 1], computed once, and
 ``to_element`` scales reference values to an element of size h.  Element
 dof numbering is ``element_dofs_1d`` / ``element_dofs_2d`` (index arrays
 accepted), and stacked element matrices reach the sparse matrix through
-``scatter_elements`` and ``to_csr``.
+``scatter_elements`` and ``to_csr``.  Point evaluation of assembled fields
+(``evaluate_fe``) is 1D; the eps solver reads 2D field values from the row
+tables of its assembly.
 
 Degrees of freedom are stored as raw nodal derivatives; the h^{-6}
 conditioning of sixth-order stiffness matrices is tamed by symmetric diagonal
@@ -157,8 +159,6 @@ class TensorElementSpace:
     """
     dim: int
     vmesh: Mesh1D
-    bc_bottom: str
-    bc_top: str
     nx: int = 0                     # tangential elements (2D only)
     full_to_free: np.ndarray = None
     free_to_full: np.ndarray = None
@@ -211,25 +211,24 @@ def build_space_1d(vmesh, bc_bottom="clamped1", bc_top="clamped1"):
         constrained[a] = True
     for a in _constrained_orders(bc_top):
         constrained[3 * (n_nodes - 1) + a] = True
-    return _finish_space(TensorElementSpace(
-        dim=1, vmesh=vmesh, bc_bottom=bc_bottom, bc_top=bc_top), constrained)
+    return _finish_space(TensorElementSpace(dim=1, vmesh=vmesh), constrained)
 
 
-def build_space_2d(nx, vmesh, bc_bottom="clamped1", bc_top="clamped1"):
-    """Tensor space, periodic tangentially with nx elements (nx nodes)."""
+def build_space_2d(nx, vmesh):
+    """Tensor space, periodic tangentially with nx elements (nx nodes),
+    clamped1 (value and first normal derivative) at both vertical ends."""
     if nx < 2 or vmesh.n_elements < 2:
         raise DiscretizationError("need at least 2 elements per direction")
     nt1 = vmesh.n_elements + 1
     constrained = np.zeros(nx * nt1 * 9, dtype=bool)
+    clamped = _constrained_orders("clamped1")
     for i in range(nx):
         for a in range(3):
-            for b in _constrained_orders(bc_bottom):
+            for b in clamped:
                 constrained[(i * nt1 + 0) * 9 + a * 3 + b] = True
-            for b in _constrained_orders(bc_top):
                 constrained[(i * nt1 + nt1 - 1) * 9 + a * 3 + b] = True
-    return _finish_space(TensorElementSpace(
-        dim=2, vmesh=vmesh, bc_bottom=bc_bottom, bc_top=bc_top, nx=nx),
-        constrained)
+    return _finish_space(TensorElementSpace(dim=2, vmesh=vmesh, nx=nx),
+                         constrained)
 
 
 def _finish_space(space, constrained):
@@ -390,28 +389,14 @@ def _locate(mesh, t):
 
 
 def evaluate_fe(space, free_vec, points, deriv=None):
-    """Evaluate a finite-element field (given by its free-dof vector) at
-    arbitrary points; ``deriv`` is a derivative multi-index (order <= 3).
-
-    1D: points is an array of t values.  2D: points is (x_array, t_array)
-    with x interpreted periodically on [0, 1)."""
+    """Evaluate a 1D finite-element field (given by its free-dof vector) at
+    the points t; ``deriv`` is a derivative multi-index (d,), d <= 3.  The
+    eps solver reads 2D field values from its own row tables
+    (EpsAssembly._element_values)."""
+    _require_1d(space, "evaluate_fe")
     full = space.embed(np.asarray(free_vec, dtype=float))
-    if space.dim == 1:
-        d = deriv[0] if deriv else 0
-        t = np.atleast_1d(np.asarray(points, dtype=float))
-        e, s, h = _locate(space.vmesh, t)
-        shp = to_element(_BASIS.eval(s, d), h[:, None], d)     # (npts, 6)
-        dofs = space.element_dofs_1d(e)
-    else:
-        m, n = deriv if deriv else (0, 0)
-        x, t = points
-        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        hx = 1.0 / space.nx
-        i = np.clip((x / hx).astype(int), 0, space.nx - 1)
-        j, st, ht = _locate(space.vmesh, t)
-        shx = to_element(_BASIS.eval(x / hx - i, m), hx, m)
-        sht = to_element(_BASIS.eval(st, n), ht[:, None], n)
-        shp = (shx[:, :, None] * sht[:, None, :]).reshape(-1, 36)
-        dofs = space.element_dofs_2d(i, j)
-    return np.einsum('pl,pl->p', full[dofs], shp)
+    d = deriv[0] if deriv else 0
+    t = np.atleast_1d(np.asarray(points, dtype=float))
+    e, s, h = _locate(space.vmesh, t)
+    shp = to_element(_BASIS.eval(s, d), h[:, None], d)          # (npts, 6)
+    return np.einsum('pl,pl->p', full[space.element_dofs_1d(e)], shp)

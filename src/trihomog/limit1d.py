@@ -23,7 +23,6 @@ nothing here flips it silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,12 +248,6 @@ class LimitSpectrum:
                          for (lam, m, idx) in self.entries]}
 
 
-def save_spectrum(spectrum, path):
-    with open(path, "w") as fh:
-        json.dump(spectrum.to_dict(), fh, indent=1)
-        fh.write("\n")
-
-
 def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
                          n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
@@ -324,9 +317,7 @@ def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
         S = S.tocsc()
         rhs_re = assemble_rhs(space, lambda t: float(np.real(f(t))))
         rhs_im = assemble_rhs(space, lambda t: float(np.imag(f(t))))
-        x = solve_linear(S, rhs_re).astype(complex)
-        if np.any(rhs_im):
-            x = x + 1j * solve_linear(S, rhs_im)
+        x = solve_linear(S, rhs_re + 1j * rhs_im)
         modes[m] = x
         traces[m] = x[w2] if w2 >= 0 else 0.0
     return LimitPoissonSolution(bc=bc, space=space, modes=modes,

@@ -106,7 +106,6 @@ class OscillationProfile:
         coeffs.setdefault(zero, 0.0 + 0.0j)
         coeffs[zero] = complex(coeffs[zero].real, 0.0)
         self.coefficients = dict(sorted(coeffs.items()))
-        self.cutoff = max((max(abs(x) for x in k) for k in coeffs), default=0)
         if check_nonnegative:
             self._check_nonnegative()
 
@@ -348,11 +347,17 @@ def profile_to_dict(profile):
 
 
 def profile_from_dict(data):
-    dim = int(data["dim"])
-    coeffs = {(0,) * dim: complex(data.get("b0", 0.0))}
-    for mode in data.get("modes", []):
-        k = tuple(int(x) for x in mode["k"])
-        coeffs[k] = complex(mode.get("re", 0.0), mode.get("im", 0.0))
+    """Profile from profile_to_dict's format; ProfileError when an entry is
+    missing or of the wrong type."""
+    try:
+        dim = int(data["dim"])
+        coeffs = {(0,) * dim: complex(data.get("b0", 0.0))}
+        for mode in data.get("modes", []):
+            k = tuple(int(x) for x in mode["k"])
+            coeffs[k] = complex(mode.get("re", 0.0), mode.get("im", 0.0))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ProfileError("malformed profile (%s: %s)"
+                           % (type(err).__name__, err))
     return OscillationProfile(dim, coeffs)
 
 

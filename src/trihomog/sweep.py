@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import compute_k_report, save_k_report
+from .cell import compute_k_report
 from .epsdomain import (MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch,
-                        save_eps_result, vertical_mesh)
+                        vertical_mesh)
 from .limit1d import LimitBC, solve_limit_spectrum
 from .oscillation import (OscillationProfile, PerturbationParams,
-                          load_profile)
+                          ProfileError, load_profile)
 
 REGIME_INTERMEDIATE = "Intermediate"
 REGIME_STRANGE = "StrangeTerm"
@@ -69,15 +69,13 @@ class SweepConfig:
         if not 1 <= self.count <= MAX_COUNT:
             raise SweepError("count must lie in 1..%d, got %r"
                              % (MAX_COUNT, self.count))
-        for a in self.alphas:
-            if not 0 < a < np.inf:
-                raise SweepError("alpha must be positive and finite, got %r"
-                                 % (a,))
-        for e in self.eps_values:
-            if not 0 < e <= 1 or abs(e * round(1.0 / e) - 1.0) > 1e-12:
-                raise SweepError(
-                    "eps values must be reciprocals of integers, got %r"
-                    % (e,))
+        try:
+            for alpha in self.alphas:
+                PerturbationParams(epsilon=1.0, alpha=alpha)
+            for eps in self.eps_values:
+                PerturbationParams(epsilon=eps, alpha=1.0)
+        except ProfileError as err:
+            raise SweepError(str(err))
 
     def profile(self):
         if self.profile_path:
@@ -86,11 +84,17 @@ class SweepConfig:
 
 
 def config_from_dict(data):
-    kwargs = dict(data)
-    for key in ("alphas", "eps_values"):
-        if key in kwargs:
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
-    return SweepConfig(**kwargs)
+    """SweepConfig from a JSON object; SweepError when it is malformed (not
+    an object, an unknown key, a scalar where a list belongs, a mistyped
+    value)."""
+    try:
+        kwargs = dict(data)
+        for key in ("alphas", "eps_values"):
+            if key in kwargs:
+                kwargs[key] = tuple(float(v) for v in kwargs[key])
+        return SweepConfig(**kwargs)
+    except TypeError as err:
+        raise SweepError("malformed config: %s" % err)
 
 
 def load_config(path):
@@ -160,9 +164,15 @@ class ConvergenceTable:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "convergence.csv"), "w") as fh:
             fh.write(self.to_csv_text())
-        with open(os.path.join(out_dir, "convergence.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "convergence.json"), self.to_dict())
+
+
+def write_json(path, data):
+    """Write one result file: ``data``, a result's ``to_dict()``, as JSON
+    indented by one space, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
 
 
 def _fmt(value):
@@ -182,27 +192,19 @@ def run_cell_k(profile, out_path=None, cutoff=None):
         profile = OscillationProfile(profile.dim, kept)
     report = compute_k_report(profile)
     if out_path:
-        save_k_report(report, out_path)
+        write_json(out_path, report.to_dict())
     return report, report.agreement() <= 1e-9
 
 
-def _limit_targets(profile, count, cutoff, n_elements, k_value):
+def _limit_targets(count, cutoff, n_elements, k_value):
     """Limit eigenvalue lists: intermediate, Dirichlet, and both signed
     strange-term variants."""
-    out = {}
-    out["int"] = solve_limit_spectrum(
-        LimitBC("intermediate"), count=count, cutoff=cutoff,
-        n_elements=n_elements).eigenvalues()
-    out["dir"] = solve_limit_spectrum(
-        LimitBC("dirichlet"), count=count, cutoff=cutoff,
-        n_elements=n_elements).eigenvalues()
-    out["hat_flipped"] = solve_limit_spectrum(
-        LimitBC("strange", K=k_value, flip_sign=True), count=count,
-        cutoff=cutoff, n_elements=n_elements).eigenvalues()
-    out["hat_literal"] = solve_limit_spectrum(
-        LimitBC("strange", K=k_value, flip_sign=False), count=count,
-        cutoff=cutoff, n_elements=n_elements).eigenvalues()
-    return out
+    bcs = (("int", LimitBC("intermediate")), ("dir", LimitBC("dirichlet")),
+           ("hat_flipped", LimitBC("strange", K=k_value, flip_sign=True)),
+           ("hat_literal", LimitBC("strange", K=k_value, flip_sign=False)))
+    return {key: solve_limit_spectrum(bc, count=count, cutoff=cutoff,
+                                      n_elements=n_elements).eigenvalues()
+            for key, bc in bcs}
 
 
 def _solve_case(profile, alpha, eps, config):
@@ -223,7 +225,7 @@ def run_converge(config, out_dir=None, log=None):
     profile = config.profile()
     report = compute_k_report(profile)
     k_value = report.k_energy
-    targets = _limit_targets(profile, config.count, config.cutoff,
+    targets = _limit_targets(config.count, config.cutoff,
                              config.n_elements_1d, k_value)
     table = ConvergenceTable(k_value=k_value)
     cases = {}
@@ -290,8 +292,8 @@ def run_converge(config, out_dir=None, log=None):
                 continue
             name = "eps_a%s_n%d.json" % (("%g" % alpha).replace(".", "p"),
                                          round(1 / eps))
-            save_eps_result(res, os.path.join(out_dir, "cases", name))
-        save_k_report(report, os.path.join(out_dir, "k_report.json"))
+            write_json(os.path.join(out_dir, "cases", name), res.to_dict())
+        write_json(os.path.join(out_dir, "k_report.json"), report.to_dict())
     if literal_wins:
         raise SweepError(
             "strange-term adjudication favours the paper's literal minus "

@@ -6,7 +6,8 @@ from trihomog.cell import (UNIVERSAL_MODE_CONSTANT, compute_k_report,
                            corrector_vhat, eval_V, k_boundary, k_energy,
                            k_testfunction, mode_energy_closed_form,
                            mode_energy_quadrature, residual_check, solve_cell)
-from trihomog.oscillation import OscillationProfile
+from trihomog import cli
+from trihomog.oscillation import OscillationProfile, save_profile
 
 from conftest import random_nonneg_profile
 
@@ -18,6 +19,23 @@ def test_cosine_k_value(cosine_profile):
     expect = 20.0 * np.pi ** 3
     assert abs(report.k_energy - expect) < 1e-10 * expect
     assert report.agreement() < 1e-12
+
+
+def test_two_dimensional_profile_k(tmp_path):
+    # N = 3: two tangential variables, b = 1 + cos(2 pi y1)/2
+    # + cos(2 pi y2)/2 + 2 Re[(0.1 + 0.05i) e^{2 pi i (y1 + y2)}]; each mode
+    # contributes 5 xi^3 |b_k|^2 with xi = 2 pi |k|
+    coeffs = {(0, 0): 1.0, (1, 0): 0.25, (0, 1): 0.25, (1, 1): 0.1 + 0.05j}
+    profile = OscillationProfile(2, coeffs)
+    expect = sum(5.0 * (2.0 * np.pi * np.hypot(*k)) ** 3
+                 * abs(bk) ** 2
+                 for k, bk in profile.coefficients.items() if any(k))
+    report = compute_k_report(profile)
+    assert abs(report.k_energy - expect) < 1e-12 * expect
+    assert report.agreement() < 1e-12
+    path = tmp_path / "profile2d.json"
+    save_profile(profile, str(path))
+    assert cli.main(["cell-k", "--profile", str(path)]) == 0
 
 
 def test_triple_agreement_random_profiles():

@@ -107,18 +107,31 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("converge", "--config", {"eps_values": [0.0]}),
     ("converge", "--config", {"alphas": [float("nan")]}),
     ("converge", "--config", {"count": 21}),
+    ("converge", "--config", {"alpha": [2.0]}),
+    ("converge", "--config", {"count": "3"}),
+    ("converge", "--config", {"eps_values": 0.25}),
+    ("converge", "--config", [1, 2]),
+    ("cell-k", "--profile", {"b0": 1.0}),
+    ("cell-k", "--profile", {"dim": 1, "b0": 1.0, "modes": [{"re": 0.5}]}),
+    ("limit-spec", "--bc", "int", "--K", "5"),
+    ("limit-spec", "--bc", "dir", "--K", "0"),
 ], ids=["eps-count-0", "eps-count-21", "limit-count-0", "limit-modes-neg",
         "limit-k-neg", "cell-cutoff-neg", "eps-zero", "alpha-nan",
         "limit-k-nan", "limit-k-inf", "converge-eps-zero",
-        "converge-alpha-nan", "converge-count-21"])
+        "converge-alpha-nan", "converge-count-21", "converge-unknown-key",
+        "converge-count-str", "converge-eps-scalar", "converge-list",
+        "profile-no-dim", "profile-mode-no-k", "limit-int-k-number",
+        "limit-dir-k-zero"])
 def test_out_of_range_input_exits_2(capsys, tmp_path, argv):
     # rejected before any solve, with one line on stderr and nothing printed;
-    # a dict stands for a SweepConfig JSON file holding it
-    config = tmp_path / "config.json"
+    # a dict or list stands for a JSON file (SweepConfig or profile)
+    # holding it
+    path = tmp_path / "input.json"
     for arg in argv:
-        if isinstance(arg, dict):
-            config.write_text(json.dumps(arg))
-    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+        if isinstance(arg, (dict, list)):
+            path.write_text(json.dumps(arg))
+    argv = [str(path) if isinstance(arg, (dict, list)) else arg
+            for arg in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     lines = err.splitlines()

@@ -1,6 +1,7 @@
-"""Dead-code guard over the package source: no unused import, and no
-module-level private function or class that nothing in the package uses.
-``__init__.py`` imports are the public API and count as used."""
+"""Dead-code guard over the package source: no unused import, no
+module-level private function or class that nothing in the package uses,
+and no dataclass field that nothing in the package reads.  ``__init__.py``
+imports are the public API and count as used."""
 
 import ast
 
@@ -64,3 +65,33 @@ def test_every_private_definition_is_used():
                                    for owner, n in uses):
                 dead.append("%s:%d %s" % (name, top.lineno, top.name))
     assert not dead, "private definitions nothing uses: %s" % dead
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # a name check: a field passes when any attribute load in the package
+    # has its name, so one that shares its name with a field read on
+    # another class is not caught
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            unread += ["%s:%d %s.%s" % (name, stmt.lineno, cls.name,
+                                        stmt.target.id)
+                       for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    assert not unread, "dataclass fields nothing reads: %s" % unread

@@ -9,13 +9,13 @@ import pytest
 
 from trihomog import epsdomain, jets
 from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
-                                compare_to_limit, save_eps_result,
-                                solve_eps_poisson, solve_eps_spectrum_bloch,
-                                vertical_mesh)
+                                compare_to_limit, solve_eps_poisson,
+                                solve_eps_spectrum_bloch, vertical_mesh)
 from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
 from trihomog.numerics import solve_linear
 from trihomog.oscillation import OscillationProfile, PerturbationParams
+from trihomog.sweep import write_json
 
 from conftest import solve_eps_poisson_direct, solve_eps_spectrum
 
@@ -234,7 +234,7 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     prob, ring = critical_ring
     res = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
     path = tmp_path / "res.json"
-    save_eps_result(res, str(path))
+    write_json(str(path), res.to_dict())
     data = json.loads(path.read_text())
     assert [r["status"] for r in data["pencils"]] == \
         ["solved", "solved", "certified", "certified", "certified"]

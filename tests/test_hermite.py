@@ -3,12 +3,14 @@ cross-checks."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from trihomog.epsdomain import IDX10, EpsAssembly, EpsProblem
 from trihomog.hermite import (DiscretizationError, HermiteBasis1D,
                               assemble, assemble_quadratic, assemble_rhs,
-                              build_space_1d, build_space_2d, evaluate_fe,
-                              gauss_rule, graded_mesh, quadratic_energy,
-                              uniform_mesh)
+                              build_space_1d, evaluate_fe, gauss_rule,
+                              graded_mesh, quadratic_energy, uniform_mesh)
+from trihomog.oscillation import OscillationProfile, PerturbationParams
 
 
 def test_shape_functions_are_dual_to_nodal_functionals():
@@ -160,30 +162,35 @@ def test_rhs_integrates_loads_exactly():
 
 
 def test_2d_tensor_space_reproduces_biquintics():
-    space = build_space_2d(4, uniform_mesh(3), "free", "free")
-    # field x-periodic in x: use cos(2 pi x) * quintic(t), interpolated at
-    # the 9 nodal derivatives, must be close (not exact: cosine is not a
-    # quintic) -- instead check exact reproduction of f(x,t)=quintic(t)
-    coeffs = np.array([0.3, -1.0, 0.4, 2.0, -0.7, 0.1])
-    der = [np.polynomial.polynomial.polyder(coeffs, d) if d else coeffs
-           for d in range(3)]
+    # the eps solver's row tables on a flat one-period ring, where the
+    # pullback is the identity: a quintic in t, constant in x and clamped at
+    # both ends, set at every column's nodes, is reproduced exactly
+    flat = OscillationProfile(1, {(0,): 0.0}, check_nonnegative=False)
+    prob = EpsProblem(flat, PerturbationParams(1 / 4, 2.0),
+                      elements_per_period=4)
+    asm = EpsAssembly(prob, columns=4)
+    space = asm.space
+    # w = t^2 (1 + t)^2 (0.3 - 0.7 t)
+    w = Polynomial([0.0, 0.0, 1.0, 2.0, 1.0]) * Polynomial([0.3, -0.7])
     nt1 = space.vmesh.n_elements + 1
     full = np.zeros(space.n_full)
     for i in range(space.nx):
         for j, t in enumerate(space.vmesh.nodes):
             for b in range(3):
-                full[(i * nt1 + j) * 9 + 0 * 3 + b] = \
-                    np.polynomial.polynomial.polyval(t, der[b])
-    vec = full[space.free_to_full]
-    x = np.linspace(0.0, 1.0, 13)
-    t = np.linspace(-1.0, 0.0, 13)
-    vals = evaluate_fe(space, vec, (x, t), (0, 0))
-    expect = np.polynomial.polynomial.polyval(t, coeffs)
-    assert np.max(np.abs(vals - expect)) < 1e-12
-    d3 = evaluate_fe(space, vec, (x, t), (0, 3))
-    expect3 = np.polynomial.polynomial.polyval(
-        t, np.polynomial.polynomial.polyder(coeffs, 3))
-    assert np.max(np.abs(d3 - expect3)) < 1e-10
+                full[(i * nt1 + j) * 9 + b] = w.deriv(b)(t)
+    # the clamped dofs, zeroed here, are where w and w' vanish
+    full = space.embed(full[space.free_to_full])
+    gammas = [IDX10.index((0, 0)), IDX10.index((0, 3))]
+    err_value = err_third = scale_third = 0.0
+    for geo in asm._rows:
+        u = asm._element_values(geo, full, gammas)
+        third = w.deriv(3)(geo["tau"])
+        err_value = max(err_value, np.max(np.abs(u[0] - w(geo["tau"]))))
+        err_third = max(err_third, np.max(np.abs(u[1] - third)))
+        scale_third = max(scale_third, np.max(np.abs(third)))
+    assert err_value < 1e-14
+    assert scale_third > 16.0            # the maximum on [-1, 0] is 16.2
+    assert err_third < 1e-10 * scale_third
 
 
 def test_gauss_rule_integrates_high_degree():

@@ -17,8 +17,9 @@ from scipy.optimize import brentq
 from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
 from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
                               apply_strange_term, limit_space, mode_form,
-                              save_spectrum, solve_limit_poisson,
-                              solve_limit_spectrum, solve_mode, trace_dof)
+                              solve_limit_poisson, solve_limit_spectrum,
+                              solve_mode, trace_dof)
+from trihomog.sweep import write_json
 
 K_COS = 20.0 * np.pi ** 3            # strange constant of 1 + cos(2 pi y)
 
@@ -267,7 +268,7 @@ def test_poisson_dirichlet_trace_is_zero():
 def test_spectrum_file_roundtrip(tmp_path):
     spec = solve_limit_spectrum(LimitBC("intermediate"), count=4, cutoff=1)
     path = tmp_path / "spectrum.json"
-    save_spectrum(spec, path)
+    write_json(path, spec.to_dict())
     back = json.loads(path.read_text())
     assert back["bc"] == "intermediate"
     assert len(back["eigs"]) == 4

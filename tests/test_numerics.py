@@ -4,6 +4,7 @@ well-conditioned pencils and against invariance properties on hard ones."""
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as spla
 from scipy.linalg import eigh
 
 from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
@@ -104,6 +105,44 @@ def test_solve_linear_complex_hermitian_against_dense():
     x = solve_linear(A, rhs)
     assert x.dtype == complex
     assert np.linalg.norm(x - x_true) < 1e-6 * np.linalg.norm(x_true)
+
+
+def test_solve_linear_real_matrix_complex_rhs(monkeypatch):
+    # the complex mode amplitudes of the limit Poisson problem: a complex
+    # right side on a real matrix is its real and imaginary systems, solved
+    # with one factor, and an all-zero imaginary part costs no solve
+    rng = np.random.default_rng(43)
+    n = 60
+    A, _ = _random_spd_pencil(rng, n=n, spread=1e8)
+    A = A.tocsc()
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = solve_linear(A, b)
+    assert x.dtype == complex
+    assert np.array_equal(x, solve_linear(A, b.real)
+                          + 1j * solve_linear(A, b.imag))
+    calls = []
+    real_splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            calls.append("solve")
+            return self.lu.solve(rhs)
+
+    def counting_splu(*args, **kwargs):
+        calls.append("splu")
+        return CountingLU(real_splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    solve_linear(A, b)
+    # one factor; two parts, each solved and refined once
+    assert calls == ["splu"] + ["solve"] * 4
+    calls.clear()
+    x = solve_linear(A, b.real.astype(complex))
+    assert calls == ["splu"] + ["solve"] * 2
+    assert np.array_equal(x, solve_linear(A, b.real))
 
 
 def test_equilibrated_lu_solves_shifted_pencil():
