@@ -122,6 +122,7 @@ def _cmd_eps_spec(args):
 def _cmd_converge(args):
     try:
         config = load_config(args.config) if args.config else SweepConfig()
+        config.profile()    # a missing or malformed profile is an input error
     except (OSError, ValueError) as err:
         raise InputError("cannot load config: %s" % err)
     out_dir = args.out or config.out_dir

@@ -35,6 +35,8 @@ accurate the pair is.
 from __future__ import annotations
 
 import gc
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -147,23 +149,54 @@ def solve_smallest(A, B, count, shift):
     shift, i.e. the smallest ones when the shift sits below the spectrum.
     B must be positive definite.  Eigenvalues are the matrix Ritz values
     (see module docstring); eigenvectors come back B-orthonormal, sorted by
-    eigenvalue."""
+    eigenvalue.
+
+    The columns of each shift-invert step and of each residual check are
+    independent solves with the one factor, and SuperLU's triangular solves
+    release the GIL, so they run on a thread pool with one worker per CPU
+    the process may run on.  Each column keeps its own arithmetic, so the
+    result does not depend on the worker count.  Pencils small enough for
+    the dense seed solve their columns one after another, without a pool."""
     n = A.shape[0]
     k = count
     if k < 1 or k > n:
         raise SolverError("requested %d eigenpairs of an order-%d problem"
                           % (k, n))
     fac = EquilibratedLU(A, B, shift)
-    As, Bs = fac.As, fac.Bs
     vec = _initial_block(fac, k)
-    # shift-inverted subspace iteration + Rayleigh-Ritz until the wanted part
-    # of the block passes the convergence check
+    if _dense_seed(n, k):
+        lam, vec = _subspace_iteration(fac, vec, k, map)
+    else:
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            lam, vec = _subspace_iteration(fac, vec, k, pool.map)
+    vec = vec * fac.d[:, None]
+    # vdot's summation order (hence the last bits) follows the memory
+    # layout; the returned vectors are orthonormalized in C order
+    return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
+
+
+def _dense_seed(n, count):
+    """Whether an order-n pencil is seeded by dense eigh (small pencils)
+    rather than by Lanczos."""
+    return count > max(1, n - 2) or n < 600
+
+
+def _subspace_iteration(fac, vec, k, each):
+    """Shift-inverted subspace iteration with Rayleigh-Ritz from the block
+    ``vec``, in equilibrated variables, until the wanted part of the block
+    passes the convergence check; the k wanted Ritz pairs, checked against
+    the residual gate.  ``each`` is ``map`` or a pool's ``map``: it runs
+    the per-column solves."""
+    As, Bs = fac.As, fac.Bs
     lam = None
     gate = None
     prev = None
     for round_ in range(12):
-        for j in range(vec.shape[1]):
+        # each column's solve writes that column in place, so the block
+        # keeps its memory layout, and MGS its summation order
+        def step(j):
             vec[:, j] = fac.solve_refined(Bs @ vec[:, j])
+        list(each(step, range(vec.shape[1])))
         vec = _b_orthonormalize(Bs, vec)
         lam, vec = _rayleigh_ritz(As, Bs, vec)
         if gate is None:
@@ -174,27 +207,24 @@ def solve_smallest(A, B, count, shift):
         if prev is not None:
             drift = np.max(np.abs(lam[:k] - prev) / np.maximum(np.abs(prev),
                                                                1e-300))
-            if drift < 1e-8 and _worst_residual(fac, lam[:k],
-                                                vec[:, :k]) <= gate:
+            if drift < 1e-8 and _worst_residual(fac, lam[:k], vec[:, :k],
+                                                each) <= gate:
                 break
         prev = lam[:k].copy()
     keep = np.argsort(lam)[:k]
     lam = lam[keep]
-    worst = _worst_residual(fac, lam, vec[:, keep])
+    worst = _worst_residual(fac, lam, vec[:, keep], each)
     if worst > gate:
         raise SolverError("shift-inverted eigen residual %.3e exceeds "
                           "gate %.1e" % (worst, gate))
-    vec = vec[:, keep] * fac.d[:, None]
-    # vdot's summation order (hence the last bits) follows the memory
-    # layout; the returned vectors are orthonormalized in C order
-    return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
+    return lam, vec[:, keep]
 
 
 def _initial_block(fac, count):
     As, Bs = fac.As, fac.Bs
     n = As.shape[0]
     m = min(n, count + 4)
-    if count > max(1, n - 2) or n < 600:
+    if _dense_seed(n, count):
         from scipy.linalg import eigh
         _, vec = eigh(As.toarray(), Bs.toarray())
         return np.ascontiguousarray(vec[:, :m])
@@ -260,19 +290,18 @@ def _residual_floor(fac, lam):
         inv_norm = np.linalg.norm(x)
         x /= inv_norm
     eps = np.finfo(float).eps
-    norm_a = spla.onenormest(fac.As)
-    norm_b = spla.onenormest(fac.Bs)
+    norm_a = spla.norm(fac.As, 1)
+    norm_b = spla.norm(fac.Bs, 1)
     lam_mag = float(np.max(np.abs(lam))) if len(lam) else 1.0
     return eps * (norm_a + lam_mag * norm_b) * inv_norm
 
 
-def _worst_residual(fac, lam, vec):
-    worst = 0.0
-    for j in range(len(lam)):
+def _worst_residual(fac, lam, vec, each):
+    def ratio(j):
         x = vec[:, j]
         r = fac.solve_refined(fac.As @ x - lam[j] * (fac.Bs @ x))
-        worst = max(worst, np.linalg.norm(r) / np.linalg.norm(x))
-    return worst
+        return np.linalg.norm(r) / np.linalg.norm(x)
+    return max([0.0, *each(ratio, range(len(lam)))])
 
 
 def solve_linear(A, rhs):
@@ -292,7 +321,7 @@ def solve_linear(A, rhs):
     bs = fac.d * rhs
     y = fac.solve_refined(bs)
     As = fac.As
-    norm_a = spla.onenormest(As)
+    norm_a = spla.norm(As, 1)
     parts = [(bs, y)]
     if np.iscomplexobj(bs) and not np.iscomplexobj(As):
         parts = [(bs.real, y.real), (bs.imag, y.imag)]

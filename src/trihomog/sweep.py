@@ -66,6 +66,9 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
+        if type(self.count) is not int:
+            raise SweepError("count must be an integer, got %r"
+                             % (self.count,))
         if not 1 <= self.count <= MAX_COUNT:
             raise SweepError("count must lie in 1..%d, got %r"
                              % (MAX_COUNT, self.count))

@@ -111,6 +111,8 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("converge", "--config", {"count": "3"}),
     ("converge", "--config", {"eps_values": 0.25}),
     ("converge", "--config", [1, 2]),
+    ("converge", "--config", {"count": 2.5}),
+    ("converge", "--config", {"profile_path": "no-such-profile.json"}),
     ("cell-k", "--profile", {"b0": 1.0}),
     ("cell-k", "--profile", {"dim": 1, "b0": 1.0, "modes": [{"re": 0.5}]}),
     ("limit-spec", "--bc", "int", "--K", "5"),
@@ -120,6 +122,7 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
         "limit-k-nan", "limit-k-inf", "converge-eps-zero",
         "converge-alpha-nan", "converge-count-21", "converge-unknown-key",
         "converge-count-str", "converge-eps-scalar", "converge-list",
+        "converge-count-float", "converge-missing-profile",
         "profile-no-dim", "profile-mode-no-k", "limit-int-k-number",
         "limit-dir-k-zero"])
 def test_out_of_range_input_exits_2(capsys, tmp_path, argv):

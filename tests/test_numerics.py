@@ -1,14 +1,23 @@
 """Eigen and linear solver contracts, checked against dense oracles on
 well-conditioned pencils and against invariance properties on hard ones."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import linalg as spla
 from scipy.linalg import eigh
 
+from trihomog import numerics
+from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
+                                _bloch_pencil)
 from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
                                solve_linear, solve_smallest)
+from trihomog.oscillation import PerturbationParams
+from trihomog.sweep import default_profile
 
 
 def test_diagonal_pencil():
@@ -35,7 +44,13 @@ def _random_spd_pencil(rng, n=50, spread=1e6):
     return sparse.csr_matrix(0.5 * (A + A.T)), sparse.csr_matrix(0.5 * (B + B.T))
 
 
-def test_random_pencil_against_dense_oracle():
+def test_random_pencil_against_dense_oracle(monkeypatch):
+    # a dense-seeded pencil (n < 600, like every 1D limit pencil) solves
+    # its columns in the calling thread, without a pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small pencil opened a thread pool")
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", no_pool)
     rng = np.random.default_rng(12)
     A, B = _random_spd_pencil(rng)
     dense = np.sort(eigh(A.toarray(), B.toarray(), eigvals_only=True))
@@ -254,3 +269,79 @@ def test_count_below_refuses_a_singular_shift():
     assert count_below(A, B, 3.0) is None
     D = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
     assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
+
+
+@pytest.fixture(scope="module")
+def ring_pencils():
+    """The real p = 0 and the complex p = 1 Bloch pencils of a small ring
+    (eps = 1/4, 4 elements per period): 852 dofs, above the dense-seed
+    size, so their columns are solved on the thread pool."""
+    problem = EpsProblem(default_profile(), PerturbationParams(0.25, 2.0),
+                         elements_per_period=4)
+    stiffness, mass, m = _bloch_blocks(EpsAssembly(problem, columns=12))
+    assert m > 600
+    return [(_bloch_pencil(stiffness, p, 4), _bloch_pencil(mass, p, 4))
+            for p in (0, 1)]
+
+
+def test_column_threads_do_not_change_the_bits(ring_pencils, monkeypatch):
+    # each column keeps its own arithmetic and its place in the block, so
+    # the pool's worker count cannot show in the result
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
+    for A, B in ring_pencils:
+        lam, vec = solve_smallest(A, B, 3, 0.5)
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            lam1, vec1 = solve_smallest(A, B, 3, 0.5)
+        assert lam.dtype == lam1.dtype and vec.dtype == vec1.dtype
+        assert np.array_equal(lam, lam1) and np.array_equal(vec, vec1)
+    affinity = len(os.sched_getaffinity(0))
+    assert workers == [affinity, 1, affinity, 1]
+    assert np.iscomplexobj(ring_pencils[1][0])
+
+
+def test_concurrent_refined_solves_match_sequential(ring_pencils):
+    # many refined solves at once on one factor, more workers than cores
+    # and frequent thread switches, against one after another
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for A, B in ring_pencils:
+            fac = EquilibratedLU(A, B, 0.5)
+            rng = np.random.default_rng(53)
+            rhs = [rng.standard_normal(A.shape[0]) for _ in range(24)]
+            if np.iscomplexobj(A):
+                rhs = [b + 1j * rng.standard_normal(A.shape[0]) for b in rhs]
+            sequential = [fac.solve_refined(b) for b in rhs]
+            with ThreadPoolExecutor(2 * os.cpu_count() + 2) as pool:
+                for _ in range(3):
+                    concurrent = list(pool.map(fac.solve_refined, rhs,
+                                               timeout=120))
+                    assert all(np.array_equal(x, y)
+                               for x, y in zip(sequential, concurrent))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_residual_floor_ignores_the_global_random_state(ring_pencils):
+    # the floor takes exact 1-norms, so NumPy's global random state (which
+    # onenormest drew from) cannot move it
+    A, B = ring_pencils[0]
+    fac = EquilibratedLU(A, B, 0.5)
+    lam = np.array([20000.0])
+    state = np.random.get_state()
+    floors = []
+    try:
+        for seed in (1, 2, 3):
+            np.random.seed(seed)
+            floors.append(numerics._residual_floor(fac, lam))
+    finally:
+        np.random.set_state(state)
+    assert floors[0] == floors[1] == floors[2]
