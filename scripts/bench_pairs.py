@@ -6,7 +6,7 @@
 
 For every seed, and for every workload within a seed, runs
 
-    python3 bench/run.py --workload <w> --seed <s> --seconds <t> --trace 0
+    python3 bench/run.py --workload <w> --seed <s> --seconds 10 --trace 0
 
 once in each checkout, one run after another: the parent first on even
 seeds, the change first on odd seeds.  Each checkout runs its own bench/ and
@@ -30,6 +30,8 @@ import statistics
 import subprocess
 import sys
 
+#: seconds of rounds per bench/run.py call, BENCHMARK.json's run_seconds
+SECONDS = 10
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 ENV_KEYS = ("nproc", "affinity", "python", "numpy", "scipy", "openblas",
             "OPENBLAS_NUM_THREADS", "TRIHOMOG_THREADS")
@@ -50,11 +52,11 @@ def commit_of(checkout):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """One bench/run.py call: (summary line, env, rounds of the report)."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit("%s failed in %s (exit %d):\n%s"
@@ -93,7 +95,6 @@ def main():
     p.add_argument("--label", required=True)
     p.add_argument("--change-note", default="",
                    help="one line on what the change does")
-    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--out", help="output path (default BENCH_<label>.json)")
     args = p.parse_args()
     seeds = parse_seeds(args.seeds)
@@ -108,8 +109,7 @@ def main():
                                                              "parent")
         for workload in args.workloads:
             for side in order:
-                summary, env, rounds = run_once(sides[side], workload, seed,
-                                                args.seconds)
+                summary, env, rounds = run_once(sides[side], workload, seed)
                 runs[workload][side].append(
                     {"summary": summary, "env": env, "rounds": rounds})
                 print("seed %d %-15s %-6s %s" % (
@@ -131,8 +131,8 @@ def main():
             "correct_all_runs": all(r["summary"]["correct"]
                                     for side in by_side.values()
                                     for r in side)}
-    command = ("python3 bench/run.py --workload <w> --seed <s> --seconds %g "
-               "--trace 0" % args.seconds)
+    command = ("python3 bench/run.py --workload <w> --seed <s> --seconds %d "
+               "--trace 0" % SECONDS)
     record = {
         "label": args.label,
         "change": args.change_note,

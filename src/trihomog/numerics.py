@@ -156,7 +156,8 @@ def solve_smallest(A, B, count, shift):
     release the GIL, so they run on a thread pool with one worker per CPU
     the process may run on.  Each column keeps its own arithmetic, so the
     result does not depend on the worker count.  Pencils small enough for
-    the dense seed solve their columns one after another, without a pool."""
+    the dense seed solve their columns one after another, without a pool:
+    their solves are too short to repay the hand-offs between threads."""
     n = A.shape[0]
     k = count
     if k < 1 or k > n:
@@ -167,7 +168,7 @@ def solve_smallest(A, B, count, shift):
     if _dense_seed(n, k):
         lam, vec = _subspace_iteration(fac, vec, k, map)
     else:
-        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        with ThreadPoolExecutor(_cpu_count()) as pool:
             lam, vec = _subspace_iteration(fac, vec, k, pool.map)
     vec = vec * fac.d[:, None]
     # vdot's summation order (hence the last bits) follows the memory
@@ -179,6 +180,14 @@ def _dense_seed(n, count):
     """Whether an order-n pencil is seeded by dense eigh (small pencils)
     rather than by Lanczos."""
     return count > max(1, n - 2) or n < 600
+
+
+def _cpu_count():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _subspace_iteration(fac, vec, k, each):

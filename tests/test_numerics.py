@@ -296,15 +296,26 @@ def test_column_threads_do_not_change_the_bits(ring_pencils, monkeypatch):
 
     monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
     for A, B in ring_pencils:
-        lam, vec = solve_smallest(A, B, 3, 0.5)
-        with monkeypatch.context() as one_cpu:
-            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
-            lam1, vec1 = solve_smallest(A, B, 3, 0.5)
+        runs = []
+        for cpus in ({0, 1, 2}, {0}):
+            with monkeypatch.context() as affinity:
+                affinity.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                 raising=False)
+                runs.append(solve_smallest(A, B, 3, 0.5))
+        (lam, vec), (lam1, vec1) = runs
         assert lam.dtype == lam1.dtype and vec.dtype == vec1.dtype
         assert np.array_equal(lam, lam1) and np.array_equal(vec, vec1)
-    affinity = len(os.sched_getaffinity(0))
-    assert workers == [affinity, 1, affinity, 1]
+    assert workers == [3, 1, 3, 1]
     assert np.iscomplexobj(ring_pencils[1][0])
+
+
+def test_pool_size_without_an_affinity_mask(monkeypatch):
+    # platforms without sched_getaffinity (macOS, Windows) use every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert numerics._cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert numerics._cpu_count() == 1
 
 
 def test_concurrent_refined_solves_match_sequential(ring_pencils):
