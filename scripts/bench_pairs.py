@@ -15,10 +15,15 @@ sets OPENBLAS_NUM_THREADS=1 unless it is set).
 
 The JSON has the schema of the earlier BENCH files: per workload and side
 the median, quartiles (statistics.quantiles, n=4, inclusive) and runs of
-each end-to-end metric, the failed/attempted operation counts, the rounds
-and the src line counts; per metric the number of pairs in which the change
-read lower; whether every run reported ``correct``; and the environment of
-the last run.
+each end-to-end metric, the failed/attempted operation counts and their
+ratio (the failed share), the rounds and the src line counts; per metric
+the number of pairs in which the change read lower; whether every run
+reported ``correct``; and the environment of the last run.
+
+A faster side runs more rounds in its 10 s, so the raw failed counts of the
+two sides differ even when every round fails the same operations: compare
+the shares.  A workload whose failed share is higher on the change side is
+reported on a line of its own starting with "FAILED SHARE UP".
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ def side_summary(runs):
                      "runs": [round(v, 4) for v in values]}
     out["failed"] = sum(r["summary"]["failed"] for r in runs)
     out["attempted"] = sum(r["summary"]["attempted"] for r in runs)
+    out["failed_share"] = round(out["failed"] / out["attempted"], 4)
     out["rounds"] = sum(r["rounds"] for r in runs)
     out["src_lines"] = sorted({r["env"]["src_lines"] for r in runs})
     return out
@@ -158,6 +164,17 @@ def main():
                       workload, m, w["parent"][m]["median"],
                       w["parent"][m]["q1"], w["parent"][m]["q3"],
                       w["change"][m]["median"], w["pairs_change_lower"][m]))
+        parent, change = w["parent"], w["change"]
+        print("%-15s failed share parent %d/%d  change %d/%d" % (
+            workload, parent["failed"], parent["attempted"],
+            change["failed"], change["attempted"]))
+        # exact comparison of the two fractions
+        if (change["failed"] * parent["attempted"]
+                > parent["failed"] * change["attempted"]):
+            print("FAILED SHARE UP on %s: the change fails %.4f of its "
+                  "operations, the parent %.4f" % (
+                      workload, change["failed_share"],
+                      parent["failed_share"]))
     print("wrote %s" % out)
 
 

@@ -11,10 +11,12 @@ reference derivatives, and
 
     (D^3 u : D^3 v + u v) |det J|
 
-is integrated.  Assembly is vectorised over whole horizontal element rows;
-the per-row chain-rule tables are cached on the assembly object so that
+is integrated.  EpsAssembly computes the per-row chain-rule tables once,
+vectorised over whole horizontal element rows, and caches them: the
 high-accuracy energy evaluations (the eigenvalue solver's Rayleigh
-functional) reuse them.
+functional), the load vectors and the matrices reuse them.  The matrices
+are assembled only when read, from the element columns a solve needs, with
+the element matrices of the rows computed on a thread pool.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
@@ -25,20 +27,26 @@ block-circulant over the periods and both solves split into Bloch systems
 of one period block each (_bloch_blocks, _bloch_pencil): the spectrum as
 one Hermitian pencil per quasimomentum (solve_eps_spectrum_bloch), the
 Poisson problem as one Hermitian linear system per discrete Fourier mode of
-the load over the period blocks (solve_eps_poisson).
+the load over the period blocks (solve_eps_poisson).  Neither solve
+builds the torus matrices: the blocks come from the epp + 1 element
+columns that touch period block 0.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
-                      reference_table, scatter_elements, to_csr, to_element)
+                      is_integer, reference_table, scatter_elements, to_csr,
+                      to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
+from . import numerics
 from .numerics import count_below, solve_linear, solve_smallest
 from .oscillation import OscillationProfile, PerturbationParams
 
@@ -50,6 +58,24 @@ MAX_COUNT = 20          # the mesh resolves only the low end of the spectrum
 
 class EpsError(ValueError):
     pass
+
+
+def check_mesh(elements_per_period, n_coarse, n_layer):
+    """The mesh rules of EpsProblem: integer counts, >= 4 tangential
+    elements per period, at least one vertical element below and one inside
+    the boundary layer, and >= 16 vertical elements in all; EpsError when
+    one is broken."""
+    for name, value in (("elements_per_period", elements_per_period),
+                        ("n_coarse", n_coarse), ("n_layer", n_layer)):
+        if not is_integer(value):
+            raise EpsError("%s must be an integer, got %r" % (name, value))
+    if elements_per_period < 4:
+        raise EpsError("need >= 4 tangential elements per period")
+    if n_coarse < 1 or n_layer < 1:
+        raise EpsError("need >= 1 vertical element below and inside the "
+                       "boundary layer")
+    if n_coarse + n_layer < 16:
+        raise EpsError("need >= 16 vertical elements")
 
 
 @dataclass(frozen=True)
@@ -65,10 +91,7 @@ class EpsProblem:
     def __post_init__(self):
         if self.profile.dim != 1:
             raise EpsError("direct solver is N = 2 only (1D tangential)")
-        if self.elements_per_period < 4:
-            raise EpsError("need >= 4 tangential elements per period")
-        if self.n_coarse + self.n_layer < 16:
-            raise EpsError("need >= 16 vertical elements")
+        check_mesh(self.elements_per_period, self.n_coarse, self.n_layer)
         if self.params.epsilon >= 0.5:
             # the boundary layer (-2 eps, 0) must fit in (-1, 0); this also
             # guarantees the >= 3 periods of the Bloch path
@@ -94,25 +117,61 @@ def vertical_mesh(eps, n_coarse=16, n_layer=8):
     return Mesh1D(np.concatenate([coarse, layer]))
 
 
+def _stiffness_elements(geo, cols):
+    """Stiffness element matrices (len(cols), 36, 36) of the element columns
+    ``cols`` of one row (_row_geometry): the weights W[i,q,g,d] = sum_b
+    mult_b C3[b,g] C3[b,d] detJ, plus the value-pair term detJ, give
+    elem = T' W T per element.  einsum(optimize=True) chooses its
+    contraction by batch size, so W is contracted over the whole row and
+    sliced afterwards; the stacked matmuls that follow work element by
+    element, so any subset of columns gets the bits of the whole row."""
+    C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
+    W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
+                  optimize=True)[cols]
+    W[:, :, 0, 0] += detj[cols]
+    W *= w[None, :, None, None]
+    Tq = np.ascontiguousarray(T.transpose(1, 0, 2))              # (q,10,36)
+    X = np.matmul(W, Tq[None])                                   # (i,q,10,36)
+    Xr = X.reshape(len(cols), -1, 36)
+    return np.matmul(Xr.transpose(0, 2, 1), Tq.reshape(-1, 36))  # (i,36,36)
+
+
+def _mass_elements(geo, cols):
+    """Mass element matrices of the element columns ``cols`` of one row,
+    contracted over the whole row and sliced (see _stiffness_elements)."""
+    Tv = geo["T"][0]                                             # (q,36)
+    return np.einsum('iq,qa,qb->iab', geo["detJ"] * geo["w"][None, :], Tv,
+                     Tv, optimize=True)[cols]
+
+
 class EpsAssembly:
-    """Assembled stiffness/mass pair plus the cached chain-rule tables
-    needed to evaluate the pulled-back energies of dof vectors by
-    quadrature."""
+    """Row geometry of the pulled-back problem on a ring of element columns,
+    and the stiffness and mass assembled from it when they are read.
+
+    ``__init__`` computes the chain-rule tables of every horizontal element
+    row (_row_geometry) in the calling thread and caches them; the
+    quadrature energies, the load vector, the limit comparison and the
+    matrices all read them.  ``stiffness`` and ``mass`` assemble every
+    column on first read and keep the result; ``_matrix`` assembles any
+    subset of the columns, which is how the Bloch path builds its period
+    blocks (_bloch_blocks)."""
 
     def __init__(self, problem, columns=None):
-        """``columns`` restricts assembly to that many tangential element
+        """``columns`` restricts the ring to that many tangential element
         columns (with ring topology) while keeping the true element size
-        1/nx; used by the Bloch path, which only needs one period block and
-        its neighbour couplings (assembled here from a 3-period ring)."""
+        1/nx; used by the Bloch eigen path, which only needs one period
+        block and its neighbour couplings (from a 3-period ring), and by the
+        one-period ring of eps-periodic Poisson data."""
         self.problem = problem
         self.columns = problem.nx if columns is None else columns
         vm = vertical_mesh(problem.params.epsilon, problem.n_coarse,
                            problem.n_layer)
         self.space = build_space_2d(self.columns, vm)
-        self._rows = []
-        self._assemble()
+        t0 = time.perf_counter()
+        self._rows = [self._row_geometry(j) for j in range(vm.n_elements)]
+        self.geometry_seconds = time.perf_counter() - t0
 
-    # -- assembly -----------------------------------------------------------
+    # -- geometry -----------------------------------------------------------
 
     @staticmethod
     def _shape_tables(hx, ht):
@@ -166,39 +225,38 @@ class EpsAssembly:
                 "dofs": space.element_dofs_2d(np.arange(cols), j),
                 "w": np.outer(wq, wq).ravel() * hx * ht}
 
-    def _assemble(self):
-        space = self.space
-        parts_a, parts_b = [], []
-        t0 = time.perf_counter()
-        for j in range(space.vmesh.n_elements):
-            geo = self._row_geometry(j)
-            self._rows.append(geo)
-            C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
-            # stiffness weights W[i,q,g,d] = sum_b mult_b C3[b,g] C3[b,d] detJ
-            # plus the value-pair term detJ; then elem = T' W T per element
-            W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
-                          optimize=True)
-            W[:, :, 0, 0] += detj
-            W *= w[None, :, None, None]
-            Tq = np.ascontiguousarray(T.transpose(1, 0, 2))      # (q,10,36)
-            X = np.matmul(W, Tq[None])                           # (i,q,10,36)
-            nxl = X.shape[0]
-            Xr = X.reshape(nxl, -1, 36)
-            Tr = Tq.reshape(-1, 36)
-            elems = np.matmul(Xr.transpose(0, 2, 1), Tr)         # (i,36,36)
-            mass_w = detj * w[None, :]
-            Tv = T[0]                                            # (q,36)
-            elems_b = np.einsum('iq,qa,qb->iab', mass_w, Tv, Tv,
-                                optimize=True)
-            if not (np.all(np.isfinite(elems)) and
-                    np.all(np.isfinite(elems_b))):
+    # -- matrices -----------------------------------------------------------
+
+    @functools.cached_property
+    def stiffness(self):
+        """Stiffness on the free dofs, every column (built on first read)."""
+        return self._matrix("stiffness", np.arange(self.columns))
+
+    @functools.cached_property
+    def mass(self):
+        """Mass on the free dofs, every column (built on first read)."""
+        return self._matrix("mass", np.arange(self.columns))
+
+    def _matrix(self, kind, cols):
+        """The ``kind`` matrix ("stiffness" or "mass") on the free dofs,
+        summing the elements of the ascending element columns ``cols`` of
+        every row.  The rows' element matrices are computed on a thread pool
+        (einsum and matmul release the GIL) and summed in row order, so the
+        bits do not depend on the pool size; the element matrices of a
+        column equal those of a whole-row assembly bit for bit
+        (_stiffness_elements)."""
+        elements = {"stiffness": _stiffness_elements,
+                    "mass": _mass_elements}[kind]
+
+        def row(geo):
+            elems = elements(geo, cols)
+            if not np.all(np.isfinite(elems)):
                 raise EpsError("non-finite entries in eps assembly")
-            parts_a.append(scatter_elements(space, geo["dofs"], elems))
-            parts_b.append(scatter_elements(space, geo["dofs"], elems_b))
-        self.stiffness = to_csr(space, parts_a)
-        del parts_a         # frees the stiffness triples before the mass CSR
-        self.mass = to_csr(space, parts_b)
-        self.assembly_seconds = time.perf_counter() - t0
+            return scatter_elements(self.space, geo["dofs"][cols], elems)
+
+        with ThreadPoolExecutor(numerics._cpu_count()) as pool:
+            parts = list(pool.map(row, self._rows))
+        return to_csr(self.space, parts)
 
     # -- quadrature energies ------------------------------------------------
 
@@ -268,8 +326,9 @@ class EpsEigenResult:
                 "pencils": self.pencils}
 
 
-def _bloch_blocks(assembly):
-    """Period-block data of the assembled pair.
+def _bloch_blocks(assembly, kinds):
+    """Period blocks (C0, C1, Cm) of each matrix kind in ``kinds``
+    ("stiffness", "mass"), in that order, and the block size m.
 
     The pulled-back coefficients are eps-periodic and the tangential mesh
     carries an integer number of elements per period, so stiffness and mass
@@ -281,17 +340,25 @@ def _bloch_blocks(assembly):
 
     each of block size n_free / (assembled periods).  A ring assembly over
     3 periods yields the same blocks as the full torus (element locality),
-    which is how production sizes stay small."""
+    which is how production sizes stay small.
+
+    The blocks are rows of period block 0, and only the elements of columns
+    0..epp-1 and of the last column touch those rows, so only these epp + 1
+    columns are assembled (EpsAssembly._matrix): their rows equal those of
+    the whole assembly bit for bit."""
     problem, space = assembly.problem, assembly.space
-    topo = assembly.columns // problem.elements_per_period
-    if topo < 3 or assembly.columns % problem.elements_per_period:
+    epp = problem.elements_per_period
+    topo = assembly.columns // epp
+    if topo < 3 or assembly.columns % epp:
         raise EpsError("Bloch extraction needs >= 3 assembled periods")
     n = space.n_free
     if n % topo:
         raise EpsError("free dofs are not tangentially block-structured")
     m = n // topo
+    cols = np.append(np.arange(epp), assembly.columns - 1)
     out = []
-    for M in (assembly.stiffness.tocsr(), assembly.mass.tocsr()):
+    for kind in kinds:
+        M = assembly._matrix(kind, cols)
         C0 = M[:m, :m]
         C1 = M[:m, m:2 * m]
         Cm = M[:m, (topo - 1) * m:]
@@ -299,7 +366,7 @@ def _bloch_blocks(assembly):
         if mid.nnz:
             raise EpsError("coupling beyond neighbouring periods")
         out.append((C0, C1, Cm))
-    return out[0], out[1], m
+    return out, m
 
 
 def _bloch_pencil(blocks, p, P):
@@ -341,7 +408,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     ``pencils`` of the result records each pencil: p, theta, status
     ("solved" or "certified"), the ``count_below`` answer and the shift of
     its check (None when unchecked), its refined eigenvalues, how many of
-    the returned eigenvalues it supplies, and its seconds."""
+    the returned eigenvalues it supplies, and its seconds.
+    ``assembly_seconds`` counts the row geometry and the period blocks;
+    ``solve_seconds`` starts after them."""
     if not 1 <= count <= MAX_COUNT:
         raise EpsError("count must lie in 1..%d (the mesh resolves only the "
                        "low end)" % MAX_COUNT)
@@ -349,7 +418,8 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)
     t0 = time.perf_counter()
-    stiffness, mass, m = _bloch_blocks(assembly)
+    (stiffness, mass), m = _bloch_blocks(assembly, ("stiffness", "mass"))
+    t_solve = time.perf_counter()
     P = problem.params.periods
     epp = problem.elements_per_period
     topo = assembly.columns // epp
@@ -405,8 +475,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         pencils[p]["kept"] += taken
     lam = np.sort(np.array(lams))
     return EpsEigenResult(problem=problem, eigenvalues=lam, dof=P * m,
-                          assembly_seconds=assembly.assembly_seconds,
-                          solve_seconds=time.perf_counter() - t0,
+                          assembly_seconds=(assembly.geometry_seconds
+                                            + t_solve - t0),
+                          solve_seconds=time.perf_counter() - t_solve,
                           pencils=pencils)
 
 
@@ -421,15 +492,16 @@ def solve_eps_poisson(problem, f, assembly=None):
     splits the system into the Bloch systems H_p x_p = b_p,
     p = 0, ..., P/2, of order n_free / P (_bloch_pencil; the
     transforms for p > P/2 are the conjugates of those for P - p, since the
-    load is real), and the inverse transform reassembles the torus vector.
-    A ring of one or two periods is solved directly: it is its own only
-    block."""
+    load is real), and the inverse transform reassembles the torus vector;
+    only the stiffness blocks are assembled.  A ring of one or two periods
+    is solved directly with its full stiffness: it is its own only block.
+    Neither path assembles the mass."""
     if assembly is None:
         assembly = EpsAssembly(problem)
     rhs = assembly.assemble_rhs(f)
     if assembly.columns < 3 * problem.elements_per_period:
         return solve_linear(assembly.stiffness.tocsc(), rhs), assembly
-    stiffness, _, m = _bloch_blocks(assembly)
+    (stiffness,), m = _bloch_blocks(assembly, ("stiffness",))
     P = assembly.columns // problem.elements_per_period
     loads = np.fft.rfft(rhs.reshape(P, m), axis=0)
     for p in range(len(loads)):

@@ -27,6 +27,7 @@ eigenvalues invariant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,12 @@ _DOF_ORDER = np.arange(6) % 3    # derivative order of local dof l
 
 class DiscretizationError(ValueError):
     pass
+
+
+def is_integer(value):
+    """Whether ``value`` is an integer count (int or NumPy integer; a bool
+    is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
-                      quadratic_energy, evaluate_fe, assemble_rhs)
+                      quadratic_energy, evaluate_fe, assemble_rhs, is_integer)
 from .numerics import (EquilibratedLU, SolverError, solve_smallest,
                        solve_linear)
 
@@ -248,13 +248,28 @@ class LimitSpectrum:
                          for (lam, m, idx) in self.entries]}
 
 
+def check_spectrum_args(count, cutoff, n_elements):
+    """The rules solve_limit_spectrum enforces on its counts: integers,
+    count >= 1, cutoff >= 0, and n_elements >= 2 (the graded mesh's
+    minimum); LimitError when one is broken."""
+    for name, value in (("count", count), ("cutoff", cutoff),
+                        ("n_elements", n_elements)):
+        if not is_integer(value):
+            raise LimitError("%s must be an integer, got %r" % (name, value))
+    if count < 1:
+        raise LimitError("count must be positive")
+    if cutoff < 0:
+        raise LimitError("cutoff must be >= 0, got %d" % cutoff)
+    if n_elements < 2:
+        raise LimitError("need >= 2 elements, got %d" % n_elements)
+
+
 def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
                          n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
     solve the reduced eigenproblem, duplicate m != 0 entries onto -m (exact
     mode symmetry of the real form), merge, and keep the lowest ``count``."""
-    if count < 1:
-        raise LimitError("count must be positive")
+    check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
     entries = []
     for m in range(cutoff + 1):

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import compute_k_report
-from .epsdomain import (MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch,
-                        vertical_mesh)
-from .limit1d import LimitBC, solve_limit_spectrum
+from .epsdomain import (MAX_COUNT, EpsError, EpsProblem, check_mesh,
+                        solve_eps_spectrum_bloch, vertical_mesh)
+from .hermite import is_integer
+from .limit1d import (LimitBC, LimitError, check_spectrum_args,
+                      solve_limit_spectrum)
 from .oscillation import (OscillationProfile, PerturbationParams,
                           ProfileError, load_profile)
 
@@ -66,19 +68,29 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        if type(self.count) is not int:
-            raise SweepError("count must be an integer, got %r"
-                             % (self.count,))
+        for name in ("count", "cutoff", "elements_per_period", "n_coarse",
+                     "n_layer", "n_elements_1d"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise SweepError("%s must be an integer, got %r"
+                                 % (name, value))
         if not 1 <= self.count <= MAX_COUNT:
             raise SweepError("count must lie in 1..%d, got %r"
                              % (MAX_COUNT, self.count))
         try:
+            check_spectrum_args(self.count, self.cutoff, self.n_elements_1d)
             for alpha in self.alphas:
                 PerturbationParams(epsilon=1.0, alpha=alpha)
+                check_mesh(self.elements_per_period_at(alpha), self.n_coarse,
+                           self.n_layer)
             for eps in self.eps_values:
                 PerturbationParams(epsilon=eps, alpha=1.0)
-        except ProfileError as err:
+        except (ProfileError, EpsError, LimitError) as err:
             raise SweepError(str(err))
+
+    def elements_per_period_at(self, alpha):
+        """Tangential elements per period of the cases at ``alpha``."""
+        return self.elements_per_period or (32 if alpha < 1.5 else 16)
 
     def profile(self):
         if self.profile_path:
@@ -211,9 +223,9 @@ def _limit_targets(count, cutoff, n_elements, k_value):
 
 
 def _solve_case(profile, alpha, eps, config):
-    epp = config.elements_per_period or (32 if alpha < 1.5 else 16)
     problem = EpsProblem(profile, PerturbationParams(epsilon=eps, alpha=alpha),
-                         elements_per_period=epp,
+                         elements_per_period=config.elements_per_period_at(
+                             alpha),
                          n_coarse=config.n_coarse, n_layer=config.n_layer)
     return solve_eps_spectrum_bloch(problem, config.count)
 

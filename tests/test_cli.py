@@ -8,6 +8,10 @@ import pytest
 
 from trihomog import cli
 
+#: the TINY sweep of tests/test_sweep.py as a converge config
+TINY_CONFIG = {"alphas": [2.0], "eps_values": [0.25], "count": 1,
+               "cutoff": 2, "elements_per_period": 4, "n_elements_1d": 32}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -113,6 +117,10 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("converge", "--config", [1, 2]),
     ("converge", "--config", {"count": 2.5}),
     ("converge", "--config", {"profile_path": "no-such-profile.json"}),
+    ("converge", "--config", dict(TINY_CONFIG, cutoff=2.5)),
+    ("converge", "--config", dict(TINY_CONFIG, n_elements_1d=32.5)),
+    ("converge", "--config", dict(TINY_CONFIG, elements_per_period=4.5)),
+    ("converge", "--config", dict(TINY_CONFIG, n_layer=-1)),
     ("cell-k", "--profile", {"b0": 1.0}),
     ("cell-k", "--profile", {"dim": 1, "b0": 1.0, "modes": [{"re": 0.5}]}),
     ("limit-spec", "--bc", "int", "--K", "5"),
@@ -123,6 +131,8 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
         "converge-alpha-nan", "converge-count-21", "converge-unknown-key",
         "converge-count-str", "converge-eps-scalar", "converge-list",
         "converge-count-float", "converge-missing-profile",
+        "converge-cutoff-float", "converge-n-elements-1d-float",
+        "converge-epp-float", "converge-n-layer-neg",
         "profile-no-dim", "profile-mode-no-k", "limit-int-k-number",
         "limit-dir-k-zero"])
 def test_out_of_range_input_exits_2(capsys, tmp_path, argv):

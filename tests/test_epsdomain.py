@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from trihomog import epsdomain, jets
+from trihomog import epsdomain, jets, numerics
 from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
-                                compare_to_limit, solve_eps_poisson,
-                                solve_eps_spectrum_bloch, vertical_mesh)
+                                _bloch_blocks, _mass_elements,
+                                _stiffness_elements, compare_to_limit,
+                                solve_eps_poisson, solve_eps_spectrum_bloch,
+                                vertical_mesh)
 from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
 from trihomog.numerics import solve_linear
@@ -382,3 +384,87 @@ def test_torus_poisson_galerkin_identity(cosine_profile):
 
     x, asm = solve_eps_poisson(prob, f)
     assert _galerkin_gap(asm, asm.assemble_rhs(f), x) < 2e-5
+
+
+def _assert_same_csr(A, B):
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices),
+                 (A.data, B.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _small_ring_and_torus(profile):
+    """A 3-period ring (eps = 1/8) and a 4-period torus (eps = 1/4), both
+    with 4 elements per period."""
+    ring = EpsProblem(profile, PerturbationParams(0.125, 1.5),
+                      elements_per_period=4)
+    torus = EpsProblem(profile, PerturbationParams(0.25, 2.0),
+                       elements_per_period=4)
+    return (EpsAssembly(ring, columns=3 * ring.elements_per_period),
+            EpsAssembly(torus))
+
+
+def test_period_blocks_equal_slices_of_the_full_matrices(cosine_profile):
+    # the blocks assemble only the columns that touch period block 0; their
+    # rows are those of the whole assembly, bit for bit
+    for asm in _small_ring_and_torus(cosine_profile):
+        blocks, m = _bloch_blocks(asm, ("stiffness", "mass"))
+        topo = asm.columns // asm.problem.elements_per_period
+        for (C0, C1, Cm), M in zip(blocks, (asm.stiffness, asm.mass)):
+            _assert_same_csr(C0, M[:m, :m])
+            _assert_same_csr(C1, M[:m, m:2 * m])
+            _assert_same_csr(Cm, M[:m, (topo - 1) * m:])
+
+
+def test_assembly_pool_size_does_not_change_the_bits(cosine_profile,
+                                                     monkeypatch):
+    workers = []
+
+    class Recording(epsdomain.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(epsdomain, "ThreadPoolExecutor", Recording)
+    runs = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
+        runs[cpus] = []
+        for asm in _small_ring_and_torus(cosine_profile):
+            blocks, _ = _bloch_blocks(asm, ("stiffness", "mass"))
+            runs[cpus] += [asm.stiffness, asm.mass] + [C for kind in blocks
+                                                       for C in kind]
+    for A, B in zip(runs[1], runs[3]):
+        _assert_same_csr(A, B)
+    assert set(workers) == {1, 3}
+
+
+def test_poisson_assembles_only_what_it_reads(cosine_profile):
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
+                      elements_per_period=4)
+
+    def f(x, y):
+        return np.cos(2.0 * np.pi * x) * y * (1.0 + y)
+
+    _, torus = solve_eps_poisson(prob, f)
+    assert "stiffness" not in torus.__dict__
+    assert "mass" not in torus.__dict__
+    ring = EpsAssembly(prob, columns=prob.elements_per_period)
+    solve_eps_poisson(prob, f, assembly=ring)
+    assert "stiffness" in ring.__dict__
+    assert "mass" not in ring.__dict__
+
+
+def test_column_subset_elements_equal_the_whole_row(cosine_profile):
+    # the alpha = 1 ring of the benchmark (96 columns) and its 33 block
+    # columns: contracting the mass over the 33 columns alone would differ
+    # from the whole-row contraction in the last bits (einsum chooses its
+    # path by batch size), so both kernels contract the whole row and slice
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 1.0),
+                      elements_per_period=32)
+    asm = EpsAssembly(prob, columns=96)
+    every = np.arange(96)
+    block = np.append(np.arange(32), 95)
+    for geo in asm._rows[::5]:
+        for kernel in (_stiffness_elements, _mass_elements):
+            assert np.array_equal(kernel(geo, every)[block],
+                                  kernel(geo, block))

@@ -278,7 +278,8 @@ def ring_pencils():
     size, so their columns are solved on the thread pool."""
     problem = EpsProblem(default_profile(), PerturbationParams(0.25, 2.0),
                          elements_per_period=4)
-    stiffness, mass, m = _bloch_blocks(EpsAssembly(problem, columns=12))
+    (stiffness, mass), m = _bloch_blocks(EpsAssembly(problem, columns=12),
+                                         ("stiffness", "mass"))
     assert m > 600
     return [(_bloch_pencil(stiffness, p, 4), _bloch_pencil(mass, p, 4))
             for p in (0, 1)]
