@@ -24,6 +24,12 @@ A faster side runs more rounds in its 10 s, so the raw failed counts of the
 two sides differ even when every round fails the same operations: compare
 the shares.  A workload whose failed share is higher on the change side is
 reported on a line of its own starting with "FAILED SHARE UP".
+
+Each end-to-end metric's ``bound`` in the change checkout's BENCHMARK.json
+(read, never written) is a fraction of the parent's median.  A metric whose
+change median is worse than the parent's by more than that fraction is
+reported on a line starting with "REGRESSION" and listed under the
+workload's "regressions" in the JSON.
 """
 
 from __future__ import annotations
@@ -76,6 +82,27 @@ def run_once(checkout, workload, seed):
     return json.loads(lines[-1]), env, rounds
 
 
+def load_bounds(checkout):
+    """{metric: (better, bound)} of BENCHMARK.json's end-to-end metrics."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        return {m["name"]: (m["better"], m["bound"])
+                for m in json.load(fh)["end_to_end"]}
+
+
+def regressions(parent, change, bounds):
+    """The metrics whose change median is worse than the parent's by more
+    than their bound, as {metric: relative change of the median}."""
+    out = {}
+    for name, (better, bound) in bounds.items():
+        if name not in METRICS:
+            continue
+        before, after = parent[name]["median"], change[name]["median"]
+        rel = (after - before) / before
+        if (rel if better == "lower" else -rel) > bound:
+            out[name] = round(rel, 4)
+    return out
+
+
 def side_summary(runs):
     out = {}
     for name in METRICS:
@@ -108,6 +135,7 @@ def main():
         p.error("quartiles need at least two seeds")
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    bounds = load_bounds(sides["change"])
     runs = {w: {"parent": [], "change": []} for w in args.workloads}
     env = None
     for seed in seeds:
@@ -129,11 +157,14 @@ def main():
                                    < q["summary"]["metrics"][m]["value"]
                                    for q, c in pairs), len(pairs))
                  for m in METRICS}
+        parent, change = (side_summary(by_side["parent"]),
+                          side_summary(by_side["change"]))
         workloads[workload] = {
             "seeds": seeds,
-            "parent": side_summary(by_side["parent"]),
-            "change": side_summary(by_side["change"]),
+            "parent": parent,
+            "change": change,
             "pairs_change_lower": lower,
+            "regressions": regressions(parent, change, bounds),
             "correct_all_runs": all(r["summary"]["correct"]
                                     for side in by_side.values()
                                     for r in side)}
@@ -175,6 +206,11 @@ def main():
                   "operations, the parent %.4f" % (
                       workload, change["failed_share"],
                       parent["failed_share"]))
+        for m, rel in w["regressions"].items():
+            print("REGRESSION on %s %s: change median %.4g against parent "
+                  "%.4g (%+.1f %%, bound %.0f %%)" % (
+                      workload, m, change[m]["median"], parent[m]["median"],
+                      100 * rel, 100 * bounds[m][1]))
     print("wrote %s" % out)
 
 

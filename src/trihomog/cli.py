@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .limit1d import LimitBC, solve_limit_spectrum
+from .limit1d import (DEFAULT_ELEMENTS, LimitBC, check_spectrum_args,
+                      solve_limit_spectrum)
 from .oscillation import PerturbationParams, load_profile
 from .sweep import (SweepConfig, SweepError, default_profile, load_config,
                     run_cell_k, run_converge, run_verify, write_json)
@@ -60,10 +61,10 @@ def _cmd_cell_k(args):
 
 
 def _cmd_limit_spec(args):
-    if args.count < 1:
-        raise InputError("--count must be >= 1, got %d" % args.count)
-    if args.modes < 0:
-        raise InputError("--modes must be >= 0, got %d" % args.modes)
+    try:
+        check_spectrum_args(args.count, args.modes, DEFAULT_ELEMENTS)
+    except ValueError as err:
+        raise InputError(str(err))
     kind = BC_NAMES[args.bc]
     if kind != "strange" and args.K != "auto":
         raise InputError("--K applies only to --bc strange, got --K %s "
@@ -97,13 +98,11 @@ def _cmd_limit_spec(args):
 
 
 def _cmd_eps_spec(args):
-    from .epsdomain import MAX_COUNT, EpsProblem, solve_eps_spectrum_bloch
-    if not 1 <= args.count <= MAX_COUNT:
-        raise InputError("--count must lie in 1..%d, got %d"
-                         % (MAX_COUNT, args.count))
+    from .epsdomain import EpsProblem, check_count, solve_eps_spectrum_bloch
     profile = _load_profile_arg(args.profile)
     eps = _parse_eps(args.eps)
     try:
+        check_count(args.count)
         params = PerturbationParams(epsilon=eps, alpha=args.alpha)
         problem = EpsProblem(profile, params,
                              elements_per_period=args.elements_per_period)

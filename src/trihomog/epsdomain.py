@@ -15,8 +15,8 @@ is integrated.  EpsAssembly computes the per-row chain-rule tables once,
 vectorised over whole horizontal element rows, and caches them: the
 high-accuracy energy evaluations (the eigenvalue solver's Rayleigh
 functional), the load vectors and the matrices reuse them.  The matrices
-are assembled only when read, from the element columns a solve needs, with
-the element matrices of the rows computed on a thread pool.
+are assembled only when read, from the element columns a solve needs, one
+element row after another in the calling thread.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from . import numerics
 from .numerics import count_below, solve_linear, solve_smallest
 from .oscillation import OscillationProfile, PerturbationParams
 
@@ -76,6 +74,14 @@ def check_mesh(elements_per_period, n_coarse, n_layer):
                        "boundary layer")
     if n_coarse + n_layer < 16:
         raise EpsError("need >= 16 vertical elements")
+
+
+def check_count(count):
+    """The rule solve_eps_spectrum_bloch enforces on its eigenvalue count:
+    an integer in 1..MAX_COUNT; EpsError when it is broken."""
+    if not is_integer(count) or not 1 <= count <= MAX_COUNT:
+        raise EpsError("count must be an integer in 1..%d (the mesh resolves "
+                       "only the low end), got %r" % (MAX_COUNT, count))
 
 
 @dataclass(frozen=True)
@@ -149,12 +155,11 @@ class EpsAssembly:
     and the stiffness and mass assembled from it when they are read.
 
     ``__init__`` computes the chain-rule tables of every horizontal element
-    row (_row_geometry) in the calling thread and caches them; the
-    quadrature energies, the load vector, the limit comparison and the
-    matrices all read them.  ``stiffness`` and ``mass`` assemble every
-    column on first read and keep the result; ``_matrix`` assembles any
-    subset of the columns, which is how the Bloch path builds its period
-    blocks (_bloch_blocks)."""
+    row (_row_geometry) and caches them; the quadrature energies, the load
+    vector, the limit comparison and the matrices all read them.  The
+    matrices are assembled in the calling thread: ``stiffness`` and ``mass``
+    every column on first read, then kept; ``_matrix`` any subset of the
+    columns, which is how the Bloch path builds its period blocks."""
 
     def __init__(self, problem, columns=None):
         """``columns`` restricts the ring to that many tangential element
@@ -240,22 +245,17 @@ class EpsAssembly:
     def _matrix(self, kind, cols):
         """The ``kind`` matrix ("stiffness" or "mass") on the free dofs,
         summing the elements of the ascending element columns ``cols`` of
-        every row.  The rows' element matrices are computed on a thread pool
-        (einsum and matmul release the GIL) and summed in row order, so the
-        bits do not depend on the pool size; the element matrices of a
-        column equal those of a whole-row assembly bit for bit
-        (_stiffness_elements)."""
+        every row, row by row; the element matrices of a column equal those
+        of a whole-row assembly bit for bit (_stiffness_elements)."""
         elements = {"stiffness": _stiffness_elements,
                     "mass": _mass_elements}[kind]
-
-        def row(geo):
+        parts = []
+        for geo in self._rows:
             elems = elements(geo, cols)
             if not np.all(np.isfinite(elems)):
                 raise EpsError("non-finite entries in eps assembly")
-            return scatter_elements(self.space, geo["dofs"][cols], elems)
-
-        with ThreadPoolExecutor(numerics._cpu_count()) as pool:
-            parts = list(pool.map(row, self._rows))
+            parts.append(scatter_elements(self.space, geo["dofs"][cols],
+                                          elems))
         return to_csr(self.space, parts)
 
     # -- quadrature energies ------------------------------------------------
@@ -411,9 +411,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     the returned eigenvalues it supplies, and its seconds.
     ``assembly_seconds`` counts the row geometry and the period blocks;
     ``solve_seconds`` starts after them."""
-    if not 1 <= count <= MAX_COUNT:
-        raise EpsError("count must lie in 1..%d (the mesh resolves only the "
-                       "low end)" % MAX_COUNT)
+    check_count(count)
     if assembly is None:
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)

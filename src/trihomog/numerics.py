@@ -51,28 +51,27 @@ EIGEN_TOL = 5e-5           # shift-inverted residual gate (with its floor)
 SEED = 20260824            # Lanczos start vector and residual-floor probe
 
 
-def equilibration(A):
-    """Diagonal scaling d with d_i = |A_ii|^{-1/2}; non-positive diagonal
-    entries fall back to unit scaling entrywise."""
+def equilibrate(A, B):
+    """Symmetric Jacobi equilibration of the pencil (A, B): (d, D A D,
+    D B D) with D = diag(d), d_i = |A_ii|^{-1/2} (unit scaling where a
+    diagonal entry is not positive), the matrices as CSC; the last is None
+    when B is."""
     d = np.asarray(A.diagonal()).real.astype(float).copy()
-    bad = ~(d > 0)
-    d[bad] = 1.0
-    return 1.0 / np.sqrt(d)
+    d[~(d > 0)] = 1.0
+    d = 1.0 / np.sqrt(d)
+    D = sparse.diags(d)
+    return d, (D @ A @ D).tocsc(), None if B is None else (D @ B @ D).tocsc()
 
 
 class EquilibratedLU:
     """Sparse LU of the equilibrated, shifted matrix M = As - sigma Bs, where
-    As = D A D, Bs = D B D and D = diag(d) = equilibration(A) (the unshifted
-    A).  Without B, M = As.  ``solve`` works in equilibrated variables:
-    (A - sigma B)^{-1} b = d * solve(d * b).  When the factorization of a
-    pencil is singular, the shift is nudged downward and retried; ``sigma``
-    is the shift actually factored."""
+    (d, As, Bs) = equilibrate(A, B).  Without B, M = As.  ``solve`` works in
+    equilibrated variables: (A - sigma B)^{-1} b = d * solve(d * b).  When
+    the factorization of a pencil is singular, the shift is nudged downward
+    and retried; ``sigma`` is the shift actually factored."""
 
     def __init__(self, A, B=None, shift=0.0):
-        self.d = equilibration(A)
-        D = sparse.diags(self.d)
-        self.As = (D @ A @ D).tocsc()
-        self.Bs = None if B is None else (D @ B @ D).tocsc()
+        self.d, self.As, self.Bs = equilibrate(A, B)
         self.sigma = shift
         last = None
         for attempt in range(1 if B is None else 4):
@@ -128,8 +127,8 @@ def count_below(A, B, shift):
     is too close to zero for its sign to mean anything: within
     10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
     without pivoting can leave in a pivot of a definite matrix."""
-    D = sparse.diags(equilibration(A))
-    M = (D @ A @ D - shift * (D @ B @ D)).tocsc()
+    _, As, Bs = equilibrate(A, B)
+    M = (As - shift * Bs).tocsc()
     try:
         lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})

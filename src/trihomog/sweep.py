@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import compute_k_report
-from .epsdomain import (MAX_COUNT, EpsError, EpsProblem, check_mesh,
+from .epsdomain import (EpsError, EpsProblem, check_count, check_mesh,
                         solve_eps_spectrum_bloch, vertical_mesh)
 from .hermite import is_integer
 from .limit1d import (LimitBC, LimitError, check_spectrum_args,
@@ -68,16 +68,18 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        for name in ("count", "cutoff", "elements_per_period", "n_coarse",
-                     "n_layer", "n_elements_1d"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise SweepError("%s must be an integer, got %r"
-                                 % (name, value))
-        if not 1 <= self.count <= MAX_COUNT:
-            raise SweepError("count must lie in 1..%d, got %r"
-                             % (MAX_COUNT, self.count))
+        # the solver modules' rules cover the other integer fields; 0 is the
+        # production-rule sentinel of this one
+        if not is_integer(self.elements_per_period):
+            raise SweepError("elements_per_period must be an integer, got %r"
+                             % (self.elements_per_period,))
+        for name in ("alphas", "eps_values"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise SweepError("%s must be a non-empty list without "
+                                 "repeats, got %r" % (name, list(values)))
         try:
+            check_count(self.count)
             check_spectrum_args(self.count, self.cutoff, self.n_elements_1d)
             for alpha in self.alphas:
                 PerturbationParams(epsilon=1.0, alpha=alpha)

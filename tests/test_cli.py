@@ -121,6 +121,9 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("converge", "--config", dict(TINY_CONFIG, n_elements_1d=32.5)),
     ("converge", "--config", dict(TINY_CONFIG, elements_per_period=4.5)),
     ("converge", "--config", dict(TINY_CONFIG, n_layer=-1)),
+    ("converge", "--config", {"eps_values": []}),
+    ("converge", "--config", {"alphas": []}),
+    ("converge", "--config", dict(TINY_CONFIG, eps_values=[0.25, 0.25])),
     ("cell-k", "--profile", {"b0": 1.0}),
     ("cell-k", "--profile", {"dim": 1, "b0": 1.0, "modes": [{"re": 0.5}]}),
     ("limit-spec", "--bc", "int", "--K", "5"),
@@ -133,6 +136,8 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
         "converge-count-float", "converge-missing-profile",
         "converge-cutoff-float", "converge-n-elements-1d-float",
         "converge-epp-float", "converge-n-layer-neg",
+        "converge-eps-empty", "converge-alphas-empty",
+        "converge-eps-repeated",
         "profile-no-dim", "profile-mode-no-k", "limit-int-k-number",
         "limit-dir-k-zero"])
 def test_out_of_range_input_exits_2(capsys, tmp_path, argv):

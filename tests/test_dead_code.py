@@ -95,3 +95,30 @@ def test_every_dataclass_field_is_read():
                        and isinstance(stmt.target, ast.Name)
                        and stmt.target.id not in read]
     assert not unread, "dataclass fields nothing reads: %s" % unread
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is a module's own: another module may neither import
+    # it nor read it as an attribute of the module
+    reads = []
+    for name, tree in _modules().items():
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reads.append("%s:%d %s.%s" % (name, node.lineno,
+                                                      node.module, alias.name))
+        reads += ["%s:%d %s.%s" % (name, node.lineno, node.value.id,
+                                   node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings]
+    assert not reads, "private names read from another module: %s" % reads

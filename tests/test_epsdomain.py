@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from trihomog import epsdomain, jets, numerics
+from trihomog import epsdomain, jets
 from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
                                 _bloch_blocks, _mass_elements,
                                 _stiffness_elements, compare_to_limit,
@@ -413,29 +413,6 @@ def test_period_blocks_equal_slices_of_the_full_matrices(cosine_profile):
             _assert_same_csr(C0, M[:m, :m])
             _assert_same_csr(C1, M[:m, m:2 * m])
             _assert_same_csr(Cm, M[:m, (topo - 1) * m:])
-
-
-def test_assembly_pool_size_does_not_change_the_bits(cosine_profile,
-                                                     monkeypatch):
-    workers = []
-
-    class Recording(epsdomain.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(epsdomain, "ThreadPoolExecutor", Recording)
-    runs = {}
-    for cpus in (1, 3):
-        monkeypatch.setattr(numerics, "_cpu_count", lambda: cpus)
-        runs[cpus] = []
-        for asm in _small_ring_and_torus(cosine_profile):
-            blocks, _ = _bloch_blocks(asm, ("stiffness", "mass"))
-            runs[cpus] += [asm.stiffness, asm.mass] + [C for kind in blocks
-                                                       for C in kind]
-    for A, B in zip(runs[1], runs[3]):
-        _assert_same_csr(A, B)
-    assert set(workers) == {1, 3}
 
 
 def test_poisson_assembles_only_what_it_reads(cosine_profile):
