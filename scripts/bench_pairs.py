@@ -18,7 +18,15 @@ the median, quartiles (statistics.quantiles, n=4, inclusive) and runs of
 each end-to-end metric, the failed/attempted operation counts and their
 ratio (the failed share), the rounds and the src line counts; per metric
 the number of pairs in which the change read lower; whether every run
-reported ``correct``; and the environment of the last run.
+reported ``correct``; and the environment of the last run.  It also holds,
+per side, each operation's median seconds over all rounds of the side's
+runs (``op_seconds``, read from the run JSON in bench/_out/), which shows
+where a saving sits; one line per operation is printed.
+
+A metric on which the change reads lower in at least 9/10 of the pairs,
+with a median lower than the parent's by more than the parent's q3 - q1,
+is reported on a line starting with "GAIN" and listed under the workload's
+"gains" in the JSON: the rule by which a claimed gain counts.
 
 A faster side runs more rounds in its 10 s, so the raw failed counts of the
 two sides differ even when every round fails the same operations: compare
@@ -64,7 +72,8 @@ def commit_of(checkout):
 
 
 def run_once(checkout, workload, seed):
-    """One bench/run.py call: (summary line, env, rounds of the report)."""
+    """One bench/run.py call: (summary line, env, rounds of the report, and
+    {operation: [seconds of each round]})."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
@@ -78,8 +87,12 @@ def run_once(checkout, workload, seed):
     report = os.path.join(checkout, "bench", "_out",
                           "run_%s_seed%d_trace0.json" % (workload, seed))
     with open(report) as fh:
-        rounds = len(json.load(fh)["rounds"])
-    return json.loads(lines[-1]), env, rounds
+        rounds = json.load(fh)["rounds"]
+    ops = {}
+    for r in rounds:
+        for op in r["ops"]:
+            ops.setdefault(op["name"], []).append(op["seconds"])
+    return json.loads(lines[-1]), env, len(rounds), ops
 
 
 def load_bounds(checkout):
@@ -103,6 +116,19 @@ def regressions(parent, change, bounds):
     return out
 
 
+def gains(parent, change, n_lower, n_pairs):
+    """The metrics on which the change reads lower in at least 9/10 of the
+    pairs and its median is below the parent's by more than the parent's
+    q3 - q1, as {metric: relative change of the median}."""
+    out = {}
+    for name in METRICS:
+        before, after = parent[name]["median"], change[name]["median"]
+        if (10 * n_lower[name] >= 9 * n_pairs
+                and before - after > parent[name]["q3"] - parent[name]["q1"]):
+            out[name] = round((after - before) / before, 4)
+    return out
+
+
 def side_summary(runs):
     out = {}
     for name in METRICS:
@@ -116,6 +142,12 @@ def side_summary(runs):
     out["failed_share"] = round(out["failed"] / out["attempted"], 4)
     out["rounds"] = sum(r["rounds"] for r in runs)
     out["src_lines"] = sorted({r["env"]["src_lines"] for r in runs})
+    seconds = {}
+    for r in runs:
+        for name, values in r["ops"].items():
+            seconds.setdefault(name, []).extend(values)
+    out["op_seconds"] = {name: round(statistics.median(values), 4)
+                         for name, values in seconds.items()}
     return out
 
 
@@ -143,9 +175,10 @@ def main():
                                                              "parent")
         for workload in args.workloads:
             for side in order:
-                summary, env, rounds = run_once(sides[side], workload, seed)
-                runs[workload][side].append(
-                    {"summary": summary, "env": env, "rounds": rounds})
+                summary, env, rounds, ops = run_once(sides[side], workload,
+                                                     seed)
+                runs[workload][side].append({"summary": summary, "env": env,
+                                             "rounds": rounds, "ops": ops})
                 print("seed %d %-15s %-6s %s" % (
                     seed, workload, side,
                     "  ".join("%s %.4g" % (m, summary["metrics"][m]["value"])
@@ -153,18 +186,19 @@ def main():
     workloads = {}
     for workload, by_side in runs.items():
         pairs = list(zip(by_side["parent"], by_side["change"]))
-        lower = {m: "%d/%d" % (sum(c["summary"]["metrics"][m]["value"]
-                                   < q["summary"]["metrics"][m]["value"]
-                                   for q, c in pairs), len(pairs))
-                 for m in METRICS}
+        n_lower = {m: sum(c["summary"]["metrics"][m]["value"]
+                          < q["summary"]["metrics"][m]["value"]
+                          for q, c in pairs) for m in METRICS}
         parent, change = (side_summary(by_side["parent"]),
                           side_summary(by_side["change"]))
         workloads[workload] = {
             "seeds": seeds,
             "parent": parent,
             "change": change,
-            "pairs_change_lower": lower,
+            "pairs_change_lower": {m: "%d/%d" % (n, len(pairs))
+                                   for m, n in n_lower.items()},
             "regressions": regressions(parent, change, bounds),
+            "gains": gains(parent, change, n_lower, len(pairs)),
             "correct_all_runs": all(r["summary"]["correct"]
                                     for side in by_side.values()
                                     for r in side)}
@@ -196,6 +230,11 @@ def main():
                       w["parent"][m]["q1"], w["parent"][m]["q3"],
                       w["change"][m]["median"], w["pairs_change_lower"][m]))
         parent, change = w["parent"], w["change"]
+        for op, before in parent["op_seconds"].items():
+            print("%-15s op %-28s parent %.4g s  change %s" % (
+                workload, op, before,
+                "%.4g s" % change["op_seconds"][op]
+                if op in change["op_seconds"] else "-"))
         print("%-15s failed share parent %d/%d  change %d/%d" % (
             workload, parent["failed"], parent["attempted"],
             change["failed"], change["attempted"]))
@@ -206,6 +245,12 @@ def main():
                   "operations, the parent %.4f" % (
                       workload, change["failed_share"],
                       parent["failed_share"]))
+        for m, rel in w["gains"].items():
+            print("GAIN on %s %s: change median %.4g against parent %.4g "
+                  "(%+.1f %%), lower in %s pairs, parent q3 - q1 %.4g" % (
+                      workload, m, change[m]["median"], parent[m]["median"],
+                      100 * rel, w["pairs_change_lower"][m],
+                      parent[m]["q3"] - parent[m]["q1"]))
         for m, rel in w["regressions"].items():
             print("REGRESSION on %s %s: change median %.4g against parent "
                   "%.4g (%+.1f %%, bound %.0f %%)" % (

@@ -170,7 +170,10 @@ def build_parser():
     p.add_argument("--profile", default="",
                    help="profile for --K auto (default: 1 + cos(2 pi y))")
     p.add_argument("--modes", type=int, default=8,
-                   help="tangential mode cutoff")
+                   help="tangential mode cutoff: modes |m| <= this are "
+                        "walked, and a mode that an inertia count certifies "
+                        "empty below the count-th eigenvalue is skipped "
+                        "(recorded under 'modes' in --out)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--out", default="", help="output spectrum JSON")
     p.set_defaults(func=_cmd_limit_spec)

@@ -45,7 +45,7 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import count_below, solve_linear, solve_smallest
+from .numerics import inertia_check, solve_linear, solve_smallest
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -123,17 +123,34 @@ def vertical_mesh(eps, n_coarse=16, n_layer=8):
     return Mesh1D(np.concatenate([coarse, layer]))
 
 
+@functools.lru_cache(maxsize=None)
+def _row_path(spec, shapes):
+    """The contraction path einsum(optimize=True) picks for operands of
+    these shapes (it depends on nothing else), worked out once per shape
+    rather than for every row."""
+    return np.einsum_path(spec, *map(np.empty, shapes), optimize=True)[0]
+
+
 def _stiffness_elements(geo, cols):
     """Stiffness element matrices (len(cols), 36, 36) of the element columns
     ``cols`` of one row (_row_geometry): the weights W[i,q,g,d] = sum_b
     mult_b C3[b,g] C3[b,d] detJ, plus the value-pair term detJ, give
     elem = T' W T per element.  einsum(optimize=True) chooses its
-    contraction by batch size, so W is contracted over the whole row and
-    sliced afterwards; the stacked matmuls that follow work element by
-    element, so any subset of columns gets the bits of the whole row."""
+    contraction path by batch size, and the last bits follow the path, so W
+    is contracted over ``cols`` alone along the path chosen for the whole
+    row: that gives the bits of the whole row's W, sliced.  The stacked
+    matmuls that follow work element by element, so any subset of columns
+    gets the bits of the whole row."""
     C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
-    W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
-                  optimize=True)[cols]
+    spec = 'b,bgiq,bdiq,iq->iqgd'
+    path = _row_path(spec, (MULT3.shape, C3.shape, C3.shape, detj.shape))
+    C3c = C3[:, :, cols]
+    W = np.einsum(spec, MULT3, C3c, C3c, detj[cols], optimize=path)
+    # einsum can leave W quadrature-point-major (it does on a 128-column
+    # row, where the matmuls below then ran 2.7x slower); copy it
+    # element-major where it is not, the layout slicing the whole row's W
+    # gave
+    W = np.ascontiguousarray(W.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
     W[:, :, 0, 0] += detj[cols]
     W *= w[None, :, None, None]
     Tq = np.ascontiguousarray(T.transpose(1, 0, 2))              # (q,10,36)
@@ -144,10 +161,13 @@ def _stiffness_elements(geo, cols):
 
 def _mass_elements(geo, cols):
     """Mass element matrices of the element columns ``cols`` of one row,
-    contracted over the whole row and sliced (see _stiffness_elements)."""
+    contracted over ``cols`` alone along the whole row's path (see
+    _stiffness_elements)."""
     Tv = geo["T"][0]                                             # (q,36)
-    return np.einsum('iq,qa,qb->iab', geo["detJ"] * geo["w"][None, :], Tv,
-                     Tv, optimize=True)[cols]
+    spec = 'iq,qa,qb->iab'
+    dw = geo["detJ"] * geo["w"][None, :]
+    path = _row_path(spec, (dw.shape, Tv.shape, Tv.shape))
+    return np.einsum(spec, dw[cols], Tv, Tv, optimize=path)
 
 
 class EpsAssembly:
@@ -392,17 +412,12 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     energies.  The form contains + int u^2, so the spectrum sits above 1
     and the shift 0.5 lies safely below it.
 
-    The pencils are walked in order p = 0, 1, ..., P/2.  Once ``count``
-    refined eigenvalues (with multiplicity) are in hand, each further pencil
-    is first checked by ``count_below`` at the shift
-
-        s = lam* + max(1e-3 lam*, 10 max |refined - raw|),
-
-    where lam* is the count-th smallest refined eigenvalue so far and the
-    maximum runs over the pairs solved so far (refinement can move a raw
-    Ritz value far, so the margin must cover that move).  A pencil with no
-    eigenvalue below s cannot supply one of the first ``count`` values and
-    is skipped as certified empty; any other answer, None included, means
+    The pencils are walked in order p = 0, 1, ..., P/2, and each is first
+    put to ``numerics.inertia_check`` with the refined eigenvalues found so
+    far (with multiplicity) and the largest |refined - raw| of the pairs
+    solved so far (refinement can move a raw Ritz value far, so the shift's
+    margin must cover that move).  A pencil certified empty cannot supply
+    one of the first ``count`` values and is skipped; any other answer means
     it is solved.  Skipping only drops candidates that the merge would not
     take, so the eigenvalues are bit-identical to solving every pencil.
     ``pencils`` of the result records each pencil: p, theta, status
@@ -431,17 +446,12 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         Ah = _bloch_pencil(stiffness, p, P)
         Bh = _bloch_pencil(mass, p, P)
         mult = 2 if (0 < p < P / 2) else 1
-        record = {"p": p, "theta": theta, "status": "solved", "below": None,
-                  "shift": None, "eigenvalues": [], "kept": 0}
+        values = [r[0] for r in found for _ in range(r[2])]
+        record = {"p": p, "theta": theta,
+                  **inertia_check(Ah, Bh, values, count, move),
+                  "eigenvalues": [], "kept": 0}
         pencils.append(record)
-        if sum(r[2] for r in found) >= count:
-            lam_star = sorted(r[0] for r in found
-                              for _ in range(r[2]))[count - 1]
-            shift = lam_star + max(1e-3 * lam_star, 10.0 * move)
-            record.update(below=count_below(Ah, Bh, shift), shift=shift)
-        if record["below"] == 0:
-            record["status"] = "certified"
-        else:
+        if record["status"] == "solved":
             k = min(count, m - 1)
             lam, vec = solve_smallest(Ah, Bh, k, 0.5)
             phases = np.exp(1j * theta * np.arange(topo))

@@ -30,8 +30,8 @@ from scipy.optimize import brentq
 
 from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
                       quadratic_energy, evaluate_fe, assemble_rhs, is_integer)
-from .numerics import (EquilibratedLU, SolverError, solve_smallest,
-                       solve_linear)
+from .numerics import (EquilibratedLU, SolverError, inertia_check,
+                       solve_smallest, solve_linear)
 
 LIMIT_KINDS = ("intermediate", "strange", "dirichlet")
 
@@ -177,7 +177,9 @@ def _secular_bottom(S0, M, K, idx, lam1):
 
 
 def solve_mode(bc, m, count, space):
-    """Lowest eigenpairs of the mode-m reduced problem.
+    """Lowest eigenpairs of the mode-m reduced problem, and the largest
+    change |refined - raw Ritz value| of the pairs it refined (the margin
+    the inertia checks of solve_limit_spectrum must cover).
 
     When the strange term lowers the form, the rank-one structure pushes at
     most one eigenvalue per mode below the interlacing bound, possibly very
@@ -197,7 +199,7 @@ def solve_mode(bc, m, count, space):
     # previous unperturbed one, so this shift sits below everything the
     # regular cluster can reach while staying close to it
     base_shift = xi ** 6 + 0.5
-    _, vec_u = solve_smallest(Sc, Mc, count, base_shift)
+    raw, vec_u = solve_smallest(Sc, Mc, count, base_shift)
     # final eigenvalues are Rayleigh quotients through the quadrature
     # energies, which avoid the h^{-6} cancellation of the matrix form
     lam_u = np.empty(vec_u.shape[1])
@@ -206,17 +208,18 @@ def solve_mode(bc, m, count, space):
         if eb <= 0:
             raise SolverError("non-positive mass energy in Rayleigh quotient")
         lam_u[j] = ea / eb
+    move = float(np.max(np.abs(lam_u - raw)))
     order = np.argsort(lam_u)
     lam_u, vec_u = lam_u[order], vec_u[:, order]
     if not (bc.kind == "strange" and bc.signed_k() > 0.0):
-        return lam_u, vec_u
+        return lam_u, vec_u, move
     # the lowering sign can throw exactly one eigenvalue per mode far below
     # the cluster; chase it through the rank-one secular equation
     lam1, _ = solve_smallest(S0.tocsc(), Mc, 1, base_shift)
     bottom = _secular_bottom(S0, M, bc.signed_k(), trace_dof(space),
                              float(lam1[0]))
     if bottom is None:
-        return lam_u, vec_u
+        return lam_u, vec_u, move
     lam_b, vec_b = bottom
     vec_b = vec_b / np.sqrt(vec_b @ (Mc @ vec_b))
     keep = [j for j in range(len(lam_u))
@@ -224,18 +227,23 @@ def solve_mode(bc, m, count, space):
     lam = np.concatenate([[lam_b], lam_u[keep]])[:count]
     vec = np.hstack([vec_b[:, None], vec_u[:, keep]])[:, :count]
     order = np.argsort(lam)
-    return lam[order], vec[:, order]
+    return lam[order], vec[:, order], move
 
 
 @dataclass(frozen=True)
 class LimitSpectrum:
     """Merged low spectrum of the 2D limit problem: entries are
     (eigenvalue, tangential mode m, within-mode index), sorted by
-    (eigenvalue, |m|, m)."""
+    (eigenvalue, |m|, m).  ``modes`` records each mode m = 0..cutoff of the
+    walk (see solve_limit_spectrum): m, status ("solved" or "certified"),
+    the ``count_below`` answer and the shift of its check (None when
+    unchecked), its refined eigenvalues, and how many entries it supplies
+    (m and -m together)."""
     bc: LimitBC
     entries: tuple
     cutoff: int
     n_elements: int
+    modes: tuple
 
     def eigenvalues(self):
         return np.array([e[0] for e in self.entries])
@@ -245,7 +253,8 @@ class LimitSpectrum:
                 "flip_sign": self.bc.flip_sign,
                 "cutoff": self.cutoff, "n_elements": self.n_elements,
                 "eigs": [{"lambda": lam, "m": m, "idx": idx}
-                         for (lam, m, idx) in self.entries]}
+                         for (lam, m, idx) in self.entries],
+                "modes": list(self.modes)}
 
 
 def check_spectrum_args(count, cutoff, n_elements):
@@ -267,21 +276,45 @@ def check_spectrum_args(count, cutoff, n_elements):
 def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
                          n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
-    solve the reduced eigenproblem, duplicate m != 0 entries onto -m (exact
-    mode symmetry of the real form), merge, and keep the lowest ``count``."""
+    the reduced eigenproblem, m != 0 entries duplicated onto -m (exact mode
+    symmetry of the real form), merged, and the lowest ``count`` kept.
+
+    The modes are walked in order m = 0, 1, ..., cutoff, the way
+    epsdomain.solve_eps_spectrum_bloch walks its Bloch pencils: each mode's
+    pencil is first put to ``numerics.inertia_check`` with the refined
+    eigenvalues found so far (with their +-m multiplicity) and the largest
+    refinement move of the modes solved so far, and a mode certified empty
+    is skipped.  It could supply none of the ``count`` smallest values, so
+    the entries are bit-identical to solving every mode, for every boundary
+    condition, the runaway of the literal -K sign included.  ``modes`` of
+    the result records the walk."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
-    entries = []
+    k = min(count, space.n_free)
+    entries, values, modes = [], [], []
+    move = 0.0
     for m in range(cutoff + 1):
-        k = min(count, space.n_free)
-        lam, _ = solve_mode(bc, m, k, space)
-        for idx in range(len(lam)):
-            entries.append((float(lam[idx]), m, idx))
+        S, M = _mode_matrices(bc, 2.0 * np.pi * m, space)
+        record = {"m": m, **inertia_check(S, M, values, count, move),
+                  "eigenvalues": [], "kept": 0}
+        modes.append(record)
+        if record["status"] == "certified":
+            continue
+        lam, _, lam_move = solve_mode(bc, m, k, space)
+        move = max(move, lam_move)
+        record["eigenvalues"] = [float(v) for v in lam]
+        for idx, value in enumerate(record["eigenvalues"]):
+            entries.append((value, m, idx))
+            values.append(value)
             if m > 0:
-                entries.append((float(lam[idx]), -m, idx))
+                entries.append((value, -m, idx))
+                values.append(value)
     entries.sort(key=lambda e: (e[0], abs(e[1]), e[1]))
-    return LimitSpectrum(bc=bc, entries=tuple(entries[:count]),
-                         cutoff=cutoff, n_elements=n_elements)
+    entries = tuple(entries[:count])
+    for _, m, _ in entries:
+        modes[abs(m)]["kept"] += 1
+    return LimitSpectrum(bc=bc, entries=entries, cutoff=cutoff,
+                         n_elements=n_elements, modes=tuple(modes))
 
 
 @dataclass(frozen=True)

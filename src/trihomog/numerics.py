@@ -39,7 +39,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as spla
 
 
@@ -55,12 +54,27 @@ def equilibrate(A, B):
     """Symmetric Jacobi equilibration of the pencil (A, B): (d, D A D,
     D B D) with D = diag(d), d_i = |A_ii|^{-1/2} (unit scaling where a
     diagonal entry is not positive), the matrices as CSC; the last is None
-    when B is."""
+    when B is.  A and B must store no duplicate entries (see _scaled)."""
     d = np.asarray(A.diagonal()).real.astype(float).copy()
     d[~(d > 0)] = 1.0
     d = 1.0 / np.sqrt(d)
-    D = sparse.diags(d)
-    return d, (D @ A @ D).tocsc(), None if B is None else (D @ B @ D).tocsc()
+    return d, _scaled(A, d), None if B is None else _scaled(B, d)
+
+
+def _scaled(A, d):
+    """D A D with D = diag(d) as CSC, by scaling a copy's entries in place,
+    each a by d[row] and then by d[col]: the two roundings, in the same
+    order, of the sparse product (D @ A @ D).tocsc(), which it equals bit
+    for bit, including the dropped entries that become exactly zero and the
+    sorted indices.  Only without duplicate entries: the product sums a
+    stored duplicate pair as d a1 + d a2, where this scales the sum,
+    d (a1 + a2)."""
+    S = A.tocsc(copy=True)
+    S.data *= d[S.indices]
+    S.data *= np.repeat(d, np.diff(S.indptr))
+    S.eliminate_zeros()
+    S.sort_indices()
+    return S
 
 
 class EquilibratedLU:
@@ -141,6 +155,33 @@ def count_below(A, B, shift):
     if np.any(np.abs(pivots) <= tiny):
         return None
     return int(np.count_nonzero(pivots < 0))
+
+
+def inertia_check(A, B, values, count, move):
+    """The check that lets a walk over independent parts of one spectrum
+    (the Bloch pencils of epsdomain, the tangential modes of limit1d) skip
+    the pencil (A, B), as the record fields {"status", "below", "shift"}.
+
+    ``values`` are the refined eigenvalues found so far, each repeated by
+    its multiplicity, and ``move`` is the largest |refined - raw Ritz
+    value| of the pencils solved so far.  While fewer than ``count`` values
+    are in hand the pencil is solved unchecked (below and shift None).
+    Otherwise ``count_below`` is asked at the shift
+
+        s = lam* + max(1e-3 |lam*|, 10 move),
+
+    where lam* is the count-th smallest value; the margin covers the move
+    of refinement.  The status is "certified" (empty, skipped) only when
+    the answer is 0; any other answer, None included, means "solved".  A
+    certified pencil cannot supply one of the ``count`` smallest values, so
+    a walk that skips it returns the bits of one that solves every pencil."""
+    if len(values) < count:
+        return {"status": "solved", "below": None, "shift": None}
+    lam_star = sorted(values)[count - 1]
+    shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
+    below = count_below(A, B, shift)
+    return {"status": "certified" if below == 0 else "solved",
+            "below": below, "shift": shift}
 
 
 def solve_smallest(A, B, count, shift):

@@ -249,10 +249,11 @@ def test_criterion_5_discretization_quality(capsys):
     bc = LimitBC("intermediate")
     errs = []
     for n in (3, 6, 12):
-        lam, _ = solve_mode(bc, 0, 1, limit_space(bc, mesh=uniform_mesh(n)))
+        lam = solve_mode(bc, 0, 1,
+                         limit_space(bc, mesh=uniform_mesh(n)))[0]
         errs.append(abs(lam[0] - oracle))
     rate = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
-    lam_prod, _ = solve_mode(bc, 0, 1, limit_space(bc))
+    lam_prod = solve_mode(bc, 0, 1, limit_space(bc))[0]
     shoot_rel = abs(lam_prod[0] - oracle) / oracle
     ok = (repro < 1e-11 and jump < 1e-10 and rate >= 5.5
           and shoot_rel < 1e-7)

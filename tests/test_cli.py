@@ -48,6 +48,20 @@ def test_limit_spec_intermediate(capsys, tmp_path):
     assert len(json.loads(out.read_text())["eigs"]) == 3
 
 
+def test_limit_spec_out_records_each_mode(capsys, tmp_path):
+    out = tmp_path / "spec.json"
+    code, _, _ = run_cli(capsys, "limit-spec", "--bc", "int", "--count", "3",
+                         "--modes", "8", "--out", str(out))
+    assert code == 0
+    modes = json.loads(out.read_text())["modes"]
+    assert [r["m"] for r in modes] == list(range(9))
+    assert [r["status"] for r in modes] == ["solved"] * 2 + ["certified"] * 7
+    assert set(modes[0]) == {"m", "status", "below", "shift", "eigenvalues",
+                             "kept"}
+    assert modes[0]["below"] is None and modes[2]["below"] == 0
+    assert [r["kept"] for r in modes[:2]] == [1, 2]
+
+
 def test_limit_spec_strange_explicit_k(capsys):
     code, stdout, _ = run_cli(capsys, "limit-spec", "--bc", "strange",
                               "--K", "%.17g" % (20.0 * np.pi ** 3),

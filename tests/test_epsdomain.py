@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from trihomog import epsdomain, jets
-from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError, EpsProblem,
-                                _bloch_blocks, _mass_elements,
+from trihomog import epsdomain, jets, numerics
+from trihomog.epsdomain import (IDX3, IDX10, MULT3, EpsAssembly, EpsError,
+                                EpsProblem, _bloch_blocks, _mass_elements,
                                 _stiffness_elements, compare_to_limit,
                                 solve_eps_poisson, solve_eps_spectrum_bloch,
                                 vertical_mesh)
@@ -210,7 +210,7 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
     prob, ring = critical_ring
     pruned = solve_eps_spectrum_bloch(prob, count, assembly=ring)
     # a check that never answers is the fallback: every pencil is solved
-    monkeypatch.setattr(epsdomain, "count_below", lambda A, B, shift: None)
+    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
     full = solve_eps_spectrum_bloch(prob, count, assembly=ring)
     assert np.array_equal(pruned.eigenvalues, full.eigenvalues)
     assert [r["status"] for r in full.pencils] == ["solved"] * 5
@@ -431,17 +431,38 @@ def test_poisson_assembles_only_what_it_reads(cosine_profile):
     assert "mass" not in ring.__dict__
 
 
+def _whole_row_then_sliced(geo, cols):
+    """Stiffness and mass element matrices of the columns ``cols`` by the
+    literal whole-row formulas: einsum(optimize=True) over every column of
+    the row, sliced afterwards."""
+    C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
+    W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
+                  optimize=True)[cols]
+    W[:, :, 0, 0] += detj[cols]
+    W *= w[None, :, None, None]
+    Tq = np.ascontiguousarray(T.transpose(1, 0, 2))
+    Xr = np.matmul(W, Tq[None]).reshape(len(cols), -1, 36)
+    stiffness = np.matmul(Xr.transpose(0, 2, 1), Tq.reshape(-1, 36))
+    mass = np.einsum('iq,qa,qb->iab', detj * w[None, :], T[0], T[0],
+                     optimize=True)[cols]
+    return stiffness, mass
+
+
 def test_column_subset_elements_equal_the_whole_row(cosine_profile):
-    # the alpha = 1 ring of the benchmark (96 columns) and its 33 block
-    # columns: contracting the mass over the 33 columns alone would differ
-    # from the whole-row contraction in the last bits (einsum chooses its
-    # path by batch size), so both kernels contract the whole row and slice
-    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 1.0),
-                      elements_per_period=32)
-    asm = EpsAssembly(prob, columns=96)
-    every = np.arange(96)
-    block = np.append(np.arange(32), 95)
-    for geo in asm._rows[::5]:
-        for kernel in (_stiffness_elements, _mass_elements):
-            assert np.array_equal(kernel(geo, every)[block],
-                                  kernel(geo, block))
+    # the kernels contract only the columns a Bloch block reads, along the
+    # path einsum(optimize=True) picks for the whole row; that gives the
+    # bits of the whole row's contraction, sliced (optimize=True on the
+    # subset alone picks another path for the mass and changes its bits).
+    # The benchmark's alpha = 1 ring (96 columns) and Poisson torus (128)
+    for alpha, epp, columns in ((1.0, 32, 96), (2.0, 16, None)):
+        prob = EpsProblem(cosine_profile, PerturbationParams(0.125, alpha),
+                          elements_per_period=epp)
+        asm = EpsAssembly(prob, columns=columns)
+        every = np.arange(asm.columns)
+        block = np.append(np.arange(epp), asm.columns - 1)
+        for geo in asm._rows[::5]:
+            for cols in (every, block):
+                stiffness, mass = _whole_row_then_sliced(geo, cols)
+                assert np.array_equal(_stiffness_elements(geo, cols),
+                                      stiffness)
+                assert np.array_equal(_mass_elements(geo, cols), mass)

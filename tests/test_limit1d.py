@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import solve_bvp
 from scipy.optimize import brentq
 
+from trihomog import numerics
 from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
 from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
                               apply_strange_term, limit_space, mode_form,
@@ -105,7 +106,7 @@ def test_trace_dof_and_strange_guard():
 def test_ground_eigenvalue_matches_shooting(bc, m, bracket):
     oracle = shooting_eigenvalue(bc, m, *bracket)
     space = limit_space(bc)
-    lam, _ = solve_mode(bc, m, 1, space)
+    lam, _, _ = solve_mode(bc, m, 1, space)
     assert abs(lam[0] - oracle) < 1e-7 * abs(oracle), (lam[0], oracle)
 
 
@@ -169,7 +170,7 @@ def test_mode_floor_and_merged_symmetry():
     # spectrum every m != 0 entry appears with its -m partner at the same
     # eigenvalue
     space = limit_space(LimitBC("intermediate"))
-    lam2, _ = solve_mode(LimitBC("intermediate"), 2, 1, space)
+    lam2, _, _ = solve_mode(LimitBC("intermediate"), 2, 1, space)
     assert lam2[0] >= (4.0 * np.pi) ** 6 + 1.0
     spec = solve_limit_spectrum(LimitBC("intermediate"), count=8)
     lam = spec.eigenvalues()
@@ -186,7 +187,7 @@ def test_mode_floor_and_merged_symmetry():
 def test_natural_third_derivative_vanishes():
     bc = LimitBC("intermediate")
     space = limit_space(bc)
-    _, vec = solve_mode(bc, 0, 1, space)
+    _, vec, _ = solve_mode(bc, 0, 1, space)
     t = np.linspace(-1.0, 0.0, 1001)
     w3 = evaluate_fe(space, vec[:, 0], t, (3,))
     assert abs(w3[-1]) < 1e-8 * np.max(np.abs(w3))
@@ -200,7 +201,7 @@ def test_solve_mode_returns_quadrature_rayleigh_quotients(bc):
     # the eigenvalues are the quadrature-energy Rayleigh quotients of the
     # eigenvectors returned with them, in ascending order
     space = limit_space(bc)
-    lam, vec = solve_mode(bc, 1, 4, space)
+    lam, vec, _ = solve_mode(bc, 1, 4, space)
     quotients = []
     for j in range(vec.shape[1]):
         ea, eb = _mode_energy(bc, 2.0 * np.pi, space, vec[:, j])
@@ -215,10 +216,42 @@ def test_eigenvalue_convergence_is_sixth_order():
     errs = []
     for n in (3, 6, 12):
         space = limit_space(bc, mesh=uniform_mesh(n))
-        lam, _ = solve_mode(bc, 0, 1, space)
+        lam, _, _ = solve_mode(bc, 0, 1, space)
         errs.append(abs(lam[0] - oracle))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 5.5, (errs, rates)
+
+
+# ---------------------------------------------------------------- mode walk
+
+@pytest.mark.parametrize("bc", [
+    LimitBC("intermediate"), LimitBC("dirichlet"),
+    LimitBC("strange", K=K_COS, flip_sign=True), LimitBC("strange", K=K_COS),
+], ids=["int", "dir", "strange-flipped", "strange-literal"])
+@pytest.mark.parametrize("count", [3, 12])
+def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
+    # count 12 takes its last entry from a mode |m| >= 2 for every condition
+    walked = solve_limit_spectrum(bc, count=count)
+    # a check that never answers is the fallback: every mode is solved
+    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
+    every = solve_limit_spectrum(bc, count=count)
+    assert walked.entries == every.entries
+    assert [r["status"] for r in every.modes] == ["solved"] * 9
+    assert [r["m"] for r in walked.modes] == list(range(9))
+    if count == 3:
+        assert any(r["status"] == "certified" for r in walked.modes)
+    else:
+        assert abs(walked.entries[-1][1]) >= 2
+    lam_star = walked.entries[-1][0]
+    for rec, ref in zip(walked.modes, every.modes):
+        assert rec["kept"] == ref["kept"]
+        if rec["status"] == "certified":
+            assert rec["below"] == 0 and rec["eigenvalues"] == []
+            # what a full solve finds there lies above the shift
+            assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
+        else:
+            assert rec["eigenvalues"] == ref["eigenvalues"]
+    assert sum(r["kept"] for r in walked.modes) == count
 
 
 # ------------------------------------------------------------------ Poisson

@@ -271,6 +271,40 @@ def test_count_below_refuses_a_singular_shift():
     assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
 
 
+def _assert_same_csc(X, Y):
+    assert X.format == Y.format == "csc"
+    assert np.array_equal(X.indptr, Y.indptr)
+    assert np.array_equal(X.indices, Y.indices)
+    assert X.dtype == Y.dtype
+    assert X.data.tobytes() == Y.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "explicit zero",
+                                  "unsorted"])
+def test_equilibrate_equals_the_literal_product(case):
+    # equilibrate scales each stored entry by d[row], then by d[col]: the
+    # two roundings of the sparse product D @ A @ D, which also drops the
+    # entries that become exactly zero and sorts the indices
+    rng = np.random.default_rng(47)
+    A, B = _banded_hermitian_pencil(rng, 40, case == "complex")
+    A.data *= np.geomspace(1.0, 1e12, A.nnz)
+    if case == "explicit zero":
+        assert A.indices[A.indptr[5]] != 5     # an off-diagonal entry
+        A.data[A.indptr[5]] = 0.0
+    if case == "unsorted":
+        for j in range(A.shape[1]):
+            col = slice(A.indptr[j], A.indptr[j + 1])
+            A.indices[col], A.data[col] = (A.indices[col][::-1].copy(),
+                                           A.data[col][::-1].copy())
+        A.has_sorted_indices = False
+    d, As, Bs = numerics.equilibrate(A, B)
+    D = sparse.diags(d)
+    _assert_same_csc(As, (D @ A @ D).tocsc())
+    _assert_same_csc(Bs, (D @ B @ D).tocsc())
+    if case == "explicit zero":
+        assert As.nnz == A.nnz - 1
+
+
 @pytest.fixture(scope="module")
 def ring_pencils():
     """The real p = 0 and the complex p = 1 Bloch pencils of a small ring
