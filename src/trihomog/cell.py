@@ -21,7 +21,7 @@ K is computed by three independent routes:
 
 * k_energy      -- the strip energy integral of |D^3 V|^2, mode by mode, in
                    closed form (exponential-moment integrals) cross-checked
-                   against adaptive quadrature;
+                   against composite Gauss quadrature;
 * k_boundary    -- the boundary-trace expression, by exact mode algebra;
 * k_testfunction-- the finite-strip identity obtained by testing against
                    b(ybar) (1 + y_N)^4, by Gauss quadrature on (-1, 0).
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import integrate
 
 from .jets import index_order
 
@@ -65,6 +64,11 @@ UNIVERSAL_MODE_CONSTANT = 5.0
 #: quadrature is truncated at t = -TAIL_CUT / xi; the integrand decays like
 #: e^{2 xi t}, so the discarded tail is ~e^{-80} of the integral
 TAIL_CUT = 40.0
+
+#: composite Gauss-Legendre rule of mode_energy_quadrature: each panel
+#: spans 2 / xi, over which e^{2 xi t} varies by e^4
+QUAD_PANELS = 20
+QUAD_POINTS = 16
 
 
 class CellError(RuntimeError):
@@ -179,25 +183,27 @@ def mode_energy_closed_form(mode):
 
 
 def mode_energy_quadrature(mode):
-    """Adaptive-quadrature strip energy of one non-zero mode, truncated where
-    the integrand has decayed below round-off."""
+    """Strip energy of one non-zero mode by a fixed composite Gauss-Legendre
+    rule on (-TAIL_CUT / xi, 0), where the integrand has decayed below
+    round-off: QUAD_PANELS equal panels of QUAD_POINTS points each, the
+    integrand evaluated on all of them at once from ModeProfile.eval.  It
+    shares no formula with mode_energy_closed_form, which it checks."""
     xi = mode.xi
-
-    def integrand(t):
-        return sum(math.comb(3, m) * xi ** (2 * (3 - m))
-                   * np.abs(mode.eval(m, t)) ** 2 for m in range(4))
-
-    val, _ = integrate.quad(integrand, -TAIL_CUT / xi, 0.0, limit=200,
-                            epsabs=0.0, epsrel=1e-12)
-    return val
+    x, w = np.polynomial.legendre.leggauss(QUAD_POINTS)
+    edges = np.linspace(-TAIL_CUT / xi, 0.0, QUAD_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    integrand = sum(math.comb(3, m) * xi ** (2 * (3 - m))
+                    * np.abs(mode.eval(m, t)) ** 2 for m in range(4))
+    return float(np.dot((half * w).ravel(), integrand))
 
 
 def k_energy(solution, check_quadrature=True):
     """K as the strip energy integral; returns (K, per-mode table).
 
     Each mode integral is evaluated in closed form and, when
-    check_quadrature is set, cross-checked against adaptive quadrature;
-    disagreement beyond 1e-8 relative raises.
+    check_quadrature is set, cross-checked against the fixed Gauss rule of
+    mode_energy_quadrature; disagreement beyond 1e-8 relative raises.
     """
     table = {}
     total = 0.0

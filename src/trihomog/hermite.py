@@ -13,7 +13,9 @@ place: ``reference_table`` holds the six shapes and their first three
 derivatives at the QUAD_ORDER Gauss points of [0, 1], computed once, and
 ``to_element`` scales reference values to an element of size h.  Element
 dof numbering is ``element_dofs_1d`` / ``element_dofs_2d`` (index arrays
-accepted), and stacked element matrices reach the sparse matrix through
+accepted).  The 1D assemblers read a per-space ``AssemblyPlan1D`` (element
+table, einsum path, CSR scatter map), built on first use and kept on the
+space; the 2D element matrices reach the sparse matrix through
 ``scatter_elements`` and ``to_csr``.  Point evaluation of assembled fields
 (``evaluate_fe``) is 1D; the eps solver reads 2D field values from the row
 tables of its assembly.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -192,6 +194,12 @@ class TensorElementSpace:
         out = (ii * nt1 + jj) * 9 + _DOF_ORDER[:, None] * 3 + _DOF_ORDER
         return out.reshape(out.shape[:-2] + (36,))
 
+    @cached_property
+    def plan(self):
+        """The 1D assembly plan (AssemblyPlan1D), built on first use and
+        kept for the life of this space."""
+        return AssemblyPlan1D(self)
+
     def embed(self, free_vec):
         """Zero-extend a free-dof vector to the full dof set."""
         full = np.zeros(self.n_full)
@@ -284,22 +292,59 @@ def _require_1d(space, name):
         raise DiscretizationError("%s is 1D only" % name)
 
 
-def _element_table(space):
-    """tab[e, d, q, l]: d-th physical derivative of shape l of element e at
-    its Gauss point q."""
-    h = space.vmesh.sizes()[:, None, None]
-    ref = reference_table()
-    return np.stack([to_element(ref[d], h, d) for d in range(4)], axis=1)
+#: the element-matrix contraction of assemble_quadratic
+_QUADRATIC = 'eq,df,edqa,efqb->eab'
 
 
-def _element_dofs(space):
-    return space.element_dofs_1d(np.arange(space.vmesh.n_elements))
+class AssemblyPlan1D:
+    """What every 1D assembly of one space shares, worked out once:
 
+    * ``table[e, d, q, l]``: d-th physical derivative of shape l of element
+      e at its Gauss point q, and ``weights[e, q]`` the quadrature weights;
+    * ``dofs``, the full dof indices (E, 6) of the elements;
+    * ``path``, the contraction order ``einsum(optimize=True)`` picks for
+      the element matrices of assemble_quadratic (it depends on the operand
+      shapes alone, so passing it keeps every bit);
+    * the CSR structure of the free-free matrix (``indices``, ``indptr``,
+      sorted columns) and ``slot``, the CSR position of each kept element
+      entry.  A 1D matrix entry sums at most two element entries, so the
+      summation order cannot change a bit against the COO -> CSR route.
 
-def _matrix_1d(space, elems):
-    _check_finite(elems)
-    return to_csr(space, [scatter_elements(space, _element_dofs(space),
-                                           elems)])
+    Read it through ``TensorElementSpace.plan``: built on first use and
+    kept on the space, so it lives exactly as long as the space."""
+
+    def __init__(self, space):
+        _require_1d(space, "the assembly plan")
+        sizes = space.vmesh.sizes()
+        ref = reference_table()
+        h = sizes[:, None, None]
+        self.table = np.stack([to_element(ref[d], h, d) for d in range(4)],
+                              axis=1)                           # (E,4,nq,6)
+        self.weights = gauss_rule(QUAD_ORDER)[1] * sizes[:, None]  # (E, nq)
+        self.dofs = space.element_dofs_1d(np.arange(space.vmesh.n_elements))
+        self.path = np.einsum_path(_QUADRATIC, self.weights, np.eye(4),
+                                   self.table, self.table, optimize=True)[0]
+        free = space.full_to_free[self.dofs]
+        rows = np.broadcast_to(free[:, :, None], (len(free), 6, 6))
+        cols = np.broadcast_to(free[:, None, :], rows.shape)
+        self.keep = (rows >= 0) & (cols >= 0)
+        n = space.n_free
+        keys, self.slot = np.unique(rows[self.keep].astype(np.int64) * n
+                                    + cols[self.keep], return_inverse=True)
+        self.n = n
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+
+    def matrix(self, elems):
+        """CSR matrix on the free dofs summing the element matrices
+        elems (E, 6, 6)."""
+        _check_finite(elems)
+        data = np.bincount(self.slot, weights=elems[self.keep],
+                           minlength=len(self.indices))
+        return sparse.csr_matrix(
+            (data, self.indices.copy(), self.indptr.copy()),
+            shape=(self.n, self.n))
 
 
 def assemble(space, integrand):
@@ -315,7 +360,7 @@ def assemble(space, integrand):
     _require_1d(space, "assemble")
     sq, wq = gauss_rule(QUAD_ORDER)
     nodes, sizes = space.vmesh.nodes, space.vmesh.sizes()
-    tab = _element_table(space)
+    tab = space.plan.table
     elems = np.zeros((space.vmesh.n_elements, 6, 6))
     for e, emat in enumerate(elems):
         for qi in range(len(sq)):
@@ -328,7 +373,7 @@ def assemble(space, integrand):
                     emat[a, b] += v
                     if a != b:
                         emat[b, a] += v
-    return _matrix_1d(space, elems)
+    return space.plan.matrix(elems)
 
 
 def assemble_quadratic(space, weights):
@@ -337,14 +382,13 @@ def assemble_quadratic(space, weights):
         sum_{d1,d2} W[d1,d2] u^(d1) v^(d2)
 
     with a constant (4, 4) array ``weights`` of derivative-pair weights,
-    all elements at once.  Used by the Fourier-mode limit solver."""
+    all elements at once, through the space's assembly plan.  Used by the
+    Fourier-mode limit solver."""
     _require_1d(space, "assemble_quadratic")
-    _, wq = gauss_rule(QUAD_ORDER)
-    tab = _element_table(space)                                 # (E,4,nq,6)
-    w = wq * space.vmesh.sizes()[:, None]                       # (E, nq)
-    elems = np.einsum('eq,df,edqa,efqb->eab', w, weights, tab, tab,
-                      optimize=True)
-    return _matrix_1d(space, elems)
+    plan = space.plan
+    elems = np.einsum(_QUADRATIC, plan.weights, weights, plan.table,
+                      plan.table, optimize=plan.path)
+    return plan.matrix(elems)
 
 
 def quadratic_energy(space, weights, free_vec):
@@ -358,12 +402,11 @@ def quadratic_energy(space, weights, free_vec):
     and then combines, so eigenvalue solvers use it for final Rayleigh
     quotients."""
     _require_1d(space, "quadratic_energy")
-    _, wq = gauss_rule(QUAD_ORDER)
+    plan = space.plan
     full = space.embed(np.asarray(free_vec, dtype=float))
-    du = np.einsum('edqa,ea->edq', _element_table(space),
-                   full[_element_dofs(space)])                  # (E, 4, nq)
+    du = np.einsum('edqa,ea->edq', plan.table, full[plan.dofs])  # (E,4,nq)
     vals = np.einsum('df,edq,efq->eq', weights, du, du)
-    return float((wq * space.vmesh.sizes()[:, None] * vals).sum())
+    return float((plan.weights * vals).sum())
 
 
 def assemble_rhs(space, f):
@@ -371,15 +414,16 @@ def assemble_rhs(space, f):
     against all free basis functions of a 1D space (the eps-domain load is
     EpsAssembly.assemble_rhs)."""
     _require_1d(space, "assemble_rhs")
-    sq, wq = gauss_rule(QUAD_ORDER)
+    plan = space.plan
+    sq, _ = gauss_rule(QUAD_ORDER)
     nodes, sizes = space.vmesh.nodes, space.vmesh.sizes()
     pts = nodes[:-1, None] + sizes[:, None] * sq                # (E, nq)
     fv = np.array([f(t) for t in pts.ravel()], dtype=float)
     _check_finite(fv)
-    w = wq * sizes[:, None] * fv.reshape(pts.shape)
-    elems = np.einsum('eq,eqa->ea', w, _element_table(space)[:, 0])
+    w = plan.weights * fv.reshape(pts.shape)
+    elems = np.einsum('eq,eqa->ea', w, plan.table[:, 0])
     full = np.zeros(space.n_full)
-    np.add.at(full, _element_dofs(space).ravel(), elems.ravel())
+    np.add.at(full, plan.dofs.ravel(), elems.ravel())
     return full[space.free_to_full]
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 
 from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
                       quadratic_energy, evaluate_fe, assemble_rhs, is_integer)
-from .numerics import (EquilibratedLU, SolverError, inertia_check,
-                       solve_smallest, solve_linear)
+from .numerics import (SolverError, inertia_check, solve_smallest,
+                       solve_linear)
 
 LIMIT_KINDS = ("intermediate", "strange", "dirichlet")
 
@@ -104,22 +105,26 @@ def trace_dof(space, order=2):
 
 
 def apply_strange_term(stiffness, K, space):
-    """Rank-one update stiffness - K e e^T, where e extracts w''(0).  K here
+    """Rank-one update stiffness - K e e^T, where e extracts w''(0), as a
+    copy of the CSR matrix with its one diagonal entry updated in place
+    (the assembled columns are sorted, and the diagonal is stored).  K here
     is the signed coefficient (LimitBC.signed_k)."""
     idx = trace_dof(space)
     if idx < 0:
         raise LimitError("w''(0) degree of freedom is constrained; "
                          "strange term needs a clamped1 top")
-    S = stiffness.tolil(copy=True)
-    S[idx, idx] = S[idx, idx] - K
-    return S.tocsr()
+    S = stiffness.copy()
+    start, stop = S.indptr[idx], S.indptr[idx + 1]
+    S.data[start + np.searchsorted(S.indices[start:stop], idx)] -= K
+    return S
 
 
-def _mode_matrices(bc, xi, space):
-    S, M = mode_form(xi, space)
+def _with_strange_term(bc, S0, space):
+    """The stiffness of the regime: S0 with the strange term, or S0 itself
+    without one."""
     if bc.kind == "strange" and bc.K != 0.0:
-        S = apply_strange_term(S, bc.signed_k(), space)
-    return S, M
+        return apply_strange_term(S0, bc.signed_k(), space)
+    return S0
 
 
 def _mode_energy(bc, xi, space, x):
@@ -130,14 +135,32 @@ def _mode_energy(bc, xi, space, x):
     return ea, quadratic_energy(space, MASS_WEIGHTS, x)
 
 
-def _resolvent_entry(S0, M, idx, lam):
-    """x = (S0 - lam M)^{-1} e_idx and its idx entry, via an equilibrated
-    sparse factorization (S0 - lam M is positive definite below the
-    spectrum)."""
-    fac = EquilibratedLU((S0 - lam * M).tocsc())
-    rhs = np.zeros(S0.shape[0])
+def _upper_band(A):
+    """A symmetric sparse matrix in LAPACK upper banded storage,
+    ab[u + i - j, j] = A[i, j] for i <= j, with u its half bandwidth (5 on
+    the 1D spaces: an element couples six consecutive dofs)."""
+    coo = A.tocoo()
+    upper = coo.row <= coo.col
+    row, col = coo.row[upper], coo.col[upper]
+    u = int(np.max(col - row))
+    ab = np.zeros((u + 1, A.shape[0]))
+    ab[u + row - col, col] = coo.data[upper]
+    return ab
+
+
+def _resolvent_entry(bands, idx, lam):
+    """x = (S0 - lam M)^{-1} e_idx and its idx entry, via a banded Cholesky
+    factorization of S0 - lam M (positive definite below the spectrum);
+    ``bands`` holds S0 and M in upper banded storage (_upper_band)."""
+    S0b, Mb = bands
+    try:
+        cb = cholesky_banded(S0b - lam * Mb, check_finite=False)
+    except LinAlgError:
+        raise LimitError("secular function lost positivity; "
+                         "shift past the first pole") from None
+    rhs = np.zeros(S0b.shape[1])
     rhs[idx] = 1.0
-    x = fac.d * fac.solve(fac.d * rhs)
+    x = cho_solve_banded((cb, False), rhs, check_finite=False)
     return x, float(x[idx])
 
 
@@ -151,8 +174,10 @@ def _secular_bottom(S0, M, K, idx, lam1):
     matter how far the strange term throws it.  Returns (eigenvalue,
     eigenvector) or None when the root is numerically indistinguishable
     from lam1 (tiny K; the regular cluster solve covers it)."""
+    bands = _upper_band(S0), _upper_band(M)
+
     def h(lam):
-        _, fval = _resolvent_entry(S0, M, idx, lam)
+        _, fval = _resolvent_entry(bands, idx, lam)
         if fval <= 0:
             raise LimitError("secular function lost positivity; "
                              "shift past the first pole")
@@ -172,14 +197,17 @@ def _secular_bottom(S0, M, K, idx, lam1):
         if step > 1e20:
             raise LimitError("failed to bracket the strange-term bottom")
     lam = brentq(h, lo, hi, rtol=1e-14)
-    vec, _ = _resolvent_entry(S0, M, idx, lam)
+    vec, _ = _resolvent_entry(bands, idx, lam)
     return lam, vec
 
 
-def solve_mode(bc, m, count, space):
+def solve_mode(bc, m, count, space, matrices=None):
     """Lowest eigenpairs of the mode-m reduced problem, and the largest
     change |refined - raw Ritz value| of the pairs it refined (the margin
-    the inertia checks of solve_limit_spectrum must cover).
+    the inertia checks of solve_limit_spectrum must cover).  ``matrices``
+    are the mode's stiffness S0, the regime's stiffness S
+    (_with_strange_term) and the mass M when the caller has built them
+    already; otherwise they are assembled here.
 
     When the strange term lowers the form, the rank-one structure pushes at
     most one eigenvalue per mode below the interlacing bound, possibly very
@@ -188,10 +216,10 @@ def solve_mode(bc, m, count, space):
     so this solves twice, once far below for the runaway and once at the
     standard shift for the rest, and merges."""
     xi = 2.0 * np.pi * abs(m)
-    S0, M = mode_form(xi, space)
-    S = S0
-    if bc.kind == "strange" and bc.K != 0.0:
-        S = apply_strange_term(S0, bc.signed_k(), space)
+    if matrices is None:
+        S0, M = mode_form(xi, space)
+        matrices = S0, _with_strange_term(bc, S0, space), M
+    S0, S, M = matrices
     Sc, Mc = S.tocsc(), M.tocsc()
     count = min(count, space.n_free)
     # without the K-term the form gives lambda >= xi^6 + 1 outright, and the
@@ -293,14 +321,18 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     k = min(count, space.n_free)
     entries, values, modes = [], [], []
     move = 0.0
+    # each mode's matrices are assembled once, for its check and its solve;
+    # the mass matrix is the same for every mode
+    M = assemble_quadratic(space, MASS_WEIGHTS)
     for m in range(cutoff + 1):
-        S, M = _mode_matrices(bc, 2.0 * np.pi * m, space)
+        S0 = assemble_quadratic(space, stiffness_weights(2.0 * np.pi * m))
+        S = _with_strange_term(bc, S0, space)
         record = {"m": m, **inertia_check(S, M, values, count, move),
                   "eigenvalues": [], "kept": 0}
         modes.append(record)
         if record["status"] == "certified":
             continue
-        lam, _, lam_move = solve_mode(bc, m, k, space)
+        lam, _, lam_move = solve_mode(bc, m, k, space, (S0, S, M))
         move = max(move, lam_move)
         record["eigenvalues"] = [float(v) for v in lam]
         for idx, value in enumerate(record["eigenvalues"]):
@@ -361,7 +393,8 @@ def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
     w2 = trace_dof(space)
     for m, f in f_modes.items():
         xi = 2.0 * np.pi * abs(m)
-        S, _ = _mode_matrices(bc, xi, space)
+        S = _with_strange_term(
+            bc, assemble_quadratic(space, stiffness_weights(xi)), space)
         S = S.tocsc()
         rhs_re = assemble_rhs(space, lambda t: float(np.real(f(t))))
         rhs_im = assemble_rhs(space, lambda t: float(np.imag(f(t))))

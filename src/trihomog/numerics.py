@@ -55,10 +55,15 @@ def equilibrate(A, B):
     D B D) with D = diag(d), d_i = |A_ii|^{-1/2} (unit scaling where a
     diagonal entry is not positive), the matrices as CSC; the last is None
     when B is.  A and B must store no duplicate entries (see _scaled)."""
+    d = _jacobi(A)
+    return d, _scaled(A, d), None if B is None else _scaled(B, d)
+
+
+def _jacobi(A):
+    """d_i = |A_ii|^{-1/2}, 1 where A_ii is not positive."""
     d = np.asarray(A.diagonal()).real.astype(float).copy()
     d[~(d > 0)] = 1.0
-    d = 1.0 / np.sqrt(d)
-    return d, _scaled(A, d), None if B is None else _scaled(B, d)
+    return 1.0 / np.sqrt(d)
 
 
 def _scaled(A, d):
@@ -136,13 +141,13 @@ def count_below(A, B, shift):
     a symmetric permutation and no pivoting, Ms = P' L U P with
     U = diag(U) L^H, keeps that inertia in the pivots, so the count is the
     number of negative Re U_ii (spectrum slicing, Parlett, The Symmetric
-    Eigenvalue Problem).  None when the factorization fails, when SuperLU
-    pivoted off the diagonal after all (perm_r != perm_c), or when a pivot
-    is too close to zero for its sign to mean anything: within
+    Eigenvalue Problem).  Ms is one scaled copy of A - shift B, with D from
+    A as in ``equilibrate``.  None when the factorization fails, when
+    SuperLU pivoted off the diagonal after all (perm_r != perm_c), or when
+    a pivot is too close to zero for its sign to mean anything: within
     10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
     without pivoting can leave in a pivot of a definite matrix."""
-    _, As, Bs = equilibrate(A, B)
-    M = (As - shift * Bs).tocsc()
+    M = _scaled(A - shift * B, _jacobi(A))
     try:
         lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -235,10 +240,24 @@ def _subspace_iteration(fac, vec, k, each):
     ``vec``, in equilibrated variables, until the wanted part of the block
     passes the convergence check; the k wanted Ritz pairs, checked against
     the residual gate.  ``each`` is ``map`` or a pool's ``map``: it runs
-    the per-column solves."""
+    the per-column solves.
+
+    The gate is max(EIGEN_TOL, 20 * _residual_floor) with the floor of the
+    first round's Ritz values.  A residual at or below EIGEN_TOL passes it
+    whatever the floor, so the floor is computed only for the first
+    residual above EIGEN_TOL, once."""
     As, Bs = fac.As, fac.Bs
     lam = None
     gate = None
+
+    def passes(worst):
+        nonlocal gate
+        if worst <= EIGEN_TOL:
+            return True
+        if gate is None:
+            gate = max(EIGEN_TOL, 20.0 * _residual_floor(fac, first))
+        return worst <= gate
+
     prev = None
     for round_ in range(12):
         # each column's solve writes that column in place, so the block
@@ -248,22 +267,22 @@ def _subspace_iteration(fac, vec, k, each):
         list(each(step, range(vec.shape[1])))
         vec = _b_orthonormalize(Bs, vec)
         lam, vec = _rayleigh_ritz(As, Bs, vec)
-        if gate is None:
-            gate = max(EIGEN_TOL, 20.0 * _residual_floor(fac, lam[:k]))
         # stop only once the wanted Ritz values have stopped moving *and* the
         # residual gate passes: a floor-limited gate alone can admit a block
         # that shift-inverted iteration is still improving
-        if prev is not None:
+        if prev is None:
+            first = lam[:k].copy()
+        else:
             drift = np.max(np.abs(lam[:k] - prev) / np.maximum(np.abs(prev),
                                                                1e-300))
-            if drift < 1e-8 and _worst_residual(fac, lam[:k], vec[:, :k],
-                                                each) <= gate:
+            if drift < 1e-8 and passes(_worst_residual(fac, lam[:k],
+                                                       vec[:, :k], each)):
                 break
         prev = lam[:k].copy()
     keep = np.argsort(lam)[:k]
     lam = lam[keep]
     worst = _worst_residual(fac, lam, vec[:, keep], each)
-    if worst > gate:
+    if not passes(worst):
         raise SolverError("shift-inverted eigen residual %.3e exceeds "
                           "gate %.1e" % (worst, gate))
     return lam, vec[:, keep]

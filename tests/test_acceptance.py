@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
 from trihomog import jets
@@ -75,7 +76,7 @@ def test_criterion_2_universal_mode_constant(capsys):
             ratios.append(mode_energy_closed_form(mode) / denom)
     ratios = np.array(ratios)
     spread = np.ptp(ratios) / np.mean(ratios)
-    # adaptive-quadrature confirmation on one concrete mode
+    # Gauss-quadrature confirmation on one concrete mode
     mode = solve_cell(COSINE).modes[(1,)]
     denom = mode.xi ** 3 * 0.25
     quad_err = abs(mode_energy_quadrature(mode) / denom
@@ -287,6 +288,7 @@ def test_criterion_6_spectral_ordering(capsys):
           time.perf_counter() - t0, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_regime_classification(capsys):
     # the production sweep runs inside the timed region: the budget times it
     t0 = time.perf_counter()

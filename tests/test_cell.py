@@ -1,8 +1,11 @@
 """Strip-problem solutions, the three K routes, and the corrector traces."""
 
 import numpy as np
+import pytest
 
-from trihomog.cell import (UNIVERSAL_MODE_CONSTANT, compute_k_report,
+from trihomog import cell
+from trihomog.cell import (UNIVERSAL_MODE_CONSTANT, CellError,
+                           compute_k_report,
                            corrector_vhat, eval_V, k_boundary, k_energy,
                            k_testfunction, mode_energy_closed_form,
                            mode_energy_quadrature, residual_check, solve_cell)
@@ -72,6 +75,19 @@ def test_mode_energy_quadrature_oracle(cosine_profile):
     closed = mode_energy_closed_form(mode)
     quad = mode_energy_quadrature(mode)
     assert abs(closed - quad) < 1e-10 * (1 + abs(closed))
+
+
+def test_k_energy_quadrature_catches_a_closed_form_error(cosine_profile,
+                                                         monkeypatch):
+    # the fixed Gauss rule is an independent check: a closed form off by
+    # 1e-7 relative (ten times the 1e-8 gate) is caught
+    solution = solve_cell(cosine_profile)
+    k_energy(solution)
+    closed = cell.mode_energy_closed_form
+    monkeypatch.setattr(cell, "mode_energy_closed_form",
+                        lambda mode: closed(mode) * (1.0 + 1e-7))
+    with pytest.raises(CellError, match="disagree"):
+        k_energy(solution)
 
 
 def test_residuals(cosine_profile):

@@ -9,7 +9,10 @@ from trihomog.epsdomain import IDX10, EpsAssembly, EpsProblem
 from trihomog.hermite import (DiscretizationError, HermiteBasis1D,
                               assemble, assemble_quadratic, assemble_rhs,
                               build_space_1d, evaluate_fe, gauss_rule,
-                              graded_mesh, quadratic_energy, uniform_mesh)
+                              graded_mesh, quadratic_energy, scatter_elements,
+                              to_csr, uniform_mesh)
+from trihomog.limit1d import (MASS_WEIGHTS, LimitBC, limit_space,
+                              stiffness_weights)
 from trihomog.oscillation import OscillationProfile, PerturbationParams
 
 
@@ -198,3 +201,39 @@ def test_gauss_rule_integrates_high_degree():
     for p in range(16):
         val = float((w * s ** p).sum())
         assert abs(val - 1.0 / (p + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ["intermediate", "strange", "dirichlet"])
+def test_assembly_plan_matches_a_fresh_plan(kind):
+    # the plan kept on a space gives, call after call, the bits of a fresh
+    # plan on a fresh space and of the element-by-element COO route; a
+    # caller that scribbles over a returned matrix cannot reach the plan
+    bc = LimitBC(kind, 620.0 if kind == "strange" else 0.0)
+    space = limit_space(bc)
+    override = limit_space(bc, mesh=uniform_mesh(12))
+    assert override.plan is not space.plan
+    for sp, fresh in ((space, lambda: limit_space(bc)),
+                      (override, lambda: limit_space(bc,
+                                                     mesh=uniform_mesh(12)))):
+        for xi in (0.0, 2.0 * np.pi, 16.0 * np.pi):
+            for weights in (stiffness_weights(xi), MASS_WEIGHTS):
+                kept = assemble_quadratic(sp, weights)
+                new = assemble_quadratic(fresh(), weights)
+                plan = sp.plan
+                elems = np.einsum('eq,df,edqa,efqb->eab', plan.weights,
+                                  weights, plan.table, plan.table,
+                                  optimize=True)
+                coo = to_csr(sp, [scatter_elements(sp, plan.dofs, elems)])
+                for ref in (new, coo):
+                    assert np.array_equal(kept.data, ref.data)
+                    assert np.array_equal(kept.indices, ref.indices)
+                    assert np.array_equal(kept.indptr, ref.indptr)
+                kept.data[:] = np.nan
+                kept.indices[:] = 0
+                kept.indptr[:] = 0
+                again = assemble_quadratic(sp, weights)
+                assert np.array_equal(again.data, new.data)
+                assert np.array_equal(again.indices, new.indices)
+                assert np.array_equal(again.indptr, new.indptr)
+    assert override.plan.table.shape[0] == 12
+    assert space.plan.table.shape[0] == space.vmesh.n_elements

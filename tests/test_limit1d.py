@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from trihomog import numerics
 from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
+from trihomog import limit1d
 from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
                               apply_strange_term, limit_space, mode_form,
                               solve_limit_poisson, solve_limit_spectrum,
@@ -323,3 +324,42 @@ def test_limit_spectrum_reuses_the_shape_table(monkeypatch):
     monkeypatch.setattr(HermiteBasis1D, "eval", counting_eval)
     solve_limit_spectrum(LimitBC("intermediate"), count=3, cutoff=2)
     assert len(calls) <= 4
+
+
+def _sparse_resolvent_entry(S0, M, idx, lam):
+    """The reference the banded resolvent replaced: x = (S0 - lam M)^{-1}
+    e_idx through an equilibrated sparse LU, and its idx entry."""
+    fac = numerics.EquilibratedLU((S0 - lam * M).tocsc())
+    rhs = np.zeros(S0.shape[0])
+    rhs[idx] = 1.0
+    x = fac.d * fac.solve(fac.d * rhs)
+    return x, float(x[idx])
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_banded_resolvent_matches_the_sparse_reference(m, monkeypatch):
+    # the literal -K secular equation: the banded Cholesky resolvent against
+    # the equilibrated sparse LU it replaced, over the part of the bracket
+    # below the pole, and the runaway root each gives.  Both are computed
+    # in double from the same matrices, and against a 40-digit evaluation
+    # each is off by up to ~1e-11 for lambda <= -1e13 (where the root lies)
+    # and by up to ~5e-9 at -1e5 (S0 - lam M grows worse conditioned toward
+    # the pole), so they agree only to that: measured 1.3e-11 and 5.7e-9
+    bc = LimitBC("strange", K_COS)
+    space = limit_space(bc)
+    idx = trace_dof(space)
+    S0, M = mode_form(2.0 * np.pi * m, space)
+    bands = limit1d._upper_band(S0), limit1d._upper_band(M)
+    root = solve_mode(bc, m, 1, space)[0][0]
+    assert root < -8e14
+    for lam in (-1.2e15, root, -1e14, -1e12, -1e10, -1e8, -1e6, -1e5):
+        x, f = limit1d._resolvent_entry(bands, idx, lam)
+        x_ref, f_ref = _sparse_resolvent_entry(S0, M, idx, lam)
+        tol = 1e-10 if lam <= -1e13 else 3e-8
+        assert abs(f - f_ref) <= tol * f_ref
+        assert np.linalg.norm(x - x_ref) <= tol * np.linalg.norm(x_ref)
+    monkeypatch.setattr(
+        limit1d, "_resolvent_entry",
+        lambda bands, idx, lam: _sparse_resolvent_entry(S0, M, idx, lam))
+    root_ref = solve_mode(bc, m, 1, space)[0][0]
+    assert abs(root - root_ref) <= 1e-10 * abs(root_ref)

@@ -14,6 +14,7 @@ from scipy.linalg import eigh
 from trihomog import numerics
 from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
                                 _bloch_pencil)
+from trihomog.limit1d import LimitBC, limit_space, mode_form
 from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
                                solve_linear, solve_smallest)
 from trihomog.oscillation import PerturbationParams
@@ -391,3 +392,38 @@ def test_residual_floor_ignores_the_global_random_state(ring_pencils):
     finally:
         np.random.set_state(state)
     assert floors[0] == floors[1] == floors[2]
+
+
+def test_residual_floor_is_not_computed_for_a_passing_residual(monkeypatch):
+    # a 1D mode pencil's residual passes EIGEN_TOL, which every gate
+    # max(EIGEN_TOL, 20 floor) passes too, so its floor is never needed
+    def no_floor(fac, lam):
+        raise AssertionError("residual floor computed")
+
+    monkeypatch.setattr(numerics, "_residual_floor", no_floor)
+    S, M = mode_form(2.0 * np.pi, limit_space(LimitBC("intermediate")))
+    lam, _ = solve_smallest(S.tocsc(), M.tocsc(), 3, (2.0 * np.pi) ** 6)
+    assert np.all(np.diff(lam) > 0)
+
+
+def test_residual_floor_is_computed_once_for_a_failing_gate(ring_pencils,
+                                                            monkeypatch):
+    # residuals above EIGEN_TOL in every round: the floor is computed at
+    # the first of them only, and the failure reports the gate it makes
+    floors = []
+    real_floor = numerics._residual_floor
+
+    def counting_floor(fac, lam):
+        floors.append(real_floor(fac, lam))
+        return floors[-1]
+
+    monkeypatch.setattr(numerics, "_residual_floor", counting_floor)
+    monkeypatch.setattr(numerics, "_worst_residual",
+                        lambda fac, lam, vec, each: 1e6)
+    A, B = ring_pencils[0]
+    with pytest.raises(SolverError) as err:
+        solve_smallest(A, B, 2, 0.5)
+    assert len(floors) == 1
+    gate = max(numerics.EIGEN_TOL, 20.0 * floors[0])
+    assert str(err.value) == ("shift-inverted eigen residual %.3e exceeds "
+                              "gate %.1e" % (1e6, gate))
