@@ -306,8 +306,9 @@ class AssemblyPlan1D:
       the element matrices of assemble_quadratic (it depends on the operand
       shapes alone, so passing it keeps every bit);
     * the CSR structure of the free-free matrix (``indices``, ``indptr``,
-      sorted columns) and ``slot``, the CSR position of each kept element
-      entry.  A 1D matrix entry sums at most two element entries, so the
+      sorted columns), ``pos``, the flat position in the (E, 6, 6) element
+      stack of each entry scatter_elements keeps, and ``slot``, its CSR
+      position.  A 1D matrix entry sums at most two element entries, so the
       summation order cannot change a bit against the COO -> CSR route.
 
     Read it through ``TensorElementSpace.plan``: built on first use and
@@ -324,13 +325,14 @@ class AssemblyPlan1D:
         self.dofs = space.element_dofs_1d(np.arange(space.vmesh.n_elements))
         self.path = np.einsum_path(_QUADRATIC, self.weights, np.eye(4),
                                    self.table, self.table, optimize=True)[0]
-        free = space.full_to_free[self.dofs]
-        rows = np.broadcast_to(free[:, :, None], (len(free), 6, 6))
-        cols = np.broadcast_to(free[:, None, :], rows.shape)
-        self.keep = (rows >= 0) & (cols >= 0)
+        # scattering the flat positions of the element entries gives the
+        # kept entries' rows, columns and positions in one place
+        E = len(self.dofs)
+        rows, cols, self.pos = scatter_elements(
+            space, self.dofs, np.arange(E * 36).reshape(E, 6, 6))
         n = space.n_free
-        keys, self.slot = np.unique(rows[self.keep].astype(np.int64) * n
-                                    + cols[self.keep], return_inverse=True)
+        keys, self.slot = np.unique(rows.astype(np.int64) * n + cols,
+                                    return_inverse=True)
         self.n = n
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
@@ -340,7 +342,7 @@ class AssemblyPlan1D:
         """CSR matrix on the free dofs summing the element matrices
         elems (E, 6, 6)."""
         _check_finite(elems)
-        data = np.bincount(self.slot, weights=elems[self.keep],
+        data = np.bincount(self.slot, weights=elems.ravel()[self.pos],
                            minlength=len(self.indices))
         return sparse.csr_matrix(
             (data, self.indices.copy(), self.indptr.copy()),

@@ -90,11 +90,10 @@ MASS_WEIGHTS = np.zeros((4, 4))
 MASS_WEIGHTS[0, 0] = 1.0
 
 
-def mode_form(xi, space):
-    """Stiffness and mass matrices of the mode form a_xi on the space."""
-    S = assemble_quadratic(space, stiffness_weights(xi))
-    M = assemble_quadratic(space, MASS_WEIGHTS)
-    return S, M
+def mode_stiffness(xi, space):
+    """Stiffness matrix of the mode form a_xi on the space; its mass matrix,
+    the same for every mode, is assemble_quadratic(space, MASS_WEIGHTS)."""
+    return assemble_quadratic(space, stiffness_weights(xi))
 
 
 def trace_dof(space, order=2):
@@ -201,13 +200,13 @@ def _secular_bottom(S0, M, K, idx, lam1):
     return lam, vec
 
 
-def solve_mode(bc, m, count, space, matrices=None):
+def solve_mode(bc, m, count, space, matrices):
     """Lowest eigenpairs of the mode-m reduced problem, and the largest
     change |refined - raw Ritz value| of the pairs it refined (the margin
     the inertia checks of solve_limit_spectrum must cover).  ``matrices``
-    are the mode's stiffness S0, the regime's stiffness S
-    (_with_strange_term) and the mass M when the caller has built them
-    already; otherwise they are assembled here.
+    are the mode's stiffness S0 (mode_stiffness), the regime's stiffness S
+    (_with_strange_term) and the mass M, which the caller builds once for
+    the mode's inertia check and its solve.
 
     When the strange term lowers the form, the rank-one structure pushes at
     most one eigenvalue per mode below the interlacing bound, possibly very
@@ -216,9 +215,6 @@ def solve_mode(bc, m, count, space, matrices=None):
     so this solves twice, once far below for the runaway and once at the
     standard shift for the rest, and merges."""
     xi = 2.0 * np.pi * abs(m)
-    if matrices is None:
-        S0, M = mode_form(xi, space)
-        matrices = S0, _with_strange_term(bc, S0, space), M
     S0, S, M = matrices
     Sc, Mc = S.tocsc(), M.tocsc()
     count = min(count, space.n_free)
@@ -325,7 +321,7 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     # the mass matrix is the same for every mode
     M = assemble_quadratic(space, MASS_WEIGHTS)
     for m in range(cutoff + 1):
-        S0 = assemble_quadratic(space, stiffness_weights(2.0 * np.pi * m))
+        S0 = mode_stiffness(2.0 * np.pi * m, space)
         S = _with_strange_term(bc, S0, space)
         record = {"m": m, **inertia_check(S, M, values, count, move),
                   "eigenvalues": [], "kept": 0}
@@ -393,9 +389,7 @@ def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
     w2 = trace_dof(space)
     for m, f in f_modes.items():
         xi = 2.0 * np.pi * abs(m)
-        S = _with_strange_term(
-            bc, assemble_quadratic(space, stiffness_weights(xi)), space)
-        S = S.tocsc()
+        S = _with_strange_term(bc, mode_stiffness(xi, space), space).tocsc()
         rhs_re = assemble_rhs(space, lambda t: float(np.real(f(t))))
         rhs_im = assemble_rhs(space, lambda t: float(np.imag(f(t))))
         x = solve_linear(S, rhs_re + 1j * rhs_im)

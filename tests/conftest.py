@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from trihomog.epsdomain import EpsAssembly
+from trihomog.hermite import assemble_quadratic
+from trihomog.limit1d import (MASS_WEIGHTS, _with_strange_term,
+                              mode_stiffness, solve_mode)
 from trihomog.numerics import solve_linear, solve_smallest
 from trihomog.oscillation import OscillationProfile
 
@@ -86,3 +89,16 @@ def solve_eps_poisson_direct(assembly, rhs):
     """One direct solve of the whole assembled Poisson system: the reference
     the Bloch split of solve_eps_poisson is checked against."""
     return solve_linear(assembly.stiffness.tocsc(), rhs)
+
+
+def mode_matrices(bc, m, space):
+    """Stiffness S0, regime stiffness S and mass M of tangential mode m, as
+    solve_limit_spectrum builds them for its walk."""
+    S0 = mode_stiffness(2.0 * np.pi * abs(m), space)
+    return (S0, _with_strange_term(bc, S0, space),
+            assemble_quadratic(space, MASS_WEIGHTS))
+
+
+def solve_one_mode(bc, m, count, space):
+    """solve_mode on mode m's own freshly built matrices."""
+    return solve_mode(bc, m, count, space, mode_matrices(bc, m, space))

@@ -25,13 +25,13 @@ from trihomog.epsdomain import (EpsAssembly, EpsProblem, compare_to_limit,
 from trihomog.hermite import (HermiteBasis1D, build_space_1d, evaluate_fe,
                               graded_mesh, uniform_mesh)
 from trihomog.limit1d import (LimitBC, limit_space, solve_limit_poisson,
-                              solve_limit_spectrum, solve_mode)
+                              solve_limit_spectrum)
 from trihomog.oscillation import (OscillationProfile, PerturbationParams,
                                   unfolded_h_limit_error, verify_h_bounds)
 from trihomog.sweep import (REGIME_DIRICHLET, REGIME_INTERMEDIATE,
                             REGIME_STRANGE, SweepConfig, run_converge)
 
-from conftest import random_nonneg_profile
+from conftest import random_nonneg_profile, solve_one_mode
 
 COSINE = OscillationProfile(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
 K_COS = 20.0 * np.pi ** 3
@@ -250,11 +250,11 @@ def test_criterion_5_discretization_quality(capsys):
     bc = LimitBC("intermediate")
     errs = []
     for n in (3, 6, 12):
-        lam = solve_mode(bc, 0, 1,
-                         limit_space(bc, mesh=uniform_mesh(n)))[0]
+        lam = solve_one_mode(bc, 0, 1,
+                             limit_space(bc, mesh=uniform_mesh(n)))[0]
         errs.append(abs(lam[0] - oracle))
     rate = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
-    lam_prod = solve_mode(bc, 0, 1, limit_space(bc))[0]
+    lam_prod = solve_one_mode(bc, 0, 1, limit_space(bc))[0]
     shoot_rel = abs(lam_prod[0] - oracle) / oracle
     ok = (repro < 1e-11 and jump < 1e-10 and rate >= 5.5
           and shoot_rel < 1e-7)

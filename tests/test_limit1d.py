@@ -18,10 +18,12 @@ from trihomog import numerics
 from trihomog.hermite import HermiteBasis1D, evaluate_fe, uniform_mesh
 from trihomog import limit1d
 from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
-                              apply_strange_term, limit_space, mode_form,
-                              solve_limit_poisson, solve_limit_spectrum,
-                              solve_mode, trace_dof)
+                              apply_strange_term, limit_space,
+                              mode_stiffness, solve_limit_poisson,
+                              solve_limit_spectrum, trace_dof)
 from trihomog.sweep import write_json
+
+from conftest import mode_matrices, solve_one_mode
 
 K_COS = 20.0 * np.pi ** 3            # strange constant of 1 + cos(2 pi y)
 
@@ -91,7 +93,7 @@ def test_trace_dof_and_strange_guard():
     assert trace_dof(sp_int) >= 0
     sp_dir = limit_space(LimitBC("dirichlet"))
     assert trace_dof(sp_dir) == -1
-    S, _ = mode_form(0.0, sp_dir)
+    S = mode_stiffness(0.0, sp_dir)
     with pytest.raises(LimitError):
         apply_strange_term(S, 1.0, sp_dir)
 
@@ -107,7 +109,7 @@ def test_trace_dof_and_strange_guard():
 def test_ground_eigenvalue_matches_shooting(bc, m, bracket):
     oracle = shooting_eigenvalue(bc, m, *bracket)
     space = limit_space(bc)
-    lam, _, _ = solve_mode(bc, m, 1, space)
+    lam, _, _ = solve_one_mode(bc, m, 1, space)
     assert abs(lam[0] - oracle) < 1e-7 * abs(oracle), (lam[0], oracle)
 
 
@@ -171,7 +173,7 @@ def test_mode_floor_and_merged_symmetry():
     # spectrum every m != 0 entry appears with its -m partner at the same
     # eigenvalue
     space = limit_space(LimitBC("intermediate"))
-    lam2, _, _ = solve_mode(LimitBC("intermediate"), 2, 1, space)
+    lam2, _, _ = solve_one_mode(LimitBC("intermediate"), 2, 1, space)
     assert lam2[0] >= (4.0 * np.pi) ** 6 + 1.0
     spec = solve_limit_spectrum(LimitBC("intermediate"), count=8)
     lam = spec.eigenvalues()
@@ -188,7 +190,7 @@ def test_mode_floor_and_merged_symmetry():
 def test_natural_third_derivative_vanishes():
     bc = LimitBC("intermediate")
     space = limit_space(bc)
-    _, vec, _ = solve_mode(bc, 0, 1, space)
+    _, vec, _ = solve_one_mode(bc, 0, 1, space)
     t = np.linspace(-1.0, 0.0, 1001)
     w3 = evaluate_fe(space, vec[:, 0], t, (3,))
     assert abs(w3[-1]) < 1e-8 * np.max(np.abs(w3))
@@ -202,7 +204,7 @@ def test_solve_mode_returns_quadrature_rayleigh_quotients(bc):
     # the eigenvalues are the quadrature-energy Rayleigh quotients of the
     # eigenvectors returned with them, in ascending order
     space = limit_space(bc)
-    lam, vec, _ = solve_mode(bc, 1, 4, space)
+    lam, vec, _ = solve_one_mode(bc, 1, 4, space)
     quotients = []
     for j in range(vec.shape[1]):
         ea, eb = _mode_energy(bc, 2.0 * np.pi, space, vec[:, j])
@@ -217,7 +219,7 @@ def test_eigenvalue_convergence_is_sixth_order():
     errs = []
     for n in (3, 6, 12):
         space = limit_space(bc, mesh=uniform_mesh(n))
-        lam, _, _ = solve_mode(bc, 0, 1, space)
+        lam, _, _ = solve_one_mode(bc, 0, 1, space)
         errs.append(abs(lam[0] - oracle))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 5.5, (errs, rates)
@@ -348,9 +350,9 @@ def test_banded_resolvent_matches_the_sparse_reference(m, monkeypatch):
     bc = LimitBC("strange", K_COS)
     space = limit_space(bc)
     idx = trace_dof(space)
-    S0, M = mode_form(2.0 * np.pi * m, space)
+    S0, _, M = mode_matrices(bc, m, space)
     bands = limit1d._upper_band(S0), limit1d._upper_band(M)
-    root = solve_mode(bc, m, 1, space)[0][0]
+    root = solve_one_mode(bc, m, 1, space)[0][0]
     assert root < -8e14
     for lam in (-1.2e15, root, -1e14, -1e12, -1e10, -1e8, -1e6, -1e5):
         x, f = limit1d._resolvent_entry(bands, idx, lam)
@@ -361,5 +363,5 @@ def test_banded_resolvent_matches_the_sparse_reference(m, monkeypatch):
     monkeypatch.setattr(
         limit1d, "_resolvent_entry",
         lambda bands, idx, lam: _sparse_resolvent_entry(S0, M, idx, lam))
-    root_ref = solve_mode(bc, m, 1, space)[0][0]
+    root_ref = solve_one_mode(bc, m, 1, space)[0][0]
     assert abs(root - root_ref) <= 1e-10 * abs(root_ref)

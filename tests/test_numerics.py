@@ -14,11 +14,13 @@ from scipy.linalg import eigh
 from trihomog import numerics
 from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
                                 _bloch_pencil)
-from trihomog.limit1d import LimitBC, limit_space, mode_form
+from trihomog.limit1d import LimitBC, limit_space
 from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
                                solve_linear, solve_smallest)
 from trihomog.oscillation import PerturbationParams
 from trihomog.sweep import default_profile
+
+from conftest import mode_matrices
 
 
 def test_diagonal_pencil():
@@ -401,7 +403,8 @@ def test_residual_floor_is_not_computed_for_a_passing_residual(monkeypatch):
         raise AssertionError("residual floor computed")
 
     monkeypatch.setattr(numerics, "_residual_floor", no_floor)
-    S, M = mode_form(2.0 * np.pi, limit_space(LimitBC("intermediate")))
+    bc = LimitBC("intermediate")
+    _, S, M = mode_matrices(bc, 1, limit_space(bc))
     lam, _ = solve_smallest(S.tocsc(), M.tocsc(), 3, (2.0 * np.pi) ** 6)
     assert np.all(np.diff(lam) > 0)
 
