@@ -37,7 +37,12 @@ Each end-to-end metric's ``bound`` in the change checkout's BENCHMARK.json
 (read, never written) is a fraction of the parent's median.  A metric whose
 change median is worse than the parent's by more than that fraction is
 reported on a line starting with "REGRESSION" and listed under the
-workload's "regressions" in the JSON.
+workload's "regressions" in the JSON.  Where the parent's own runs spread
+wider than the bound (q3 - q1 above the bound times the parent median), a
+median within the bound shows nothing: unless every run of the change
+reads better than every run of the parent, the metric is reported on a
+line starting with "UNRESOLVED" and listed under the workload's
+"unresolved" in the JSON.
 """
 
 from __future__ import annotations
@@ -113,6 +118,26 @@ def regressions(parent, change, bounds):
         rel = (after - before) / before
         if (rel if better == "lower" else -rel) > bound:
             out[name] = round(rel, 4)
+    return out
+
+
+def unresolved(parent, change, bounds):
+    """The metrics whose parent runs spread wider than their bound (q3 - q1
+    above the bound times the parent median) and on which some change run
+    does not read better than every parent run, as {metric: parent
+    (q3 - q1) / median}."""
+    out = {}
+    for name, (better, bound) in bounds.items():
+        if name not in METRICS:
+            continue
+        before, runs = parent[name], change[name]["runs"]
+        spread = before["q3"] - before["q1"]
+        if spread <= bound * before["median"]:
+            continue
+        if (max(runs) < min(before["runs"]) if better == "lower"
+                else min(runs) > max(before["runs"])):
+            continue
+        out[name] = round(spread / before["median"], 4)
     return out
 
 
@@ -198,6 +223,7 @@ def main():
             "pairs_change_lower": {m: "%d/%d" % (n, len(pairs))
                                    for m, n in n_lower.items()},
             "regressions": regressions(parent, change, bounds),
+            "unresolved": unresolved(parent, change, bounds),
             "gains": gains(parent, change, n_lower, len(pairs)),
             "correct_all_runs": all(r["summary"]["correct"]
                                     for side in by_side.values()
@@ -256,6 +282,12 @@ def main():
                   "%.4g (%+.1f %%, bound %.0f %%)" % (
                       workload, m, change[m]["median"], parent[m]["median"],
                       100 * rel, 100 * bounds[m][1]))
+        for m, spread in w["unresolved"].items():
+            print("UNRESOLVED on %s %s: parent q3 - q1 is %.1f %% of its "
+                  "median %.4g, wider than the %.0f %% bound, and not every "
+                  "change run reads better than every parent run" % (
+                      workload, m, 100 * spread, parent[m]["median"],
+                      100 * bounds[m][1]))
     print("wrote %s" % out)
 
 

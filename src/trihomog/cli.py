@@ -14,7 +14,7 @@ import sys
 
 from .limit1d import (DEFAULT_ELEMENTS, LimitBC, check_spectrum_args,
                       solve_limit_spectrum)
-from .oscillation import PerturbationParams, load_profile
+from .oscillation import PerturbationParams, ProfileError, load_profile
 from .sweep import (SweepConfig, SweepError, default_profile, load_config,
                     run_cell_k, run_converge, run_verify, write_json)
 
@@ -50,8 +50,11 @@ def _cmd_cell_k(args):
     if args.cutoff is not None and args.cutoff < 0:
         raise InputError("--cutoff must be >= 0, got %d" % args.cutoff)
     profile = _load_profile_arg(args.profile)
-    report, agreed = run_cell_k(profile, out_path=args.out,
-                                cutoff=args.cutoff)
+    try:
+        report, agreed = run_cell_k(profile, out_path=args.out,
+                                    cutoff=args.cutoff)
+    except ProfileError as err:
+        raise InputError(str(err))
     print("K_energy       %.17g" % report.k_energy)
     print("K_boundary     %.17g" % report.k_boundary)
     print("K_testfunction %.17g" % report.k_testfunction)
@@ -171,9 +174,11 @@ def build_parser():
                    help="profile for --K auto (default: 1 + cos(2 pi y))")
     p.add_argument("--modes", type=int, default=8,
                    help="tangential mode cutoff: modes |m| <= this are "
-                        "walked, and a mode that an inertia count certifies "
-                        "empty below the count-th eigenvalue is skipped "
-                        "(recorded under 'modes' in --out)")
+                        "the parts of the spectrum walk "
+                        "(numerics.walk_spectrum), which skips a mode that "
+                        "an inertia count certifies empty below the "
+                        "count-th eigenvalue (one record per mode under "
+                        "'modes' in --out)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--out", default="", help="output spectrum JSON")
     p.set_defaults(func=_cmd_limit_spec)

@@ -45,7 +45,7 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import inertia_check, solve_linear, solve_smallest
+from .numerics import solve_linear, solve_smallest, walk_spectrum
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -412,20 +412,11 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     energies.  The form contains + int u^2, so the spectrum sits above 1
     and the shift 0.5 lies safely below it.
 
-    The pencils are walked in order p = 0, 1, ..., P/2, and each is first
-    put to ``numerics.inertia_check`` with the refined eigenvalues found so
-    far (with multiplicity) and the largest |refined - raw| of the pairs
-    solved so far (refinement can move a raw Ritz value far, so the shift's
-    margin must cover that move).  A pencil certified empty cannot supply
-    one of the first ``count`` values and is skipped; any other answer means
-    it is solved.  Skipping only drops candidates that the merge would not
-    take, so the eigenvalues are bit-identical to solving every pencil.
-    ``pencils`` of the result records each pencil: p, theta, status
-    ("solved" or "certified"), the ``count_below`` answer and the shift of
-    its check (None when unchecked), its refined eigenvalues, how many of
-    the returned eigenvalues it supplies, and its seconds.
-    ``assembly_seconds`` counts the row geometry and the period blocks;
-    ``solve_seconds`` starts after them."""
+    The pencils p = 0, 1, ..., P/2 are the parts of
+    ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
+    a pencil certified empty; ``pencils`` of the result holds its records,
+    labelled by p and theta.  ``assembly_seconds`` counts the row geometry
+    and the period blocks; ``solve_seconds`` starts after them."""
     check_count(count)
     if assembly is None:
         assembly = EpsAssembly(problem,
@@ -437,52 +428,38 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     epp = problem.elements_per_period
     topo = assembly.columns // epp
     mid = (epp, 2 * epp)
-    found = []
-    pencils = []
-    move = 0.0
-    for p in range(P // 2 + 1):
-        t_p = time.perf_counter()
+
+    def part(p):
         theta = 2.0 * np.pi * p / P
         Ah = _bloch_pencil(stiffness, p, P)
         Bh = _bloch_pencil(mass, p, P)
-        mult = 2 if (0 < p < P / 2) else 1
-        values = [r[0] for r in found for _ in range(r[2])]
-        record = {"p": p, "theta": theta,
-                  **inertia_check(Ah, Bh, values, count, move),
-                  "eigenvalues": [], "kept": 0}
-        pencils.append(record)
-        if record["status"] == "solved":
-            k = min(count, m - 1)
-            lam, vec = solve_smallest(Ah, Bh, k, 0.5)
+
+        def solve():
+            lam, vec = solve_smallest(Ah, Bh, min(count, m - 1), 0.5)
             phases = np.exp(1j * theta * np.arange(topo))
-            for j in range(k):
+            values = []
+            for v in vec.T:
                 # Rayleigh quotient through the quadrature energies of the
                 # Bloch field over one period (assembled as the middle block
                 # of the ring); real and imaginary parts add for the
                 # sesquilinear forms.  Every candidate is refined *before*
-                # the merge sort: raw Ritz values at production sizes carry
+                # the merge: raw Ritz values at production sizes carry
                 # enough roundoff that the cross-block ordering can be wrong.
-                v = vec[:, j]
                 ring = (phases[:, None] * v[None, :]).ravel()
                 ea, eb = assembly.energies(ring.real, col_range=mid)
                 if np.iscomplexobj(v) and np.any(v.imag):
                     ea2, eb2 = assembly.energies(ring.imag, col_range=mid)
                     ea, eb = ea + ea2, eb + eb2
-                value = ea / eb
-                move = max(move, abs(value - lam[j]))
-                found.append((value, p, mult))
-                record["eigenvalues"].append(float(value))
-        record["seconds"] = time.perf_counter() - t_p
-    found.sort(key=lambda r: r[0])
-    lams = []
-    for lam, p, mult in found:
-        if len(lams) >= count:
-            break
-        taken = min(mult, count - len(lams))
-        lams.extend([lam] * taken)
-        pencils[p]["kept"] += taken
-    lam = np.sort(np.array(lams))
-    return EpsEigenResult(problem=problem, eigenvalues=lam, dof=P * m,
+                values.append(ea / eb)
+            return values, max(abs(a - b) for a, b in zip(values, lam))
+        return ({"p": p, "theta": theta}, (Ah, Bh),
+                2 if 0 < p < P / 2 else 1, solve)
+
+    taken, pencils = walk_spectrum((part(p) for p in range(P // 2 + 1)),
+                                   count)
+    return EpsEigenResult(problem=problem,
+                          eigenvalues=np.array([t[0] for t in taken]),
+                          dof=P * m,
                           assembly_seconds=(assembly.geometry_seconds
                                             + t_solve - t0),
                           solve_seconds=time.perf_counter() - t_solve,

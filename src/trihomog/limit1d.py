@@ -31,8 +31,8 @@ from scipy.optimize import brentq
 
 from .hermite import (graded_mesh, build_space_1d, assemble_quadratic,
                       quadratic_energy, evaluate_fe, assemble_rhs, is_integer)
-from .numerics import (SolverError, inertia_check, solve_smallest,
-                       solve_linear)
+from .numerics import (SolverError, solve_smallest, solve_linear,
+                       walk_spectrum)
 
 LIMIT_KINDS = ("intermediate", "strange", "dirichlet")
 
@@ -203,7 +203,7 @@ def _secular_bottom(S0, M, K, idx, lam1):
 def solve_mode(bc, m, count, space, matrices):
     """Lowest eigenpairs of the mode-m reduced problem, and the largest
     change |refined - raw Ritz value| of the pairs it refined (the margin
-    the inertia checks of solve_limit_spectrum must cover).  ``matrices``
+    the inertia checks of numerics.walk_spectrum must cover).  ``matrices``
     are the mode's stiffness S0 (mode_stiffness), the regime's stiffness S
     (_with_strange_term) and the mass M, which the caller builds once for
     the mode's inertia check and its solve.
@@ -258,11 +258,9 @@ def solve_mode(bc, m, count, space, matrices):
 class LimitSpectrum:
     """Merged low spectrum of the 2D limit problem: entries are
     (eigenvalue, tangential mode m, within-mode index), sorted by
-    (eigenvalue, |m|, m).  ``modes`` records each mode m = 0..cutoff of the
-    walk (see solve_limit_spectrum): m, status ("solved" or "certified"),
-    the ``count_below`` answer and the shift of its check (None when
-    unchecked), its refined eigenvalues, and how many entries it supplies
-    (m and -m together)."""
+    eigenvalue, ties in walk order (|m|, index, -m before m).  ``modes``
+    holds one numerics.walk_spectrum record per mode m = 0..cutoff,
+    labelled by m (``kept`` counts m and -m together)."""
     bc: LimitBC
     entries: tuple
     cutoff: int
@@ -301,46 +299,29 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
                          n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
     the reduced eigenproblem, m != 0 entries duplicated onto -m (exact mode
-    symmetry of the real form), merged, and the lowest ``count`` kept.
-
-    The modes are walked in order m = 0, 1, ..., cutoff, the way
-    epsdomain.solve_eps_spectrum_bloch walks its Bloch pencils: each mode's
-    pencil is first put to ``numerics.inertia_check`` with the refined
-    eigenvalues found so far (with their +-m multiplicity) and the largest
-    refinement move of the modes solved so far, and a mode certified empty
-    is skipped.  It could supply none of the ``count`` smallest values, so
-    the entries are bit-identical to solving every mode, for every boundary
-    condition, the runaway of the literal -K sign included.  ``modes`` of
-    the result records the walk."""
+    symmetry of the real form), merged, and the lowest ``count`` kept.  The
+    modes m = 0, 1, ..., cutoff are the parts of ``numerics.walk_spectrum``
+    (multiplicity 2 for m > 0, the copies taken as -m, then m), which skips
+    a mode certified empty; ``modes`` of the result holds its records."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
     k = min(count, space.n_free)
-    entries, values, modes = [], [], []
-    move = 0.0
-    # each mode's matrices are assembled once, for its check and its solve;
     # the mass matrix is the same for every mode
     M = assemble_quadratic(space, MASS_WEIGHTS)
-    for m in range(cutoff + 1):
+
+    def part(m):
+        # the mode's matrices are assembled once, for its check and its solve
         S0 = mode_stiffness(2.0 * np.pi * m, space)
         S = _with_strange_term(bc, S0, space)
-        record = {"m": m, **inertia_check(S, M, values, count, move),
-                  "eigenvalues": [], "kept": 0}
-        modes.append(record)
-        if record["status"] == "certified":
-            continue
-        lam, _, lam_move = solve_mode(bc, m, k, space, (S0, S, M))
-        move = max(move, lam_move)
-        record["eigenvalues"] = [float(v) for v in lam]
-        for idx, value in enumerate(record["eigenvalues"]):
-            entries.append((value, m, idx))
-            values.append(value)
-            if m > 0:
-                entries.append((value, -m, idx))
-                values.append(value)
-    entries.sort(key=lambda e: (e[0], abs(e[1]), e[1]))
-    entries = tuple(entries[:count])
-    for _, m, _ in entries:
-        modes[abs(m)]["kept"] += 1
+
+        def solve():
+            lam, _, move = solve_mode(bc, m, k, space, (S0, S, M))
+            return lam, move
+        return {"m": m}, (S, M), 2 if m else 1, solve
+
+    taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
+    entries = tuple((value, m if c else -m, idx)
+                    for value, m, idx, c in taken)
     return LimitSpectrum(bc=bc, entries=entries, cutoff=cutoff,
                          n_elements=n_elements, modes=tuple(modes))
 

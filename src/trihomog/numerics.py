@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -162,31 +163,55 @@ def count_below(A, B, shift):
     return int(np.count_nonzero(pivots < 0))
 
 
-def inertia_check(A, B, values, count, move):
-    """The check that lets a walk over independent parts of one spectrum
-    (the Bloch pencils of epsdomain, the tangential modes of limit1d) skip
-    the pencil (A, B), as the record fields {"status", "below", "shift"}.
+def walk_spectrum(parts, count):
+    """The ``count`` smallest values of a union of independent spectra (the
+    tangential modes of limit1d, the Bloch pencils of epsdomain), and one
+    record per part.
 
-    ``values`` are the refined eigenvalues found so far, each repeated by
-    its multiplicity, and ``move`` is the largest |refined - raw Ritz
-    value| of the pencils solved so far.  While fewer than ``count`` values
-    are in hand the pencil is solved unchecked (below and shift None).
-    Otherwise ``count_below`` is asked at the shift
+    ``parts`` yields, in walk order, (label, (A, B), mult, solve): the dict
+    that opens the part's record, its Hermitian pencil, the copies of each
+    of its values in the union (2 for a conjugate pair), and a callable
+    returning its refined eigenvalues and their largest |refined - raw|.
 
-        s = lam* + max(1e-3 |lam*|, 10 move),
+    While fewer than ``count`` values (with copies) are in hand a part is
+    solved unchecked (below and shift None).  Otherwise ``count_below`` is
+    asked at s = lam* + max(1e-3 |lam*|, 10 move), where lam* is the
+    count-th smallest value and move the largest refinement move so far,
+    which the margin covers.  Only the answer 0 certifies the part empty.
+    It is skipped: it cannot supply one of the ``count`` smallest values,
+    so the result has the bits of a walk that solves every part.
 
-    where lam* is the count-th smallest value; the margin covers the move
-    of refinement.  The status is "certified" (empty, skipped) only when
-    the answer is 0; any other answer, None included, means "solved".  A
-    certified pencil cannot supply one of the ``count`` smallest values, so
-    a walk that skips it returns the bits of one that solves every pencil."""
-    if len(values) < count:
-        return {"status": "solved", "below": None, "shift": None}
-    lam_star = sorted(values)[count - 1]
-    shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
-    below = count_below(A, B, shift)
-    return {"status": "certified" if below == 0 else "solved",
-            "below": below, "shift": shift}
+    The merge sorts by value, ties going to the earlier part and then to
+    the earlier index in it, and takes the ``count`` smallest copies.
+    Returns (taken, records): each copy taken as (value, part, index in the
+    part, copy), and per part its label followed by status ("solved" or
+    "certified"), below, shift, eigenvalues, kept (its copies taken) and
+    seconds (building the part included)."""
+    records, found = [], []     # every copy: (value, part, index, copy)
+    move = 0.0
+    start = time.perf_counter()
+    for i, (label, (A, B), mult, solve) in enumerate(parts):
+        below = shift = None
+        if len(found) >= count:
+            lam_star = sorted(found)[count - 1][0]
+            shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
+            below = count_below(A, B, shift)
+        record = {**label, "status": "certified" if below == 0 else "solved",
+                  "below": below, "shift": shift, "eigenvalues": [],
+                  "kept": 0}
+        if below != 0:
+            values, part_move = solve()
+            move = max(move, part_move)
+            record["eigenvalues"] = [float(v) for v in values]
+            found += [(v, i, j, c) for j, v in enumerate(record["eigenvalues"])
+                      for c in range(mult)]
+        record["seconds"] = time.perf_counter() - start
+        records.append(record)
+        start = time.perf_counter()
+    taken = sorted(found)[:count]
+    for _, i, _, _ in taken:
+        records[i]["kept"] += 1
+    return taken, records
 
 
 def solve_smallest(A, B, count, shift):

@@ -70,6 +70,10 @@ class SweepConfig:
     def __post_init__(self):
         # the solver modules' rules cover the other integer fields; 0 is the
         # production-rule sentinel of this one
+        for name in ("profile_path", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise SweepError("%s must be a string, got %r"
+                                 % (name, getattr(self, name)))
         if not is_integer(self.elements_per_period):
             raise SweepError("elements_per_period must be an integer, got %r"
                              % (self.elements_per_period,))
@@ -206,7 +210,11 @@ def run_cell_k(profile, out_path=None, cutoff=None):
     if cutoff is not None:
         kept = {k: v for k, v in profile.coefficients.items()
                 if max(abs(c) for c in k) <= cutoff}
-        profile = OscillationProfile(profile.dim, kept)
+        try:
+            profile = OscillationProfile(profile.dim, kept)
+        except ProfileError as err:
+            raise ProfileError("the profile truncated at cutoff %d: %s"
+                               % (cutoff, err)) from None
     report = compute_k_report(profile)
     if out_path:
         write_json(out_path, report.to_dict())

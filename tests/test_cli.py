@@ -57,7 +57,7 @@ def test_limit_spec_out_records_each_mode(capsys, tmp_path):
     assert [r["m"] for r in modes] == list(range(9))
     assert [r["status"] for r in modes] == ["solved"] * 2 + ["certified"] * 7
     assert set(modes[0]) == {"m", "status", "below", "shift", "eigenvalues",
-                             "kept"}
+                             "kept", "seconds"}
     assert modes[0]["below"] is None and modes[2]["below"] == 0
     assert [r["kept"] for r in modes[:2]] == [1, 2]
 
@@ -138,6 +138,8 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
     ("converge", "--config", {"eps_values": []}),
     ("converge", "--config", {"alphas": []}),
     ("converge", "--config", dict(TINY_CONFIG, eps_values=[0.25, 0.25])),
+    ("converge", "--config", {"profile_path": ["a"]}),
+    ("converge", "--config", dict(TINY_CONFIG, out_dir=7)),
     ("cell-k", "--profile", {"b0": 1.0}),
     ("cell-k", "--profile", {"dim": 1, "b0": 1.0, "modes": [{"re": 0.5}]}),
     ("limit-spec", "--bc", "int", "--K", "5"),
@@ -151,7 +153,8 @@ def test_eps_spec_eps_too_large_exits_2(capsys):
         "converge-cutoff-float", "converge-n-elements-1d-float",
         "converge-epp-float", "converge-n-layer-neg",
         "converge-eps-empty", "converge-alphas-empty",
-        "converge-eps-repeated",
+        "converge-eps-repeated", "converge-profile-path-list",
+        "converge-out-dir-int",
         "profile-no-dim", "profile-mode-no-k", "limit-int-k-number",
         "limit-dir-k-zero"])
 def test_out_of_range_input_exits_2(capsys, tmp_path, argv):
@@ -169,6 +172,24 @@ def test_out_of_range_input_exits_2(capsys, tmp_path, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
     assert not stdout
+
+
+def test_cell_k_cutoff_that_leaves_a_negative_profile_exits_2(capsys,
+                                                              tmp_path):
+    # b = 0.8 + cos 2 pi y + 0.3 cos 4 pi y is non-negative (min 0.1); its
+    # modes |k| <= 1 alone, 0.8 + cos 2 pi y, are not
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"dim": 1, "b0": 0.8, "modes": [
+        {"k": [1], "re": 0.5}, {"k": [-1], "re": 0.5},
+        {"k": [2], "re": 0.15}, {"k": [-2], "re": 0.15}]}))
+    code, _, _ = run_cli(capsys, "cell-k", "--profile", str(path))
+    assert code == 0
+    code, stdout, err = run_cli(capsys, "cell-k", "--profile", str(path),
+                                "--cutoff", "1")
+    assert code == 2 and not stdout
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert "cutoff 1" in lines[0] and "negative" in lines[0]
 
 
 def test_converge_with_config(capsys, tmp_path):

@@ -16,7 +16,7 @@ from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
                                 _bloch_pencil)
 from trihomog.limit1d import LimitBC, limit_space
 from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
-                               solve_linear, solve_smallest)
+                               solve_linear, solve_smallest, walk_spectrum)
 from trihomog.oscillation import PerturbationParams
 from trihomog.sweep import default_profile
 
@@ -272,6 +272,49 @@ def test_count_below_refuses_a_singular_shift():
     assert count_below(A, B, 3.0) is None
     D = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
     assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
+
+
+def _walk_diagonal_parts(solved):
+    """walk_spectrum parts of diagonal pencils whose solves return the
+    diagonal and no refinement move; ``solved`` collects the names of the
+    parts solved.  With count 4: a and b are solved unchecked (3 values in
+    hand, then 7); c is certified empty below the shift 3 + 3e-3; d is
+    checked (one value below) and solved, but supplies nothing."""
+    for name, diag, mult in (("a", [1.0, 2.0, 3.0], 1), ("b", [3.0, 9.0], 2),
+                             ("c", [20.0, 30.0], 2), ("d", [3.001, 60.0], 1)):
+        def solve(name=name, diag=diag):
+            solved.append(name)
+            return diag, 0.0
+        yield ({"name": name},
+               (sparse.diags(diag).tocsc(), sparse.identity(len(diag),
+                                                            format="csc")),
+               mult, solve)
+
+
+def test_walk_spectrum_skips_merges_and_records(monkeypatch):
+    solved = []
+    taken, records = walk_spectrum(_walk_diagonal_parts(solved), 4)
+    assert solved == ["a", "b", "d"]
+    assert [(r["status"], r["below"]) for r in records] == [
+        ("solved", None), ("solved", None), ("certified", 0), ("solved", 1)]
+    assert records[2]["shift"] == 3.0 + 3e-3
+    assert records[2]["eigenvalues"] == []
+    # the exact tie at 3 goes to the earlier part a, so only one copy of
+    # b's pair fits below the count: b is split at the boundary
+    assert taken == [(1.0, 0, 0, 0), (2.0, 0, 1, 0), (3.0, 0, 2, 0),
+                     (3.0, 1, 0, 0)]
+    assert [r["kept"] for r in records] == [3, 1, 0, 0]
+    for rec in records:
+        assert list(rec) == ["name", "status", "below", "shift",
+                             "eigenvalues", "kept", "seconds"]
+        assert rec["seconds"] >= 0.0
+    # a check that never answers solves every part, to the same result
+    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
+    every, full = walk_spectrum(_walk_diagonal_parts(solved), 4)
+    assert every == taken
+    assert [r["status"] for r in full] == ["solved"] * 4
+    assert [r["kept"] for r in full] == [r["kept"] for r in records]
+    assert min(full[2]["eigenvalues"]) > records[2]["shift"]
 
 
 def _assert_same_csc(X, Y):

@@ -33,6 +33,17 @@ def test_config_validation():
         SweepConfig(eps_values=(0.3,))
 
 
+@pytest.mark.parametrize("data", [{"profile_path": ["a"]},
+                                  {"out_dir": 7}, {"profile_path": 5}],
+                         ids=["profile-path-list", "out-dir-int",
+                              "profile-path-int"])
+def test_config_paths_must_be_strings(data):
+    # rejected when read: not a TypeError in open(), not a failed makedirs
+    # after the solves, and no read of a file descriptor number
+    with pytest.raises(SweepError, match="must be a string"):
+        config_from_dict(data)
+
+
 def test_config_roundtrip(tmp_path):
     data = {"alphas": [1.5, 2.0], "eps_values": [0.25, 0.125], "count": 2}
     cfg = config_from_dict(data)
