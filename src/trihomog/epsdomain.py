@@ -13,10 +13,10 @@ reference derivatives, and
 
 is integrated.  EpsAssembly computes the per-row chain-rule tables once,
 vectorised over whole horizontal element rows, and caches them: the
-high-accuracy energy evaluations (the eigenvalue solver's Rayleigh
-functional), the load vectors and the matrices reuse them.  The matrices
-are assembled only when read, from the element columns a solve needs, one
-element row after another in the calling thread.
+quadrature energies, the load vectors, the matrices and the least-squares
+factor of the stiffness reuse them.  The matrices are assembled only when
+read, from the element columns a solve needs, one element row after
+another in the calling thread.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
@@ -29,7 +29,11 @@ one Hermitian pencil per quasimomentum (solve_eps_spectrum_bloch), the
 Poisson problem as one Hermitian linear system per discrete Fourier mode of
 the load over the period blocks (solve_eps_poisson).  Neither solve
 builds the torus matrices: the blocks come from the epp + 1 element
-columns that touch period block 0.
+columns that touch period block 0.  The spectrum solves each pencil
+through the least-squares factor G_theta of its stiffness, built from the
+epp element columns of one period (_factor_blocks, _bloch_factor), so its
+eigenvalues do not carry the h^{-6} rounding of the assembled matrix; the
+assembled pencils only serve the inertia checks of the spectrum walk.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
                       is_integer, reference_table, scatter_elements, to_csr,
                       to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import solve_linear, solve_smallest, walk_spectrum
+from .numerics import Gram, solve_linear, solve_smallest, walk_spectrum
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -159,6 +164,24 @@ def _stiffness_elements(geo, cols):
     return np.matmul(Xr.transpose(0, 2, 1), Tq.reshape(-1, 36))  # (i,36,36)
 
 
+def _factor_elements(geo, cols):
+    """Least-squares factors R (len(cols), 36, 36) of the stiffness element
+    matrices of the element columns ``cols`` of one row: R' R equals the
+    element matrix of _stiffness_elements up to roundoff.  The 5 nq^2
+    weighted evaluation rows of an element, sqrt(mult_b w detJ) (C3 T)_b
+    for the four third derivatives b and sqrt(w detJ) T_0 for the value,
+    are reduced by one batched QR to the upper triangular R, the 36 rows
+    of G each element contributes (_factor_blocks)."""
+    C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
+    root = np.sqrt(detj[cols] * w[None, :])                      # (i,q)
+    Tq = T.transpose(1, 0, 2)                                    # (q,10,36)
+    D3 = np.matmul(C3[:, :, cols].transpose(2, 3, 0, 1), Tq)     # (i,q,4,36)
+    D3 *= (root[:, :, None] * np.sqrt(MULT3))[..., None]
+    rows = np.concatenate([D3, (root[:, :, None] * T[0])[:, :, None]],
+                          axis=2)                                # (i,q,5,36)
+    return np.linalg.qr(rows.reshape(len(cols), -1, 36), mode="r")
+
+
 def _mass_elements(geo, cols):
     """Mass element matrices of the element columns ``cols`` of one row,
     contracted over ``cols`` alone along the whole row's path (see
@@ -176,10 +199,11 @@ class EpsAssembly:
 
     ``__init__`` computes the chain-rule tables of every horizontal element
     row (_row_geometry) and caches them; the quadrature energies, the load
-    vector, the limit comparison and the matrices all read them.  The
-    matrices are assembled in the calling thread: ``stiffness`` and ``mass``
-    every column on first read, then kept; ``_matrix`` any subset of the
-    columns, which is how the Bloch path builds its period blocks."""
+    vector, the limit comparison, the matrices and the factor blocks
+    (_factor_blocks) all read them.  The matrices are assembled in the
+    calling thread: ``stiffness`` and ``mass`` every column on first read,
+    then kept; ``_matrix`` any subset of the columns, which is how the
+    Bloch path builds its period blocks."""
 
     def __init__(self, problem, columns=None):
         """``columns`` restricts the ring to that many tangential element
@@ -290,21 +314,17 @@ class EpsAssembly:
             out[k] = xe @ T[gi].T
         return out
 
-    def energies(self, free_vec, col_range=None):
+    def energies(self, free_vec):
         """(stiffness energy, mass energy) of a dof vector, evaluated by
         quadrature of the pulled-back derivatives (sum of squares; avoids
-        the h^{-6} cancellation of the matrix quadratic form).  ``col_range``
-        restricts the integral to a slice of element columns (the Bloch
-        path's per-period energies)."""
+        the h^{-6} cancellation of the matrix quadratic form)."""
         full = self.space.embed(np.asarray(free_vec, dtype=float))
-        sel = slice(None) if col_range is None else slice(*col_range)
         ea = eb = 0.0
         for geo in self._rows:
-            u = self._element_values(geo, full, range(len(IDX10)))[:, sel]
-            p = np.einsum('bgiq,giq->biq', geo["C3"][:, :, sel], u,
-                          optimize=True)
+            u = self._element_values(geo, full, range(len(IDX10)))
+            p = np.einsum('bgiq,giq->biq', geo["C3"], u, optimize=True)
             dens = np.einsum('b,biq->iq', MULT3, p ** 2) + u[0] ** 2
-            w = geo["detJ"][sel] * geo["w"][None, :]
+            w = geo["detJ"] * geo["w"][None, :]
             ea += float(np.sum(dens * w))
             eb += float(np.sum(u[0] ** 2 * w))
         return ea, eb
@@ -366,15 +386,8 @@ def _bloch_blocks(assembly, kinds):
     0..epp-1 and of the last column touch those rows, so only these epp + 1
     columns are assembled (EpsAssembly._matrix): their rows equal those of
     the whole assembly bit for bit."""
-    problem, space = assembly.problem, assembly.space
-    epp = problem.elements_per_period
-    topo = assembly.columns // epp
-    if topo < 3 or assembly.columns % epp:
-        raise EpsError("Bloch extraction needs >= 3 assembled periods")
-    n = space.n_free
-    if n % topo:
-        raise EpsError("free dofs are not tangentially block-structured")
-    m = n // topo
+    topo, m = _period_blocks(assembly)
+    epp = assembly.problem.elements_per_period
     cols = np.append(np.arange(epp), assembly.columns - 1)
     out = []
     for kind in kinds:
@@ -387,6 +400,62 @@ def _bloch_blocks(assembly, kinds):
             raise EpsError("coupling beyond neighbouring periods")
         out.append((C0, C1, Cm))
     return out, m
+
+
+def _period_blocks(assembly):
+    """Number of assembled periods and the period block size m of the free
+    dofs; EpsError unless the ring spans >= 3 whole periods."""
+    epp = assembly.problem.elements_per_period
+    topo = assembly.columns // epp
+    if topo < 3 or assembly.columns % epp:
+        raise EpsError("Bloch extraction needs >= 3 assembled periods")
+    n = assembly.space.n_free
+    if n % topo:
+        raise EpsError("free dofs are not tangentially block-structured")
+    return topo, n // topo
+
+
+def _factor_blocks(assembly):
+    """The period-column blocks (G1, G2) of the stiffness's least-squares
+    factor over one period, as CSR: the rows of G are the 36 rows of R
+    (_factor_elements) of each element of columns 0..epp-1, row after row;
+    G1 holds their columns on the free dofs of period block 0, G2 those on
+    block 1, which only the last column's right nodes touch.  For the
+    quasimomentum theta and z = exp(i theta), G_theta = G1 + z G2 has
+    G_theta^H G_theta = C0 + z C1 + conj(z) Cm of the stiffness blocks
+    (_bloch_blocks) up to roundoff: the ring is eps-periodic, so the
+    elements of period 0 stand in for those of the period before it."""
+    _, m = _period_blocks(assembly)
+    space = assembly.space
+    cols = np.arange(assembly.problem.elements_per_period)
+    upper = np.triu(np.ones((36, 36), dtype=bool))
+    parts = []
+    for j, geo in enumerate(assembly._rows):
+        R = _factor_elements(geo, cols)
+        first = (j * len(cols) + np.arange(len(cols))) * 36  # element's rows
+        r = np.broadcast_to((first[:, None] + np.arange(36))[:, :, None],
+                            R.shape)
+        c = np.broadcast_to(space.full_to_free[geo["dofs"][cols]][:, None],
+                            R.shape)
+        keep = upper & (c >= 0)
+        parts.append((r[keep], c[keep], R[keep]))
+    rows, free, vals = map(np.concatenate, zip(*parts))
+    if np.any(free >= 2 * m) or not np.all(np.isfinite(vals)):
+        raise EpsError("bad least-squares factor of the period")
+    shape = (len(assembly._rows) * len(cols) * 36, m)
+    return tuple(sparse.csr_matrix((vals[free // m == b],
+                                    (rows[free // m == b],
+                                     free[free // m == b] % m)), shape=shape)
+                 for b in (0, 1))
+
+
+def _bloch_factor(blocks, p, P):
+    """G_theta = G1 + z G2, z = exp(i theta), theta = 2 pi p / P, of the
+    factor blocks (G1, G2) (_factor_blocks); real at p = 0 and p = P/2,
+    where z is real."""
+    G1, G2 = blocks
+    z = np.exp(1j * (2.0 * np.pi * p / P))
+    return G1 + (z.real if p == 0 or 2 * p == P else z) * G2
 
 
 def _bloch_pencil(blocks, p, P):
@@ -407,61 +476,61 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     quasimomentum, merged with multiplicity two for conjugate pairs.  Exact
     for the discrete pencil up to the roundoff periodicity of the sampled
     coefficients; the one eps eigen entry point, since the full torus pencil
-    does not fit at production sizes.  Each eigenvalue is recomputed as a
-    quadrature-energy Rayleigh quotient of the eigenvector's per-period
-    energies.  The form contains + int u^2, so the spectrum sits above 1
-    and the shift 0.5 lies safely below it.
+    does not fit at production sizes.  Each pencil is solved through the
+    least-squares factor G_theta of its stiffness (_factor_blocks,
+    numerics.AugmentedLU), never through the assembled h^{-6} matrix, and
+    its eigenvalues are the Ritz values of the Gram matrix of G_theta V.
+    The form contains + int u^2, so the spectrum sits above 1 and the shift
+    0.5 lies safely below it.
 
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
-    a pencil certified empty; ``pencils`` of the result holds its records,
-    labelled by p and theta.  ``assembly_seconds`` counts the row geometry
-    and the period blocks; ``solve_seconds`` starts after them."""
+    a pencil that ``count_below`` certifies empty on its assembled matrices.
+    A solve's move is the largest gap between a factored eigenvalue and the
+    Rayleigh quotient of its eigenvector on the assembled pencil, which the
+    walk's check shift covers.  ``pencils`` of the result holds the walk's
+    records, labelled by p and theta; a solved pencil's record also holds
+    the solver record of numerics.solve_smallest (n, nnz of G_theta, fill,
+    pivoting, move, factorizations, block_solves, rounds, residual, gate).
+    ``assembly_seconds`` counts the row geometry, the period blocks and the
+    factor blocks; ``solve_seconds`` starts after them."""
     check_count(count)
     if assembly is None:
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)
     t0 = time.perf_counter()
     (stiffness, mass), m = _bloch_blocks(assembly, ("stiffness", "mass"))
+    factor = _factor_blocks(assembly)
     t_solve = time.perf_counter()
+    assembly_seconds = assembly.geometry_seconds + t_solve - t0
+    # the walk reads the blocks alone; unless the caller holds the assembly,
+    # its row tables, most of the ring's memory, are freed before the solves
+    del assembly
     P = problem.params.periods
-    epp = problem.elements_per_period
-    topo = assembly.columns // epp
-    mid = (epp, 2 * epp)
+    solved = {}
 
     def part(p):
-        theta = 2.0 * np.pi * p / P
         Ah = _bloch_pencil(stiffness, p, P)
         Bh = _bloch_pencil(mass, p, P)
 
         def solve():
-            lam, vec = solve_smallest(Ah, Bh, min(count, m - 1), 0.5)
-            phases = np.exp(1j * theta * np.arange(topo))
-            values = []
-            for v in vec.T:
-                # Rayleigh quotient through the quadrature energies of the
-                # Bloch field over one period (assembled as the middle block
-                # of the ring); real and imaginary parts add for the
-                # sesquilinear forms.  Every candidate is refined *before*
-                # the merge: raw Ritz values at production sizes carry
-                # enough roundoff that the cross-block ordering can be wrong.
-                ring = (phases[:, None] * v[None, :]).ravel()
-                ea, eb = assembly.energies(ring.real, col_range=mid)
-                if np.iscomplexobj(v) and np.any(v.imag):
-                    ea2, eb2 = assembly.energies(ring.imag, col_range=mid)
-                    ea, eb = ea + ea2, eb + eb2
-                values.append(ea / eb)
-            return values, max(abs(a - b) for a, b in zip(values, lam))
-        return ({"p": p, "theta": theta}, (Ah, Bh),
+            stats = solved[p] = {}
+            lam, vec = solve_smallest(Gram(_bloch_factor(factor, p, P)), Bh,
+                                      min(count, m - 1), 0.5, stats=stats)
+            assembled = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
+                         / np.sum(vec.conj() * (Bh @ vec), axis=0).real)
+            return lam, float(np.max(np.abs(lam - assembled)))
+        return ({"p": p, "theta": 2.0 * np.pi * p / P}, (Ah, Bh),
                 2 if 0 < p < P / 2 else 1, solve)
 
     taken, pencils = walk_spectrum((part(p) for p in range(P // 2 + 1)),
                                    count)
+    for record in pencils:
+        record.update(solved.get(record["p"], {}))
     return EpsEigenResult(problem=problem,
                           eigenvalues=np.array([t[0] for t in taken]),
                           dof=P * m,
-                          assembly_seconds=(assembly.geometry_seconds
-                                            + t_solve - t0),
+                          assembly_seconds=assembly_seconds,
                           solve_seconds=time.perf_counter() - t_solve,
                           pencils=pencils)
 

@@ -9,7 +9,8 @@ import pytest
 
 from trihomog import epsdomain, jets, numerics
 from trihomog.epsdomain import (IDX3, IDX10, MULT3, EpsAssembly, EpsError,
-                                EpsProblem, _bloch_blocks, _mass_elements,
+                                EpsProblem, _bloch_blocks, _bloch_factor,
+                                _bloch_pencil, _factor_blocks, _mass_elements,
                                 _stiffness_elements, compare_to_limit,
                                 solve_eps_poisson, solve_eps_spectrum_bloch,
                                 vertical_mesh)
@@ -240,11 +241,64 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     data = json.loads(path.read_text())
     assert [r["status"] for r in data["pencils"]] == \
         ["solved", "solved", "certified", "certified", "certified"]
-    assert set(data["pencils"][0]) == {"p", "theta", "status", "below",
-                                       "shift", "eigenvalues", "kept",
-                                       "seconds"}
+    walk = ["p", "theta", "status", "below", "shift", "eigenvalues", "kept",
+            "seconds"]
+    solver = ["n", "nnz", "fill", "pivoting", "move", "factorizations",
+              "block_solves", "rounds", "residual", "gate"]
+    assert list(data["pencils"][0]) == walk + solver
+    assert list(data["pencils"][2]) == walk
     assert data["pencils"][0]["below"] is None
     assert data["pencils"][1]["below"] == 2
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p):
+    # G_theta from the factor blocks of one period against the assembled
+    # Bloch stiffness: real at p = 0, complex at p = 1
+    prob, ring = critical_ring
+    P = prob.params.periods
+    (stiffness,), m = _bloch_blocks(ring, ("stiffness",))
+    A = _bloch_pencil(stiffness, p, P)
+    G = _bloch_factor(_factor_blocks(ring), p, P)
+    assert G.shape == (ring.space.vmesh.n_elements
+                       * prob.elements_per_period * 36, m)
+    assert np.iscomplexobj(G) == np.iscomplexobj(A) == (p == 1)
+    assert abs(G.conj().T @ G - A).max() <= 1e-14 * abs(A).max()
+
+
+@pytest.mark.parametrize("den", [64, 128, 256])
+def test_flat_factored_ground_state_matches_the_limit(den):
+    # with g = 0 the p = 0 pencil is the 1D intermediate mode-0 pencil on
+    # the same vertical mesh; the assembled h^{-6} stiffness lost this
+    # agreement below eps = 1/32, the factored solve keeps it, falling back
+    # to the pivoted factor where the unpivoted one would not do
+    eps = 1.0 / den
+    prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
+                      elements_per_period=4)
+    res = solve_eps_spectrum_bloch(prob, 1)
+    ref = solve_limit_spectrum(
+        LimitBC("intermediate"), count=1,
+        mesh=vertical_mesh(eps, prob.n_coarse, prob.n_layer)).eigenvalues()
+    assert abs(res.eigenvalues[0] - ref[0]) <= 1e-9 * ref[0]
+    if den >= 128:
+        assert res.pencils[0]["pivoting"] == "pivoted"
+
+
+@pytest.mark.parametrize("alpha, eps, epp", [(1.0, 0.125, 32),
+                                             (1.5, 0.0625, 16)])
+def test_benchmark_cases_solve_unpivoted(cosine_profile, alpha, eps, epp):
+    # the two eps-spec cases of the bloch_spectra benchmark: one unpivoted
+    # factor per solved pencil, converged well inside the round cap
+    prob = EpsProblem(cosine_profile, PerturbationParams(eps, alpha),
+                      elements_per_period=epp)
+    res = solve_eps_spectrum_bloch(prob, 3)
+    solved = [r for r in res.pencils if r["status"] == "solved"]
+    assert [r["p"] for r in solved] == [0, 1]
+    for rec in solved:
+        assert rec["pivoting"] == "unpivoted"
+        assert rec["factorizations"] == 1
+        assert rec["rounds"] <= 6
+        assert rec["residual"] <= rec["gate"] == numerics.EIGEN_TOL
 
 
 def test_bloch_needs_three_periods(cosine_profile):

@@ -15,8 +15,9 @@ from trihomog import numerics
 from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
                                 _bloch_pencil)
 from trihomog.limit1d import LimitBC, limit_space
-from trihomog.numerics import (EquilibratedLU, SolverError, count_below,
-                               solve_linear, solve_smallest, walk_spectrum)
+from trihomog.numerics import (AugmentedLU, EquilibratedLU, Gram, SolverError,
+                               count_below, solve_linear, solve_smallest,
+                               walk_spectrum)
 from trihomog.oscillation import PerturbationParams
 from trihomog.sweep import default_profile
 
@@ -47,13 +48,7 @@ def _random_spd_pencil(rng, n=50, spread=1e6):
     return sparse.csr_matrix(0.5 * (A + A.T)), sparse.csr_matrix(0.5 * (B + B.T))
 
 
-def test_random_pencil_against_dense_oracle(monkeypatch):
-    # a dense-seeded pencil (n < 600, like every 1D limit pencil) solves
-    # its columns in the calling thread, without a pool
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a small pencil opened a thread pool")
-
-    monkeypatch.setattr(numerics, "ThreadPoolExecutor", no_pool)
+def test_random_pencil_against_dense_oracle():
     rng = np.random.default_rng(12)
     A, B = _random_spd_pencil(rng)
     dense = np.sort(eigh(A.toarray(), B.toarray(), eigvals_only=True))
@@ -171,10 +166,59 @@ def test_equilibrated_lu_solves_shifted_pencil():
     x = fac.d * fac.solve(fac.d * b)
     ref = np.linalg.solve(A.toarray() + B.toarray(), b)
     np.testing.assert_allclose(x, ref, rtol=1e-10)
-    np.testing.assert_array_equal(fac.operator().matvec(fac.d * b),
-                                  fac.solve(fac.d * b))
     y = fac.solve_refined(fac.d * b)
     np.testing.assert_allclose(fac.d * y, ref, rtol=1e-10)
+
+
+def _random_factor_pencil(rng, complex_entries, rows=120, n=40):
+    """A sparse least-squares factor G (rows x n, a few entries per row,
+    spread over six decades) and a positive definite B."""
+    G = sparse.random(rows, n, density=0.15, random_state=rng, format="csr")
+    G = G + sparse.identity(n, format="csr").tocsr()[rng.integers(0, n, rows)]
+    G = sparse.diags(np.geomspace(1.0, 1e3, rows)) @ G
+    if complex_entries:
+        G = G + 1j * sparse.diags(rng.normal(size=rows)) @ abs(G).sign()
+    _, B = _random_spd_pencil(rng, n=n)
+    return G.tocsr(), B
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_gram_pencil_against_dense_oracle(complex_entries):
+    rng = np.random.default_rng(59)
+    G, B = _random_factor_pencil(rng, complex_entries)
+    A = (G.conj().T @ G).toarray()
+    dense = eigh(A, B.toarray(), eigvals_only=True)
+    stats = {}
+    lam, vec = solve_smallest(Gram(G), B, 4, 0.5 * dense[0], stats=stats)
+    # a random start converges to the 1e-8 drift gate, not to the last bits
+    np.testing.assert_allclose(lam, dense[:4], rtol=1e-8)
+    np.testing.assert_allclose(vec.conj().T @ (B @ vec), np.eye(4),
+                               atol=1e-8)
+    assert stats["pivoting"] == "unpivoted" and stats["factorizations"] == 1
+    assert stats["n"] == 40 and stats["nnz"] == G.nnz
+    assert stats["residual"] <= stats["gate"] == numerics.EIGEN_TOL
+    assert stats["block_solves"] == 3 * (stats["rounds"] + 1)
+
+
+def test_augmented_lu_refactors_pivoted_on_a_large_move(monkeypatch):
+    # a move above PIVOT_MOVE in the first solve replaces the unpivoted
+    # factor by a pivoted one, once; the solve is then repeated
+    rng = np.random.default_rng(61)
+    G, B = _random_factor_pencil(rng, False)
+    C = rng.normal(size=(40, 3))
+    ref = AugmentedLU(G, B, -1.0)
+    X = ref.solve_refined(C)
+    dense = (G.T @ G).toarray() + B.toarray()
+    np.testing.assert_allclose(ref.d[:, None] * X,
+                               np.linalg.solve(dense, C / ref.d[:, None]),
+                               rtol=1e-9)
+    assert ref.pivoting == "unpivoted" and ref.move < numerics.PIVOT_MOVE
+    monkeypatch.setattr(numerics, "PIVOT_MOVE", -1.0)
+    fac = AugmentedLU(G, B, -1.0)
+    np.testing.assert_allclose(fac.solve_refined(C), X, rtol=1e-9)
+    fac.solve_refined(C)
+    assert (fac.pivoting, fac.factorizations, fac.solves) == ("pivoted", 2,
+                                                              9)
 
 
 def test_equilibrated_lu_nudges_singular_shift():
@@ -184,49 +228,6 @@ def test_equilibrated_lu_nudges_singular_shift():
     assert fac.sigma == pytest.approx(0.9)
     with pytest.raises(SolverError):
         EquilibratedLU(sparse.diags([1.0, 0.0, 3.0]).tocsc())
-
-
-def test_lanczos_seed_reuses_and_releases_the_factor(monkeypatch):
-    # eigsh gets the factor as OPinv, so a pencil large enough for the
-    # Lanczos seed is factored exactly once.  scipy's ARPACK wrapper for
-    # complex pencils leaves a reference cycle that holds OPinv; the factor
-    # must still be freed when the solve returns, not at some later garbage
-    # collection
-    import gc
-    import weakref
-    from scipy.sparse import linalg as spla
-    from scipy.sparse.linalg._eigen.arpack import arpack
-    factors = []
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            return self.lu.solve(b)
-
-    def recording(real):
-        def splu(*args, **kwargs):
-            factor = Factor(real(*args, **kwargs))
-            factors.append(weakref.ref(factor))
-            return factor
-        return splu
-
-    monkeypatch.setattr(spla, "splu", recording(spla.splu))
-    monkeypatch.setattr(arpack, "splu", recording(arpack.splu))
-    n = 800
-    off = -(1.0 + 0.1j) * np.ones(n - 1)
-    A = sparse.diags([off.conj(), 2.5 * np.ones(n), off], [-1, 0, 1]).tocsc()
-    B = sparse.identity(n, format="csc")
-    gc.disable()
-    try:
-        lam, _ = solve_smallest(A, B, 3, 0.0)
-        assert len(factors) == 1
-        assert factors[0]() is None
-    finally:
-        gc.enable()
-    ref = 2.5 - 2.0 * abs(off[0]) * np.cos(np.pi * np.arange(1, 4) / (n + 1))
-    np.testing.assert_allclose(lam, ref, rtol=1e-10)
 
 
 def _banded_hermitian_pencil(rng, n, complex_entries):
@@ -355,7 +356,7 @@ def test_equilibrate_equals_the_literal_product(case):
 def ring_pencils():
     """The real p = 0 and the complex p = 1 Bloch pencils of a small ring
     (eps = 1/4, 4 elements per period): 852 dofs, above the dense-seed
-    size, so their columns are solved on the thread pool."""
+    size, so their subspace iteration starts from a random block."""
     problem = EpsProblem(default_profile(), PerturbationParams(0.25, 2.0),
                          elements_per_period=4)
     (stiffness, mass), m = _bloch_blocks(EpsAssembly(problem, columns=12),
@@ -363,40 +364,6 @@ def ring_pencils():
     assert m > 600
     return [(_bloch_pencil(stiffness, p, 4), _bloch_pencil(mass, p, 4))
             for p in (0, 1)]
-
-
-def test_column_threads_do_not_change_the_bits(ring_pencils, monkeypatch):
-    # each column keeps its own arithmetic and its place in the block, so
-    # the pool's worker count cannot show in the result
-    workers = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
-    for A, B in ring_pencils:
-        runs = []
-        for cpus in ({0, 1, 2}, {0}):
-            with monkeypatch.context() as affinity:
-                affinity.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                                 raising=False)
-                runs.append(solve_smallest(A, B, 3, 0.5))
-        (lam, vec), (lam1, vec1) = runs
-        assert lam.dtype == lam1.dtype and vec.dtype == vec1.dtype
-        assert np.array_equal(lam, lam1) and np.array_equal(vec, vec1)
-    assert workers == [3, 1, 3, 1]
-    assert np.iscomplexobj(ring_pencils[1][0])
-
-
-def test_pool_size_without_an_affinity_mask(monkeypatch):
-    # platforms without sched_getaffinity (macOS, Windows) use every CPU
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert numerics._cpu_count() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert numerics._cpu_count() == 1
 
 
 def test_concurrent_refined_solves_match_sequential(ring_pencils):
@@ -465,7 +432,7 @@ def test_residual_floor_is_computed_once_for_a_failing_gate(ring_pencils,
 
     monkeypatch.setattr(numerics, "_residual_floor", counting_floor)
     monkeypatch.setattr(numerics, "_worst_residual",
-                        lambda fac, lam, vec, each: 1e6)
+                        lambda fac, lam, vec: 1e6)
     A, B = ring_pencils[0]
     with pytest.raises(SolverError) as err:
         solve_smallest(A, B, 2, 0.5)
