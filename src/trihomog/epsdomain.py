@@ -14,9 +14,11 @@ reference derivatives, and
 is integrated.  EpsAssembly computes the per-row chain-rule tables once,
 vectorised over whole horizontal element rows, and caches them: the
 quadrature energies, the load vectors, the matrices and the least-squares
-factor of the stiffness reuse them.  The matrices are assembled only when
-read, from the element columns a solve needs, one element row after
-another in the calling thread.
+factor of the stiffness reuse them.  The stiffness and its factor share
+one source, the weighted evaluation rows of each element (_element_rows):
+an element stiffness is their Gram matrix, its factor their QR triangle.
+The matrices are assembled only when read, from the element columns a
+solve needs, one element row after another in the calling thread.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
@@ -136,42 +138,13 @@ def _row_path(spec, shapes):
     return np.einsum_path(spec, *map(np.empty, shapes), optimize=True)[0]
 
 
-def _stiffness_elements(geo, cols):
-    """Stiffness element matrices (len(cols), 36, 36) of the element columns
-    ``cols`` of one row (_row_geometry): the weights W[i,q,g,d] = sum_b
-    mult_b C3[b,g] C3[b,d] detJ, plus the value-pair term detJ, give
-    elem = T' W T per element.  einsum(optimize=True) chooses its
-    contraction path by batch size, and the last bits follow the path, so W
-    is contracted over ``cols`` alone along the path chosen for the whole
-    row: that gives the bits of the whole row's W, sliced.  The stacked
-    matmuls that follow work element by element, so any subset of columns
-    gets the bits of the whole row."""
-    C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
-    spec = 'b,bgiq,bdiq,iq->iqgd'
-    path = _row_path(spec, (MULT3.shape, C3.shape, C3.shape, detj.shape))
-    C3c = C3[:, :, cols]
-    W = np.einsum(spec, MULT3, C3c, C3c, detj[cols], optimize=path)
-    # einsum can leave W quadrature-point-major (it does on a 128-column
-    # row, where the matmuls below then ran 2.7x slower); copy it
-    # element-major where it is not, the layout slicing the whole row's W
-    # gave
-    W = np.ascontiguousarray(W.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-    W[:, :, 0, 0] += detj[cols]
-    W *= w[None, :, None, None]
-    Tq = np.ascontiguousarray(T.transpose(1, 0, 2))              # (q,10,36)
-    X = np.matmul(W, Tq[None])                                   # (i,q,10,36)
-    Xr = X.reshape(len(cols), -1, 36)
-    return np.matmul(Xr.transpose(0, 2, 1), Tq.reshape(-1, 36))  # (i,36,36)
-
-
-def _factor_elements(geo, cols):
-    """Least-squares factors R (len(cols), 36, 36) of the stiffness element
-    matrices of the element columns ``cols`` of one row: R' R equals the
-    element matrix of _stiffness_elements up to roundoff.  The 5 nq^2
-    weighted evaluation rows of an element, sqrt(mult_b w detJ) (C3 T)_b
-    for the four third derivatives b and sqrt(w detJ) T_0 for the value,
-    are reduced by one batched QR to the upper triangular R, the 36 rows
-    of G each element contributes (_factor_blocks)."""
+def _element_rows(geo, cols):
+    """The 5 nq^2 weighted evaluation rows (len(cols), 5 nq^2, 36) of each
+    element of the element columns ``cols`` of one row (_row_geometry):
+    sqrt(mult_b w detJ) (C3 T)_b for the four third derivatives b and
+    sqrt(w detJ) T_0 for the value, so that rows' rows is the element
+    stiffness.  The products work element by element, so any subset of
+    columns gets the bits of the whole row."""
     C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
     root = np.sqrt(detj[cols] * w[None, :])                      # (i,q)
     Tq = T.transpose(1, 0, 2)                                    # (q,10,36)
@@ -179,13 +152,30 @@ def _factor_elements(geo, cols):
     D3 *= (root[:, :, None] * np.sqrt(MULT3))[..., None]
     rows = np.concatenate([D3, (root[:, :, None] * T[0])[:, :, None]],
                           axis=2)                                # (i,q,5,36)
-    return np.linalg.qr(rows.reshape(len(cols), -1, 36), mode="r")
+    return rows.reshape(len(cols), -1, 36)
+
+
+def _stiffness_elements(geo, cols):
+    """Stiffness element matrices (len(cols), 36, 36) of the element columns
+    ``cols`` of one row: the Gram matrices rows' rows of _element_rows."""
+    rows = _element_rows(geo, cols)
+    return np.matmul(rows.transpose(0, 2, 1), rows)
+
+
+def _factor_elements(geo, cols):
+    """Least-squares factors R (len(cols), 36, 36) of the stiffness element
+    matrices of the element columns ``cols`` of one row: the upper
+    triangles of one batched QR of _element_rows, the 36 rows of G each
+    element contributes (_factor_blocks)."""
+    return np.linalg.qr(_element_rows(geo, cols), mode="r")
 
 
 def _mass_elements(geo, cols):
-    """Mass element matrices of the element columns ``cols`` of one row,
-    contracted over ``cols`` alone along the whole row's path (see
-    _stiffness_elements)."""
+    """Mass element matrices of the element columns ``cols`` of one row.
+    einsum(optimize=True) chooses its contraction path by batch size, and
+    the last bits follow the path, so ``cols`` alone is contracted along the
+    path chosen for the whole row: that gives the bits of the whole row's
+    contraction, sliced."""
     Tv = geo["T"][0]                                             # (q,36)
     spec = 'iq,qa,qb->iab'
     dw = geo["detJ"] * geo["w"][None, :]
@@ -200,10 +190,11 @@ class EpsAssembly:
     ``__init__`` computes the chain-rule tables of every horizontal element
     row (_row_geometry) and caches them; the quadrature energies, the load
     vector, the limit comparison, the matrices and the factor blocks
-    (_factor_blocks) all read them.  The matrices are assembled in the
-    calling thread: ``stiffness`` and ``mass`` every column on first read,
-    then kept; ``_matrix`` any subset of the columns, which is how the
-    Bloch path builds its period blocks."""
+    (_factor_blocks) all read them, the stiffness and the factor blocks
+    through the same element rows (_element_rows).  The matrices are
+    assembled in the calling thread: ``stiffness`` and ``mass`` every
+    column on first read, then kept; ``_matrix`` any subset of the columns,
+    which is how the Bloch path builds its period blocks."""
 
     def __init__(self, problem, columns=None):
         """``columns`` restricts the ring to that many tangential element
@@ -290,7 +281,8 @@ class EpsAssembly:
         """The ``kind`` matrix ("stiffness" or "mass") on the free dofs,
         summing the elements of the ascending element columns ``cols`` of
         every row, row by row; the element matrices of a column equal those
-        of a whole-row assembly bit for bit (_stiffness_elements)."""
+        of a whole-row assembly bit for bit (_element_rows,
+        _mass_elements)."""
         elements = {"stiffness": _stiffness_elements,
                     "mass": _mass_elements}[kind]
         parts = []
@@ -385,7 +377,10 @@ def _bloch_blocks(assembly, kinds):
     The blocks are rows of period block 0, and only the elements of columns
     0..epp-1 and of the last column touch those rows, so only these epp + 1
     columns are assembled (EpsAssembly._matrix): their rows equal those of
-    the whole assembly bit for bit."""
+    the whole assembly bit for bit.  The stiffness elements are the Gram
+    matrices of the element rows (_element_rows) whose QR triangles make
+    the factor blocks (_factor_blocks), so G_theta^H G_theta matches the
+    stiffness pencil up to roundoff."""
     topo, m = _period_blocks(assembly)
     epp = assembly.problem.elements_per_period
     cols = np.append(np.arange(epp), assembly.columns - 1)

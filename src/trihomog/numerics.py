@@ -28,8 +28,8 @@ Both factors serve the one subspace iteration of ``solve_smallest`` through
 the same operations: a refined solve of a block of right sides (one
 multi-column triangular solve per step), A X, and X^H A X.  The iteration
 stops when the wanted Ritz values drift by less than 1e-8 between rounds
-and the residual gate passes.  Convergence is certified in the
-shift-inverted metric,
+and the residual gate passes, one gate for both factors.  Convergence is
+certified in the shift-inverted metric,
 
     || (A - sigma B)^{-1} (A x - lambda B x) || <= EIGEN_TOL * ||x||,
 
@@ -52,8 +52,8 @@ class SolverError(RuntimeError):
     pass
 
 
-EIGEN_TOL = 5e-5           # shift-inverted residual gate (with its floor)
-SEED = 20260824            # random start block and residual-floor probe
+EIGEN_TOL = 5e-5           # shift-inverted residual gate
+SEED = 20260824            # random start block
 AUG_SCALE = 1e-4           # a of AugmentedLU's scaled augmented system
 PIVOT_MOVE = 5e-5          # refinement move that refactors with pivoting
 PIVOT_THRESH = 0.01        # diag_pivot_thresh of that refactorization
@@ -388,52 +388,30 @@ def _subspace_iteration(fac, vec, k):
     """Shift-inverted subspace iteration with Rayleigh-Ritz from the block
     ``vec``, in equilibrated variables, until the wanted part of the block
     passes the convergence check; the k wanted Ritz pairs, checked against
-    the residual gate, and the record (rounds, residual, gate).  Every
-    solve takes the whole block as one right side.
-
-    The gate of an ``AugmentedLU`` is EIGEN_TOL.  That of an
-    ``EquilibratedLU`` is max(EIGEN_TOL, 20 * _residual_floor) with the
-    floor of the first round's Ritz values: a residual at or below
-    EIGEN_TOL passes it whatever the floor, so the floor is computed only
-    for the first residual above EIGEN_TOL, once."""
+    the residual gate EIGEN_TOL, and the record (rounds, residual, gate).
+    Every solve takes the whole block as one right side."""
     Bs = fac.Bs
-    lam = None
-    gate = EIGEN_TOL if isinstance(fac, AugmentedLU) else None
-
-    def passes(worst):
-        nonlocal gate
-        if worst <= EIGEN_TOL:
-            return True
-        if gate is None:
-            gate = max(EIGEN_TOL, 20.0 * _residual_floor(fac, first))
-        return worst <= gate
-
     prev = None
     for rounds in range(1, MAX_ROUNDS + 1):
         # MGS sums in the block's memory layout: keep it in C order
         vec = _b_orthonormalize(
             Bs, np.ascontiguousarray(fac.solve_refined(Bs @ vec)))
         lam, vec = _rayleigh_ritz(fac, Bs, vec)
-        # stop only once the wanted Ritz values have stopped moving *and* the
-        # residual gate passes: a floor-limited gate alone can admit a block
-        # that shift-inverted iteration is still improving
-        if prev is None:
-            first = lam[:k].copy()
-        else:
+        if prev is not None:
             drift = np.max(np.abs(lam[:k] - prev) / np.maximum(np.abs(prev),
                                                                1e-300))
             if drift < 1e-8:
                 worst = _worst_residual(fac, lam[:k], vec[:, :k])
-                if passes(worst):
+                if worst <= EIGEN_TOL:
                     break
         prev = lam[:k].copy()
     else:
         worst = _worst_residual(fac, lam[:k], vec[:, :k])
-        if not passes(worst):
+        if worst > EIGEN_TOL:
             raise SolverError("shift-inverted eigen residual %.3e exceeds "
-                              "gate %.1e" % (worst, gate))
+                              "gate %.1e" % (worst, EIGEN_TOL))
     return lam[:k], vec[:, :k], {"rounds": rounds, "residual": worst,
-                                 "gate": EIGEN_TOL if gate is None else gate}
+                                 "gate": EIGEN_TOL}
 
 
 def _initial_block(fac, count):
@@ -477,31 +455,6 @@ def _rayleigh_ritz(fac, Bs, X):
     Bh = X.conj().T @ (Bs @ X)
     lam, S = eigh(0.5 * (Ah + Ah.conj().T), 0.5 * (Bh + Bh.conj().T))
     return lam, X @ S
-
-
-def _residual_floor(fac, lam):
-    """Roundoff floor of the shift-inverted residual measurement: forming
-    A x - lambda B x on an exact eigenvector already leaves noise of size
-    eps * (||A|| + |lambda| ||B||) * ||x||, which the solve then multiplies
-    by ||(A - sigma B)^{-1}||.  Residuals cannot certify below this level no
-    matter how accurate the pair is, so the convergence gate is the larger
-    of EIGEN_TOL and a modest multiple of this floor."""
-    n = fac.As.shape[0]
-    rng = np.random.default_rng(SEED + 1)
-    x = rng.standard_normal(n)
-    if np.iscomplexobj(fac.As):
-        x = x + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    inv_norm = 0.0
-    for _ in range(8):
-        x = fac.solve(x)
-        inv_norm = np.linalg.norm(x)
-        x /= inv_norm
-    eps = np.finfo(float).eps
-    norm_a = spla.norm(fac.As, 1)
-    norm_b = spla.norm(fac.Bs, 1)
-    lam_mag = float(np.max(np.abs(lam))) if len(lam) else 1.0
-    return eps * (norm_a + lam_mag * norm_b) * inv_norm
 
 
 def _worst_residual(fac, lam, vec):

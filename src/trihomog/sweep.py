@@ -155,16 +155,6 @@ class ConvergenceTable:
             raise SweepError("row missing columns: %s" % sorted(missing))
         self.rows.append({c: kw[c] for c in COLUMNS})
 
-    def classification(self, alpha, j=0):
-        """Classified regime of eigenvalue j at the smallest eps of the
-        alpha column."""
-        rows = [r for r in self.rows
-                if r["alpha"] == alpha and r["j"] == j
-                and np.isfinite(r["lambda_eps"])]
-        if not rows:
-            return None
-        return min(rows, key=lambda r: r["eps"])["classified_regime"]
-
     def to_csv_text(self):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from trihomog import epsdomain, jets, numerics
-from trihomog.epsdomain import (IDX3, IDX10, MULT3, EpsAssembly, EpsError,
+from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError,
                                 EpsProblem, _bloch_blocks, _bloch_factor,
-                                _bloch_pencil, _factor_blocks, _mass_elements,
+                                _bloch_pencil, _factor_blocks,
+                                _factor_elements, _mass_elements,
                                 _stiffness_elements, compare_to_limit,
                                 solve_eps_poisson, solve_eps_spectrum_bloch,
                                 vertical_mesh)
@@ -486,28 +487,25 @@ def test_poisson_assembles_only_what_it_reads(cosine_profile):
 
 
 def _whole_row_then_sliced(geo, cols):
-    """Stiffness and mass element matrices of the columns ``cols`` by the
-    literal whole-row formulas: einsum(optimize=True) over every column of
-    the row, sliced afterwards."""
-    C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
-    W = np.einsum('b,bgiq,bdiq,iq->iqgd', MULT3, C3, C3, detj,
-                  optimize=True)[cols]
-    W[:, :, 0, 0] += detj[cols]
-    W *= w[None, :, None, None]
-    Tq = np.ascontiguousarray(T.transpose(1, 0, 2))
-    Xr = np.matmul(W, Tq[None]).reshape(len(cols), -1, 36)
-    stiffness = np.matmul(Xr.transpose(0, 2, 1), Tq.reshape(-1, 36))
+    """Stiffness, factor and mass element matrices of the columns ``cols``:
+    the first two by their kernels on every column of the row, the mass by
+    the literal whole-row einsum(optimize=True), sliced afterwards."""
+    detj, w, T = geo["detJ"], geo["w"], geo["T"]
+    every = np.arange(detj.shape[0])
+    stiffness = _stiffness_elements(geo, every)[cols]
+    factor = _factor_elements(geo, every)[cols]
     mass = np.einsum('iq,qa,qb->iab', detj * w[None, :], T[0], T[0],
                      optimize=True)[cols]
-    return stiffness, mass
+    return stiffness, factor, mass
 
 
 def test_column_subset_elements_equal_the_whole_row(cosine_profile):
-    # the kernels contract only the columns a Bloch block reads, along the
-    # path einsum(optimize=True) picks for the whole row; that gives the
-    # bits of the whole row's contraction, sliced (optimize=True on the
-    # subset alone picks another path for the mass and changes its bits).
-    # The benchmark's alpha = 1 ring (96 columns) and Poisson torus (128)
+    # the kernels form only the columns a Bloch block reads; the element
+    # rows work element by element, and the mass einsum runs along the path
+    # einsum(optimize=True) picks for the whole row, so both give the bits
+    # of the whole row, sliced (optimize=True on the subset alone picks
+    # another path for the mass and changes its bits).  The benchmark's
+    # alpha = 1 ring (96 columns) and Poisson torus (128)
     for alpha, epp, columns in ((1.0, 32, 96), (2.0, 16, None)):
         prob = EpsProblem(cosine_profile, PerturbationParams(0.125, alpha),
                           elements_per_period=epp)
@@ -516,7 +514,23 @@ def test_column_subset_elements_equal_the_whole_row(cosine_profile):
         block = np.append(np.arange(epp), asm.columns - 1)
         for geo in asm._rows[::5]:
             for cols in (every, block):
-                stiffness, mass = _whole_row_then_sliced(geo, cols)
+                stiffness, factor, mass = _whole_row_then_sliced(geo, cols)
                 assert np.array_equal(_stiffness_elements(geo, cols),
                                       stiffness)
+                assert np.array_equal(_factor_elements(geo, cols), factor)
                 assert np.array_equal(_mass_elements(geo, cols), mass)
+
+
+def test_stiffness_elements_are_the_gram_of_their_factor(cosine_profile):
+    # one source of element rows: the stiffness element is rows' rows, the
+    # factor the QR triangle of the same rows; the benchmark's alpha = 1
+    # ring (96 columns)
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 1.0),
+                      elements_per_period=32)
+    asm = EpsAssembly(prob, columns=96)
+    cols = np.arange(asm.columns)
+    for geo in asm._rows:
+        S = _stiffness_elements(geo, cols)
+        R = _factor_elements(geo, cols)
+        err = np.abs(np.matmul(R.transpose(0, 2, 1), R) - S).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(S).max(axis=(1, 2)))

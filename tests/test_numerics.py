@@ -389,54 +389,15 @@ def test_concurrent_refined_solves_match_sequential(ring_pencils):
         sys.setswitchinterval(interval)
 
 
-def test_residual_floor_ignores_the_global_random_state(ring_pencils):
-    # the floor takes exact 1-norms, so NumPy's global random state (which
-    # onenormest drew from) cannot move it
-    A, B = ring_pencils[0]
-    fac = EquilibratedLU(A, B, 0.5)
-    lam = np.array([20000.0])
-    state = np.random.get_state()
-    floors = []
-    try:
-        for seed in (1, 2, 3):
-            np.random.seed(seed)
-            floors.append(numerics._residual_floor(fac, lam))
-    finally:
-        np.random.set_state(state)
-    assert floors[0] == floors[1] == floors[2]
-
-
-def test_residual_floor_is_not_computed_for_a_passing_residual(monkeypatch):
-    # a 1D mode pencil's residual passes EIGEN_TOL, which every gate
-    # max(EIGEN_TOL, 20 floor) passes too, so its floor is never needed
-    def no_floor(fac, lam):
-        raise AssertionError("residual floor computed")
-
-    monkeypatch.setattr(numerics, "_residual_floor", no_floor)
-    bc = LimitBC("intermediate")
-    _, S, M = mode_matrices(bc, 1, limit_space(bc))
-    lam, _ = solve_smallest(S.tocsc(), M.tocsc(), 3, (2.0 * np.pi) ** 6)
-    assert np.all(np.diff(lam) > 0)
-
-
-def test_residual_floor_is_computed_once_for_a_failing_gate(ring_pencils,
-                                                            monkeypatch):
-    # residuals above EIGEN_TOL in every round: the floor is computed at
-    # the first of them only, and the failure reports the gate it makes
-    floors = []
-    real_floor = numerics._residual_floor
-
-    def counting_floor(fac, lam):
-        floors.append(real_floor(fac, lam))
-        return floors[-1]
-
-    monkeypatch.setattr(numerics, "_residual_floor", counting_floor)
+def test_failing_residual_reports_the_one_gate(ring_pencils, monkeypatch):
+    # residuals above EIGEN_TOL in every round: an assembled pencil and a
+    # Gram pencil both fail against the gate EIGEN_TOL
     monkeypatch.setattr(numerics, "_worst_residual",
                         lambda fac, lam, vec: 1e6)
-    A, B = ring_pencils[0]
-    with pytest.raises(SolverError) as err:
-        solve_smallest(A, B, 2, 0.5)
-    assert len(floors) == 1
-    gate = max(numerics.EIGEN_TOL, 20.0 * floors[0])
-    assert str(err.value) == ("shift-inverted eigen residual %.3e exceeds "
-                              "gate %.1e" % (1e6, gate))
+    G, B = _random_factor_pencil(np.random.default_rng(59), False)
+    for A, B in (ring_pencils[0], (Gram(G), B)):
+        with pytest.raises(SolverError) as err:
+            solve_smallest(A, B, 2, 0.5)
+        assert str(err.value) == ("shift-inverted eigen residual %.3e "
+                                  "exceeds gate %.1e"
+                                  % (1e6, numerics.EIGEN_TOL))
