@@ -16,7 +16,8 @@ sets OPENBLAS_NUM_THREADS=1 unless it is set).
 The JSON has the schema of the earlier BENCH files: per workload and side
 the median, quartiles (statistics.quantiles, n=4, inclusive) and runs of
 each end-to-end metric, the failed/attempted operation counts and their
-ratio (the failed share), the rounds and the src line counts; per metric
+ratio (the failed share), the rounds, the src line counts and the
+checkout's settable values (``settable_values``); per metric
 the number of pairs in which the change read lower; whether every run
 reported ``correct``; and the environment of the last run.  It also holds,
 per side, each operation's median seconds over all rounds of the side's
@@ -48,6 +49,7 @@ line starting with "UNRESOLVED" and listed under the workload's
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -98,6 +100,37 @@ def run_once(checkout, workload, seed):
         for op in r["ops"]:
             ops.setdefault(op["name"], []).append(op["seconds"])
     return json.loads(lines[-1]), env, len(rounds), ops
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if (f.attr if isinstance(f, ast.Attribute)
+                else getattr(f, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(checkout):
+    """The settable values of the checkout's src/trihomog, counted with
+    ``ast``: parameters with defaults (functions, methods and lambdas) plus
+    dataclass fields with defaults."""
+    pkg = os.path.join(checkout, "src", "trihomog")
+    n = 0
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                n += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                n += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return n
 
 
 def load_bounds(checkout):
@@ -216,6 +249,8 @@ def main():
                           for q, c in pairs) for m in METRICS}
         parent, change = (side_summary(by_side["parent"]),
                           side_summary(by_side["change"]))
+        for side, summary in (("parent", parent), ("change", change)):
+            summary["settable_values"] = settable_values(sides[side])
         workloads[workload] = {
             "seeds": seeds,
             "parent": parent,

@@ -198,12 +198,12 @@ def mode_energy_quadrature(mode):
     return float(np.dot((half * w).ravel(), integrand))
 
 
-def k_energy(solution, check_quadrature=True):
+def k_energy(solution):
     """K as the strip energy integral; returns (K, per-mode table).
 
-    Each mode integral is evaluated in closed form and, when
-    check_quadrature is set, cross-checked against the fixed Gauss rule of
-    mode_energy_quadrature; disagreement beyond 1e-8 relative raises.
+    Each mode integral is evaluated in closed form and cross-checked
+    against the fixed Gauss rule of mode_energy_quadrature; disagreement
+    beyond 1e-8 relative raises.
     """
     table = {}
     total = 0.0
@@ -213,12 +213,11 @@ def k_energy(solution, check_quadrature=True):
             table[k] = 0.0
             continue
         closed = mode_energy_closed_form(mode)
-        if check_quadrature:
-            quad = mode_energy_quadrature(mode)
-            if abs(closed - quad) > 1e-8 * (1.0 + abs(closed)):
-                raise CellError(
-                    "closed-form and quadrature energies disagree for mode "
-                    "%r: %.17g vs %.17g" % (k, closed, quad))
+        quad = mode_energy_quadrature(mode)
+        if abs(closed - quad) > 1e-8 * (1.0 + abs(closed)):
+            raise CellError(
+                "closed-form and quadrature energies disagree for mode "
+                "%r: %.17g vs %.17g" % (k, closed, quad))
         table[k] = closed
         total += closed
     return total, table

@@ -24,18 +24,16 @@ Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
 (-2 eps, 0), resolving the boundary layer that drives the strange term.
 
-The pulled-back coefficients are eps-periodic, so the torus matrices are
-block-circulant over the periods and both solves split into Bloch systems
-of one period block each (_bloch_blocks, _bloch_pencil): the spectrum as
-one Hermitian pencil per quasimomentum (solve_eps_spectrum_bloch), the
-Poisson problem as one Hermitian linear system per discrete Fourier mode of
-the load over the period blocks (solve_eps_poisson).  Neither solve
-builds the torus matrices: the blocks come from the epp + 1 element
-columns that touch period block 0.  The spectrum solves each pencil
-through the least-squares factor G_theta of its stiffness, built from the
-epp element columns of one period (_factor_blocks, _bloch_factor), so its
-eigenvalues do not carry the h^{-6} rounding of the assembled matrix; the
-assembled pencils only serve the inertia checks of the spectrum walk.
+The pulled-back coefficients are eps-periodic, so the torus matrices and
+the least-squares factor are block-circulant over the periods: the rows of
+period block 0, cut by period offset -1, 0, +1 (_offset_blocks), give
+every Bloch matrix as a phase sum (_bloch).  The spectrum is one Hermitian
+pencil per quasimomentum (solve_eps_spectrum_bloch), solved through the
+factor G_theta of one period (EpsAssembly._factor) and checked on its own
+Gram, so no eigenvalue carries the h^{-6} rounding of an assembled matrix;
+the Poisson problem is one linear system per discrete Fourier mode of the
+load (solve_eps_poisson).  Neither builds the torus matrices; only the
+tests' references read ``stiffness`` and ``mass`` of an EpsAssembly.
 """
 
 from __future__ import annotations
@@ -166,7 +164,7 @@ def _factor_elements(geo, cols):
     """Least-squares factors R (len(cols), 36, 36) of the stiffness element
     matrices of the element columns ``cols`` of one row: the upper
     triangles of one batched QR of _element_rows, the 36 rows of G each
-    element contributes (_factor_blocks)."""
+    element contributes (EpsAssembly._factor)."""
     return np.linalg.qr(_element_rows(geo, cols), mode="r")
 
 
@@ -185,25 +183,29 @@ def _mass_elements(geo, cols):
 
 class EpsAssembly:
     """Row geometry of the pulled-back problem on a ring of element columns,
-    and the stiffness and mass assembled from it when they are read.
+    and the matrices and the factor assembled from it when they are read.
 
     ``__init__`` computes the chain-rule tables of every horizontal element
     row (_row_geometry) and caches them; the quadrature energies, the load
-    vector, the limit comparison, the matrices and the factor blocks
-    (_factor_blocks) all read them, the stiffness and the factor blocks
-    through the same element rows (_element_rows).  The matrices are
-    assembled in the calling thread: ``stiffness`` and ``mass`` every
-    column on first read, then kept; ``_matrix`` any subset of the columns,
-    which is how the Bloch path builds its period blocks."""
+    vector, the limit comparison, the matrices and the factor all read
+    them, the stiffness and the factor through the same element rows
+    (_element_rows).  ``stiffness`` and ``mass`` assemble every column on
+    first read; ``_matrix`` and ``_factor`` any subset of the columns."""
 
     def __init__(self, problem, columns=None):
         """``columns`` restricts the ring to that many tangential element
         columns (with ring topology) while keeping the true element size
         1/nx; used by the Bloch eigen path, which only needs one period
         block and its neighbour couplings (from a 3-period ring), and by the
-        one-period ring of eps-periodic Poisson data."""
+        one-period ring of eps-periodic Poisson data.  EpsError unless the
+        ring spans whole periods."""
         self.problem = problem
         self.columns = problem.nx if columns is None else columns
+        epp = problem.elements_per_period
+        if self.columns < epp or self.columns % epp:
+            raise EpsError("a ring spans whole periods: columns must be a "
+                           "positive multiple of %d, got %r"
+                           % (epp, self.columns))
         vm = vertical_mesh(problem.params.epsilon, problem.n_coarse,
                            problem.n_layer)
         self.space = build_space_2d(self.columns, vm)
@@ -294,6 +296,28 @@ class EpsAssembly:
                                           elems))
         return to_csr(self.space, parts)
 
+    def _factor(self, cols):
+        """The least-squares factor of the stiffness of the element columns
+        ``cols`` as one CSR matrix over the free dofs: the 36 rows of R
+        (_factor_elements) of each of their elements, row after row."""
+        upper = np.triu(np.ones((36, 36), dtype=bool))
+        parts = []
+        for j, geo in enumerate(self._rows):
+            R = _factor_elements(geo, cols)
+            first = (j * len(cols) + np.arange(len(cols))) * 36
+            r = np.broadcast_to((first[:, None] + np.arange(36))[:, :, None],
+                                R.shape)
+            c = np.broadcast_to(
+                self.space.full_to_free[geo["dofs"][cols]][:, None], R.shape)
+            keep = upper & (c >= 0)
+            parts.append((r[keep], c[keep], R[keep]))
+        rows, free, vals = map(np.concatenate, zip(*parts))
+        if not np.all(np.isfinite(vals)):
+            raise EpsError("non-finite entries in eps assembly")
+        return sparse.csr_matrix(
+            (vals, (rows, free)),
+            shape=(len(self._rows) * len(cols) * 36, self.space.n_free))
+
     # -- quadrature energies ------------------------------------------------
 
     def _element_values(self, geo, full, gammas):
@@ -358,111 +382,60 @@ class EpsEigenResult:
                 "pencils": self.pencils}
 
 
-def _bloch_blocks(assembly, kinds):
-    """Period blocks (C0, C1, Cm) of each matrix kind in ``kinds``
-    ("stiffness", "mass"), in that order, and the block size m.
-
-    The pulled-back coefficients are eps-periodic and the tangential mesh
-    carries an integer number of elements per period, so stiffness and mass
-    are block-circulant over the `periods` tangential blocks, with only the
-    diagonal block C0 and the two nearest-neighbour couplings nonzero.  The
-    pencil then splits into the complex Hermitian Bloch pencils
-
-        C0 + exp(i theta) C1 + exp(-i theta) C1^H,   theta = 2 pi p / periods,
-
-    each of block size n_free / (assembled periods).  A ring assembly over
-    3 periods yields the same blocks as the full torus (element locality),
-    which is how production sizes stay small.
-
-    The blocks are rows of period block 0, and only the elements of columns
-    0..epp-1 and of the last column touch those rows, so only these epp + 1
-    columns are assembled (EpsAssembly._matrix): their rows equal those of
-    the whole assembly bit for bit.  The stiffness elements are the Gram
-    matrices of the element rows (_element_rows) whose QR triangles make
-    the factor blocks (_factor_blocks), so G_theta^H G_theta matches the
-    stiffness pencil up to roundoff."""
-    topo, m = _period_blocks(assembly)
-    epp = assembly.problem.elements_per_period
-    cols = np.append(np.arange(epp), assembly.columns - 1)
-    out = []
-    for kind in kinds:
-        M = assembly._matrix(kind, cols)
-        C0 = M[:m, :m]
-        C1 = M[:m, m:2 * m]
-        Cm = M[:m, (topo - 1) * m:]
-        mid = M[:m, 2 * m:(topo - 1) * m]
-        if mid.nnz:
-            raise EpsError("coupling beyond neighbouring periods")
-        out.append((C0, C1, Cm))
-    return out, m
-
-
 def _period_blocks(assembly):
-    """Number of assembled periods and the period block size m of the free
-    dofs; EpsError unless the ring spans >= 3 whole periods."""
+    """The number of periods the ring spans and the period block size m of
+    its free dofs."""
+    periods = assembly.columns // assembly.problem.elements_per_period
+    return periods, assembly.space.n_free // periods
+
+
+def _period_rows(assembly, kind):
+    """The offset blocks (_offset_blocks) of the rows of period block 0 of
+    the ``kind`` matrix.  Only the elements of columns 0..epp-1 and of the
+    last column touch those rows, so only these columns are assembled
+    (EpsAssembly._matrix): the rows equal those of the whole assembly bit
+    for bit."""
+    periods, m = _period_blocks(assembly)
     epp = assembly.problem.elements_per_period
-    topo = assembly.columns // epp
-    if topo < 3 or assembly.columns % epp:
-        raise EpsError("Bloch extraction needs >= 3 assembled periods")
-    n = assembly.space.n_free
-    if n % topo:
-        raise EpsError("free dofs are not tangentially block-structured")
-    return topo, n // topo
+    cols = np.unique(np.append(np.arange(epp), assembly.columns - 1))
+    return _offset_blocks(assembly._matrix(kind, cols)[:m], m, periods)
 
 
-def _factor_blocks(assembly):
-    """The period-column blocks (G1, G2) of the stiffness's least-squares
-    factor over one period, as CSR: the rows of G are the 36 rows of R
-    (_factor_elements) of each element of columns 0..epp-1, row after row;
-    G1 holds their columns on the free dofs of period block 0, G2 those on
-    block 1, which only the last column's right nodes touch.  For the
-    quasimomentum theta and z = exp(i theta), G_theta = G1 + z G2 has
-    G_theta^H G_theta = C0 + z C1 + conj(z) Cm of the stiffness blocks
-    (_bloch_blocks) up to roundoff: the ring is eps-periodic, so the
-    elements of period 0 stand in for those of the period before it."""
-    _, m = _period_blocks(assembly)
-    space = assembly.space
-    cols = np.arange(assembly.problem.elements_per_period)
-    upper = np.triu(np.ones((36, 36), dtype=bool))
-    parts = []
-    for j, geo in enumerate(assembly._rows):
-        R = _factor_elements(geo, cols)
-        first = (j * len(cols) + np.arange(len(cols))) * 36  # element's rows
-        r = np.broadcast_to((first[:, None] + np.arange(36))[:, :, None],
-                            R.shape)
-        c = np.broadcast_to(space.full_to_free[geo["dofs"][cols]][:, None],
-                            R.shape)
-        keep = upper & (c >= 0)
-        parts.append((r[keep], c[keep], R[keep]))
-    rows, free, vals = map(np.concatenate, zip(*parts))
-    if np.any(free >= 2 * m) or not np.all(np.isfinite(vals)):
-        raise EpsError("bad least-squares factor of the period")
-    shape = (len(assembly._rows) * len(cols) * 36, m)
-    return tuple(sparse.csr_matrix((vals[free // m == b],
-                                    (rows[free // m == b],
-                                     free[free // m == b] % m)), shape=shape)
-                 for b in (0, 1))
+def _offset_blocks(M, m, periods):
+    """The column blocks of M, a CSR matrix whose rows belong to period
+    block 0, keyed by period offset: block b has offset b when 2 b <=
+    periods and b - periods otherwise, so on one or two periods every block
+    has one key.  Only the blocks holding entries are kept; EpsError for an
+    offset other than -1, 0 and +1.  The coefficients are eps-periodic, so
+    the rows of every other period block are those of block 0, shifted."""
+    blocks = {}
+    for b in map(int, np.flatnonzero(np.bincount(M.indices // m))):
+        k = b if 2 * b <= periods else b - periods
+        if abs(k) > 1:
+            raise EpsError("coupling beyond neighbouring periods")
+        blocks[k] = M[:, b * m:(b + 1) * m]
+    return blocks
 
 
-def _bloch_factor(blocks, p, P):
-    """G_theta = G1 + z G2, z = exp(i theta), theta = 2 pi p / P, of the
-    factor blocks (G1, G2) (_factor_blocks); real at p = 0 and p = P/2,
-    where z is real."""
-    G1, G2 = blocks
+def _bloch(blocks, p, P):
+    """The Bloch matrix of quasimomentum theta = 2 pi p / P, the sum of the
+    offset blocks (_offset_blocks) 0, +1, -1 with the phases 1, z, conj(z),
+    z = exp(i theta), in that order; z is taken real at p = 0 and p = P/2,
+    where it is."""
     z = np.exp(1j * (2.0 * np.pi * p / P))
-    return G1 + (z.real if p == 0 or 2 * p == P else z) * G2
+    if p == 0 or 2 * p == P:
+        z = z.real
+    H = blocks[0]
+    for k, phase in ((1, z), (-1, np.conj(z))):
+        if k in blocks:
+            H = H + phase * blocks[k]
+    return H
 
 
-def _bloch_pencil(blocks, p, P):
-    """The Hermitian Bloch matrix C0 + z C1 + conj(z) Cm, z = exp(i theta),
-    theta = 2 pi p / P, of the period blocks (C0, C1, Cm), as CSC: averaged
-    with its conjugate transpose (the assembled blocks are symmetric only up
-    to roundoff) and real at p = 0 and p = P/2, where z is real."""
-    C0, C1, Cm = blocks
-    z = np.exp(1j * (2.0 * np.pi * p / P))
-    H = (C0 + z * C1 + np.conj(z) * Cm).tocsc()
-    H = 0.5 * (H + H.getH())
-    return H.real if p == 0 or 2 * p == P else H
+def _hermitian(H):
+    """H averaged with its conjugate transpose, as CSC."""
+    H = H.tocsc()
+    return 0.5 * (H + H.getH())
 
 
 def solve_eps_spectrum_bloch(problem, count, assembly=None):
@@ -471,31 +444,43 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     quasimomentum, merged with multiplicity two for conjugate pairs.  Exact
     for the discrete pencil up to the roundoff periodicity of the sampled
     coefficients; the one eps eigen entry point, since the full torus pencil
-    does not fit at production sizes.  Each pencil is solved through the
-    least-squares factor G_theta of its stiffness (_factor_blocks,
-    numerics.AugmentedLU), never through the assembled h^{-6} matrix, and
-    its eigenvalues are the Ritz values of the Gram matrix of G_theta V.
+    does not fit at production sizes.  ``assembly`` must span >= 3 periods
+    (a three-period ring by default), so that its blocks are the torus's.
     The form contains + int u^2, so the spectrum sits above 1 and the shift
     0.5 lies safely below it.
 
+    Each pencil is solved through the least-squares factor G_theta of its
+    stiffness (numerics.AugmentedLU), never through an assembled h^{-6}
+    matrix; its eigenvalues are the Ritz values of the Gram matrix of
+    G_theta V.  The stiffness the walk checks is the factor's own Gram, of
+    offset blocks G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0 (G_1 = G_+1); only
+    the mass is assembled.
+
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
-    a pencil that ``count_below`` certifies empty on its assembled matrices.
-    A solve's move is the largest gap between a factored eigenvalue and the
-    Rayleigh quotient of its eigenvector on the assembled pencil, which the
-    walk's check shift covers.  ``pencils`` of the result holds the walk's
-    records, labelled by p and theta; a solved pencil's record also holds
-    the solver record of numerics.solve_smallest (n, nnz of G_theta, fill,
-    pivoting, move, factorizations, block_solves, rounds, residual, gate).
-    ``assembly_seconds`` counts the row geometry, the period blocks and the
-    factor blocks; ``solve_seconds`` starts after them."""
+    a pencil that ``count_below`` certifies empty; its Gram and mass
+    matrices are Hermitian-averaged.  A solve's move is the largest gap
+    between a factored eigenvalue and the Rayleigh quotient of its
+    eigenvector on that pencil, which the walk's check shift covers.
+    ``pencils`` of the result holds the walk's records, labelled by p and
+    theta; a solved pencil's record also holds the solver record of
+    numerics.solve_smallest (n, nnz of G_theta, fill, pivoting, move,
+    factorizations, block_solves, rounds, residual, gate).
+    ``assembly_seconds`` counts the row geometry, the factor and the
+    blocks; ``solve_seconds`` starts after them."""
     check_count(count)
     if assembly is None:
         assembly = EpsAssembly(problem,
                                columns=3 * problem.elements_per_period)
     t0 = time.perf_counter()
-    (stiffness, mass), m = _bloch_blocks(assembly, ("stiffness", "mass"))
-    factor = _factor_blocks(assembly)
+    periods, m = _period_blocks(assembly)
+    if periods < 3:
+        raise EpsError("Bloch extraction needs >= 3 assembled periods")
+    G = _offset_blocks(
+        assembly._factor(np.arange(problem.elements_per_period)), m, periods)
+    stiffness = {0: G[0].T @ G[0] + G[1].T @ G[1], 1: G[0].T @ G[1],
+                 -1: G[1].T @ G[0]}
+    mass = _period_rows(assembly, "mass")
     t_solve = time.perf_counter()
     assembly_seconds = assembly.geometry_seconds + t_solve - t0
     # the walk reads the blocks alone; unless the caller holds the assembly,
@@ -505,16 +490,15 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     solved = {}
 
     def part(p):
-        Ah = _bloch_pencil(stiffness, p, P)
-        Bh = _bloch_pencil(mass, p, P)
+        Ah, Bh = (_hermitian(_bloch(b, p, P)) for b in (stiffness, mass))
 
         def solve():
             stats = solved[p] = {}
-            lam, vec = solve_smallest(Gram(_bloch_factor(factor, p, P)), Bh,
+            lam, vec = solve_smallest(Gram(_bloch(G, p, P)), Bh,
                                       min(count, m - 1), 0.5, stats=stats)
-            assembled = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
-                         / np.sum(vec.conj() * (Bh @ vec), axis=0).real)
-            return lam, float(np.max(np.abs(lam - assembled)))
+            quotient = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
+                        / np.sum(vec.conj() * (Bh @ vec), axis=0).real)
+            return lam, float(np.max(np.abs(lam - quotient)))
         return ({"p": p, "theta": 2.0 * np.pi * p / P}, (Ah, Bh),
                 2 if 0 < p < P / 2 else 1, solve)
 
@@ -536,25 +520,22 @@ def solve_eps_poisson(problem, f, assembly=None):
     vector on ``assembly`` (the full torus by default) and the assembly.
 
     The load need not be eps-periodic, but the stiffness is block-circulant
-    over the P >= 3 periods an assembly spans (see _bloch_blocks).  The
-    discrete Fourier transform over the period blocks of the load then
-    splits the system into the Bloch systems H_p x_p = b_p,
-    p = 0, ..., P/2, of order n_free / P (_bloch_pencil; the
-    transforms for p > P/2 are the conjugates of those for P - p, since the
-    load is real), and the inverse transform reassembles the torus vector;
-    only the stiffness blocks are assembled.  A ring of one or two periods
-    is solved directly with its full stiffness: it is its own only block.
-    Neither path assembles the mass."""
+    over the P periods an assembly spans (_offset_blocks).  The discrete
+    Fourier transform over the period blocks of the load then splits the
+    system into the Bloch systems H_p x_p = b_p, p = 0, ..., P/2, of order
+    n_free / P (_bloch; the transforms for p > P/2 are the conjugates of
+    those for P - p, since the load is real), and the inverse transform
+    reassembles the ring's vector.  One period is the single system p = 0.
+    The stiffness is assembled, only in the rows of period block 0
+    (_period_rows); the mass is not."""
     if assembly is None:
         assembly = EpsAssembly(problem)
     rhs = assembly.assemble_rhs(f)
-    if assembly.columns < 3 * problem.elements_per_period:
-        return solve_linear(assembly.stiffness.tocsc(), rhs), assembly
-    (stiffness,), m = _bloch_blocks(assembly, ("stiffness",))
-    P = assembly.columns // problem.elements_per_period
+    P, m = _period_blocks(assembly)
+    stiffness = _period_rows(assembly, "stiffness")
     loads = np.fft.rfft(rhs.reshape(P, m), axis=0)
     for p in range(len(loads)):
-        loads[p] = solve_linear(_bloch_pencil(stiffness, p, P), loads[p])
+        loads[p] = solve_linear(_bloch(stiffness, p, P), loads[p])
     return np.fft.irfft(loads, n=P, axis=0).ravel(), assembly
 
 

@@ -83,7 +83,7 @@ class OscillationProfile:
     sampling at construction.
     """
 
-    def __init__(self, dim_tangential, coefficients, check_nonnegative=True):
+    def __init__(self, dim_tangential, coefficients):
         if dim_tangential not in (1, 2):
             raise ProfileError("dim_tangential must be 1 or 2")
         self.dim = int(dim_tangential)
@@ -106,8 +106,7 @@ class OscillationProfile:
         coeffs.setdefault(zero, 0.0 + 0.0j)
         coeffs[zero] = complex(coeffs[zero].real, 0.0)
         self.coefficients = dict(sorted(coeffs.items()))
-        if check_nonnegative:
-            self._check_nonnegative()
+        self._check_nonnegative()
 
     def _check_nonnegative(self):
         n = _B_POSITIVITY_GRID if self.dim == 1 else 512

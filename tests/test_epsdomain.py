@@ -6,15 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from trihomog import epsdomain, jets, numerics
 from trihomog.epsdomain import (IDX3, IDX10, EpsAssembly, EpsError,
-                                EpsProblem, _bloch_blocks, _bloch_factor,
-                                _bloch_pencil, _factor_blocks,
-                                _factor_elements, _mass_elements,
-                                _stiffness_elements, compare_to_limit,
-                                solve_eps_poisson, solve_eps_spectrum_bloch,
-                                vertical_mesh)
+                                EpsProblem, _bloch, _factor_elements,
+                                _hermitian, _mass_elements, _offset_blocks,
+                                _period_rows, _stiffness_elements,
+                                compare_to_limit, solve_eps_poisson,
+                                solve_eps_spectrum_bloch, vertical_mesh)
 from trihomog.hermite import QUAD_ORDER, gauss_rule
 from trihomog.limit1d import LimitBC, solve_limit_poisson, solve_limit_spectrum
 from trihomog.numerics import solve_linear
@@ -27,7 +27,7 @@ from conftest import solve_eps_poisson_direct, solve_eps_spectrum
 def _flat_profile():
     # g identically zero: Omega_eps is the unit square and the pullback is
     # the identity, so the limit problem is exact
-    return OscillationProfile(1, {(0,): 0.0}, check_nonnegative=False)
+    return OscillationProfile(1, {(0,): 0.0})
 
 
 @pytest.fixture(scope="module")
@@ -253,18 +253,27 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
 
 
 @pytest.mark.parametrize("p", [0, 1])
-def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p):
-    # G_theta from the factor blocks of one period against the assembled
-    # Bloch stiffness: real at p = 0, complex at p = 1
+def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
+                                                monkeypatch):
+    # the stiffness pencil the walk checks, the Gram of the factor's offset
+    # blocks, against the assembled rows of period block 0: real at p = 0,
+    # complex at p = 1
     prob, ring = critical_ring
+    pencils = []
+
+    def capture(parts, count):
+        pencils.extend(pencil for _, pencil, _, _ in parts)
+        return [], []
+
+    monkeypatch.setattr(epsdomain, "walk_spectrum", capture)
+    solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    gram, mass = pencils[p]
     P = prob.params.periods
-    (stiffness,), m = _bloch_blocks(ring, ("stiffness",))
-    A = _bloch_pencil(stiffness, p, P)
-    G = _bloch_factor(_factor_blocks(ring), p, P)
-    assert G.shape == (ring.space.vmesh.n_elements
-                       * prob.elements_per_period * 36, m)
-    assert np.iscomplexobj(G) == np.iscomplexobj(A) == (p == 1)
-    assert abs(G.conj().T @ G - A).max() <= 1e-14 * abs(A).max()
+    A = _hermitian(_bloch(_period_rows(ring, "stiffness"), p, P))
+    m = ring.space.n_free // 3
+    assert gram.shape == mass.shape == A.shape == (m, m)
+    assert np.iscomplexobj(gram) == np.iscomplexobj(A) == (p == 1)
+    assert abs(gram - A).max() <= 1e-14 * abs(A).max()
 
 
 @pytest.mark.parametrize("den", [64, 128, 256])
@@ -414,6 +423,47 @@ def test_torus_poisson_bloch_matches_direct(cosine_profile, eps,
     assert _galerkin_gap(asm, rhs, x) < 1e-7
 
 
+def test_whole_period_rings(cosine_profile):
+    # a ring's geometry is eps-periodic only over whole periods
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
+                      elements_per_period=4)
+    for columns in (0, 2, 6, -4):
+        with pytest.raises(EpsError):
+            EpsAssembly(prob, columns=columns)
+    assert EpsAssembly(prob, columns=8).columns == 8
+
+
+def test_offset_blocks_reject_a_block_two_periods_away():
+    m = 3
+    for periods in (4, 5):
+        M = sparse.csr_matrix(([1.0, 2.0], ([0, 1], [1, 2 * m + 1])),
+                              shape=(m, periods * m))
+        with pytest.raises(EpsError):
+            _offset_blocks(M, m, periods)
+    M = sparse.csr_matrix(([1.0, 2.0, 3.0], ([0, 1, 2], [1, m, 4 * m])),
+                          shape=(m, 5 * m))
+    assert sorted(_offset_blocks(M, m, 5)) == [-1, 0, 1]
+
+
+def test_two_period_ring_poisson_matches_direct(cosine_profile,
+                                                monkeypatch):
+    # two periods: the +1 and -1 couplings fall into the same block, and
+    # the load differs between the two periods
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
+                      elements_per_period=4)
+    ring = EpsAssembly(prob, columns=2 * prob.elements_per_period)
+    eps = prob.params.epsilon
+
+    def f(x, y):
+        return (1.0 + np.sin(np.pi * x / eps)) * y * (1.0 + y)
+
+    direct = solve_eps_poisson_direct(ring, ring.assemble_rhs(f))
+    calls = _count_solves(monkeypatch)
+    x, _ = solve_eps_poisson(prob, f, assembly=ring)
+    assert [n for n, _ in calls] == [ring.space.n_free // 2] * 2
+    assert np.linalg.norm(x - direct) < 1e-8 * np.linalg.norm(direct)
+
+
 def test_ring_poisson_is_one_direct_solve(cosine_profile, monkeypatch):
     prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
                       elements_per_period=4)
@@ -462,12 +512,14 @@ def test_period_blocks_equal_slices_of_the_full_matrices(cosine_profile):
     # the blocks assemble only the columns that touch period block 0; their
     # rows are those of the whole assembly, bit for bit
     for asm in _small_ring_and_torus(cosine_profile):
-        blocks, m = _bloch_blocks(asm, ("stiffness", "mass"))
-        topo = asm.columns // asm.problem.elements_per_period
-        for (C0, C1, Cm), M in zip(blocks, (asm.stiffness, asm.mass)):
-            _assert_same_csr(C0, M[:m, :m])
-            _assert_same_csr(C1, M[:m, m:2 * m])
-            _assert_same_csr(Cm, M[:m, (topo - 1) * m:])
+        periods = asm.columns // asm.problem.elements_per_period
+        m = asm.space.n_free // periods
+        for kind, M in (("stiffness", asm.stiffness), ("mass", asm.mass)):
+            blocks = _period_rows(asm, kind)
+            assert sorted(blocks) == [-1, 0, 1]
+            _assert_same_csr(blocks[0], M[:m, :m])
+            _assert_same_csr(blocks[1], M[:m, m:2 * m])
+            _assert_same_csr(blocks[-1], M[:m, (periods - 1) * m:])
 
 
 def test_poisson_assembles_only_what_it_reads(cosine_profile):
@@ -482,7 +534,7 @@ def test_poisson_assembles_only_what_it_reads(cosine_profile):
     assert "mass" not in torus.__dict__
     ring = EpsAssembly(prob, columns=prob.elements_per_period)
     solve_eps_poisson(prob, f, assembly=ring)
-    assert "stiffness" in ring.__dict__
+    assert "stiffness" not in ring.__dict__
     assert "mass" not in ring.__dict__
 
 

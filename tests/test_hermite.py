@@ -168,7 +168,7 @@ def test_2d_tensor_space_reproduces_biquintics():
     # the eps solver's row tables on a flat one-period ring, where the
     # pullback is the identity: a quintic in t, constant in x and clamped at
     # both ends, set at every column's nodes, is reproduced exactly
-    flat = OscillationProfile(1, {(0,): 0.0}, check_nonnegative=False)
+    flat = OscillationProfile(1, {(0,): 0.0})
     prob = EpsProblem(flat, PerturbationParams(1 / 4, 2.0),
                       elements_per_period=4)
     asm = EpsAssembly(prob, columns=4)

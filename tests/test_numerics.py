@@ -12,8 +12,8 @@ from scipy.sparse import linalg as spla
 from scipy.linalg import eigh
 
 from trihomog import numerics
-from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch_blocks,
-                                _bloch_pencil)
+from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
+                                _hermitian, _period_rows)
 from trihomog.limit1d import LimitBC, limit_space
 from trihomog.numerics import (AugmentedLU, EquilibratedLU, Gram, SolverError,
                                count_below, solve_linear, solve_smallest,
@@ -359,11 +359,13 @@ def ring_pencils():
     size, so their subspace iteration starts from a random block."""
     problem = EpsProblem(default_profile(), PerturbationParams(0.25, 2.0),
                          elements_per_period=4)
-    (stiffness, mass), m = _bloch_blocks(EpsAssembly(problem, columns=12),
-                                         ("stiffness", "mass"))
-    assert m > 600
-    return [(_bloch_pencil(stiffness, p, 4), _bloch_pencil(mass, p, 4))
-            for p in (0, 1)]
+    ring = EpsAssembly(problem, columns=12)
+    stiffness, mass = (_period_rows(ring, kind) for kind in ("stiffness",
+                                                             "mass"))
+    pencils = [(_hermitian(_bloch(stiffness, p, 4)),
+                _hermitian(_bloch(mass, p, 4))) for p in (0, 1)]
+    assert pencils[0][0].shape[0] > 600
+    return pencils
 
 
 def test_concurrent_refined_solves_match_sequential(ring_pencils):
