@@ -465,7 +465,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, pivoting, move,
-    factorizations, block_solves, rounds, residual, gate).
+    refine_steps, factorizations, block_solves, rounds, residual, gate).
     ``assembly_seconds`` counts the row geometry, the factor and the
     blocks; ``solve_seconds`` starts after them."""
     check_count(count)

@@ -26,10 +26,11 @@ the design here:
 
 Both factors serve the one subspace iteration of ``solve_smallest`` through
 the same operations: a refined solve of a block of right sides (one
-multi-column triangular solve per step), A X, and X^H A X.  The iteration
-stops when the wanted Ritz values drift by less than 1e-8 between rounds
-and the residual gate passes, one gate for both factors.  Convergence is
-certified in the shift-inverted metric,
+multi-column triangular solve per step; an ``AugmentedLU`` refines only as
+deep as its first solve showed the factor needs), A X, and X^H A X.  The
+iteration stops when the wanted Ritz values drift by less than 1e-8
+between rounds and the residual gate passes, one gate for both factors.
+Convergence is certified in the shift-inverted metric,
 
     || (A - sigma B)^{-1} (A x - lambda B x) || <= EIGEN_TOL * ||x||,
 
@@ -171,15 +172,15 @@ class AugmentedLU:
     pencil.  a = AUG_SCALE.
 
     One sparse LU of the augmented matrix (COLAMD ordering) serves every
-    solve, each followed by two steps of iterative refinement on the
-    residual c - D(G^H G - sigma B)D y, formed through G.  The first
+    solve, each followed by iterative refinement on the residual
+    c - D(G^H G - sigma B)D y, formed through G, as deep as the factor's
+    first solve showed it needs (``solve_refined``).  The first
     factorization pivots on the diagonal only (``SymmetricMode``), which
     keeps the fill low.  On fine rings it loses the answer without showing
-    a tiny pivot, but then its refinement stops contracting, so the first
-    solve measures the relative B-norm move of its last refinement step,
-    and a move above PIVOT_MOVE refactors once with threshold pivoting
-    (``diag_pivot_thresh`` = PIVOT_THRESH, about 4x the fill) and solves
-    again.  A factorization that fails unpivoted is made pivoted at once.
+    a tiny pivot, but then its refinement stops contracting: a move above
+    PIVOT_MOVE after two steps of the first solve refactors once with
+    threshold pivoting (``diag_pivot_thresh`` = PIVOT_THRESH, about 4x the
+    fill).  A factorization that fails unpivoted is made pivoted at once.
     The augmented matrix is dropped once factored; G itself is kept (not
     G D or G^H)."""
 
@@ -202,7 +203,7 @@ class AugmentedLU:
                         format="csc")
         del Gs
         self.factorizations += 1
-        self.move = None
+        self.move = self.refine_steps = None
         self.pivoting = "pivoted" if pivoting else "unpivoted"
         options = ({"diag_pivot_thresh": PIVOT_THRESH} if pivoting else
                    {"diag_pivot_thresh": 0.0,
@@ -224,21 +225,31 @@ class AugmentedLU:
         return self.lu.solve(rhs)[rows:] / AUG_SCALE
 
     def solve_refined(self, C):
-        """(As - sigma Bs)^{-1} C for a block C, with two refinement steps.
-        The first solve with a factor records ``move``, the largest relative
-        B-norm move of a column in the last step; above PIVOT_MOVE an
-        unpivoted factor is replaced by a pivoted one and C solved again."""
+        """(As - sigma Bs)^{-1} C for a block C, refined as deep as the
+        factor needs.  The first solve with a factor takes at most two
+        refinement steps and records ``move``, the largest relative B-norm
+        move of a column, after each.  An unpivoted factor stops at the
+        first step that moves at most PIVOT_MOVE, and the steps before that
+        one become ``refine_steps``, which every later solve takes.  Still
+        above PIVOT_MOVE after two steps, an unpivoted factor is replaced by
+        a pivoted one and C solved again; a pivoted factor keeps two."""
+        first = self.refine_steps is None
         X = self._solve(C)
-        for _ in range(2):
+        for taken in range(2 if first else self.refine_steps):
             step = self._solve(C - self.apply(X) + self.sigma * (self.Bs @ X))
             X += step
-        if self.move is None:
-            self.move = float(np.max(_b_norms(self.Bs, step)
-                                     / np.maximum(_b_norms(self.Bs, X),
-                                                  1e-300)))
-            if self.move > PIVOT_MOVE and self.pivoting == "unpivoted":
+            if first:
+                self.move = float(np.max(_b_norms(self.Bs, step)
+                                         / np.maximum(_b_norms(self.Bs, X),
+                                                      1e-300)))
+                if self.move <= PIVOT_MOVE and self.pivoting == "unpivoted":
+                    self.refine_steps = taken
+                    return X
+        if first:
+            if self.pivoting == "unpivoted":
                 self._factor(pivoting=True)
                 return self.solve_refined(C)
+            self.refine_steps = 2
         return X
 
     def _g(self, X):
@@ -257,7 +268,8 @@ class AugmentedLU:
         """Size, fill and work of this factor (see solve_smallest)."""
         return {"n": self.Bs.shape[0], "nnz": int(self.G.nnz),
                 "fill": int(self.lu.nnz), "pivoting": self.pivoting,
-                "move": self.move, "factorizations": self.factorizations,
+                "move": self.move, "refine_steps": self.refine_steps,
+                "factorizations": self.factorizations,
                 "block_solves": self.solves}
 
 
@@ -291,7 +303,7 @@ def count_below(A, B, shift):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     pivots = lu.U.diagonal().real
-    tiny = 10 * M.shape[0] * np.finfo(float).eps * abs(M).max()
+    tiny = 10 * M.shape[0] * np.finfo(float).eps * np.abs(M.data).max()
     if np.any(np.abs(pivots) <= tiny):
         return None
     return int(np.count_nonzero(pivots < 0))
@@ -307,13 +319,16 @@ def walk_spectrum(parts, count):
     of its values in the union (2 for a conjugate pair), and a callable
     returning its refined eigenvalues and their largest |refined - raw|.
 
-    While fewer than ``count`` values (with copies) are in hand a part is
-    solved unchecked (below and shift None).  Otherwise ``count_below`` is
-    asked at s = lam* + max(1e-3 |lam*|, 10 move), where lam* is the
-    count-th smallest value and move the largest refinement move so far,
-    which the margin covers.  Only the answer 0 certifies the part empty.
-    It is skipped: it cannot supply one of the ``count`` smallest values,
-    so the result has the bits of a walk that solves every part.
+    The first two parts, and every part while fewer than ``count`` values
+    (with copies) are in hand, are solved unchecked (below and shift None):
+    a lam* read from the first part alone lies above values the next part
+    supplies, so a check there would not certify.  Otherwise
+    ``count_below`` is asked at s = lam* + max(1e-3 |lam*|, 10 move), where
+    lam* is the count-th smallest value and move the largest refinement
+    move so far, which the margin covers.  Only the answer 0 certifies the
+    part empty.  It is skipped: it cannot supply one of the ``count``
+    smallest values, so the result has the bits of a walk that solves
+    every part.
 
     The merge sorts by value, ties going to the earlier part and then to
     the earlier index in it, and takes the ``count`` smallest copies.
@@ -326,7 +341,7 @@ def walk_spectrum(parts, count):
     start = time.perf_counter()
     for i, (label, (A, B), mult, solve) in enumerate(parts):
         below = shift = None
-        if len(found) >= count:
+        if i >= 2 and len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
             shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
             below = count_below(A, B, shift)
@@ -434,18 +449,24 @@ def _initial_block(fac, count):
 
 
 def _b_orthonormalize(B, X, skip=0.0):
-    """Modified Gram-Schmidt in the B inner product, in place.  Overlaps of
-    magnitude <= ``skip`` are left alone, so that a block that is already
-    B-orthonormal up to roundoff is only renormalized."""
+    """Modified Gram-Schmidt in the B inner product, in place.  Each
+    column's B X_j is formed once, after the column is final, and kept:
+    the overlaps with later columns read vdot(B X_i, X_j), the B inner
+    product because B is Hermitian.  Overlaps of magnitude <= ``skip`` are
+    left alone, so that a block that is already B-orthonormal up to
+    roundoff is only renormalized."""
+    BX = np.empty_like(X)
     for j in range(X.shape[1]):
         for i in range(j):
-            c = np.vdot(X[:, i], B @ X[:, j])
+            c = np.vdot(BX[:, i], X[:, j])
             if abs(c) > skip:
                 X[:, j] -= c * X[:, i]
-        nrm = np.vdot(X[:, j], B @ X[:, j]).real
+        bx = B @ X[:, j]
+        nrm = np.vdot(X[:, j], bx).real
         if nrm <= 0:
             raise SolverError("B-degenerate block during orthonormalization")
         X[:, j] /= np.sqrt(nrm)
+        BX[:, j] = bx / np.sqrt(nrm)
     return X
 
 

@@ -244,12 +244,12 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
         ["solved", "solved", "certified", "certified", "certified"]
     walk = ["p", "theta", "status", "below", "shift", "eigenvalues", "kept",
             "seconds"]
-    solver = ["n", "nnz", "fill", "pivoting", "move", "factorizations",
-              "block_solves", "rounds", "residual", "gate"]
+    solver = ["n", "nnz", "fill", "pivoting", "move", "refine_steps",
+              "factorizations", "block_solves", "rounds", "residual", "gate"]
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
-    assert data["pencils"][0]["below"] is None
-    assert data["pencils"][1]["below"] == 2
+    # the first two pencils are solved unchecked, the rest checked
+    assert [r["below"] for r in data["pencils"]] == [None, None, 0, 0, 0]
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -13,7 +13,8 @@ from scipy.linalg import eigh
 
 from trihomog import numerics
 from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
-                                _hermitian, _period_rows)
+                                _hermitian, _period_rows,
+                                solve_eps_spectrum_bloch)
 from trihomog.limit1d import LimitBC, limit_space
 from trihomog.numerics import (AugmentedLU, EquilibratedLU, Gram, SolverError,
                                count_below, solve_linear, solve_smallest,
@@ -197,7 +198,11 @@ def test_gram_pencil_against_dense_oracle(complex_entries):
     assert stats["pivoting"] == "unpivoted" and stats["factorizations"] == 1
     assert stats["n"] == 40 and stats["nnz"] == G.nnz
     assert stats["residual"] <= stats["gate"] == numerics.EIGEN_TOL
-    assert stats["block_solves"] == 3 * (stats["rounds"] + 1)
+    # the first solve takes refine_steps + 1 refinement steps, the rounds
+    # after it and the one residual check refine_steps each
+    depth = stats["refine_steps"]
+    assert depth in (0, 1)
+    assert stats["block_solves"] == (2 + depth) + stats["rounds"] * (1 + depth)
 
 
 def test_augmented_lu_refactors_pivoted_on_a_large_move(monkeypatch):
@@ -219,6 +224,57 @@ def test_augmented_lu_refactors_pivoted_on_a_large_move(monkeypatch):
     fac.solve_refined(C)
     assert (fac.pivoting, fac.factorizations, fac.solves) == ("pivoted", 2,
                                                               9)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_later_solves_take_the_first_solves_depth(depth, monkeypatch):
+    # the first solve stops at the first refinement step that moves at most
+    # PIVOT_MOVE, and every later solve takes the steps it needed before
+    # that one.  This factor's first step moves about 4e-12 and its second
+    # about 6e-16, so a PIVOT_MOVE between the two makes it need one step
+    rng = np.random.default_rng(61)
+    G, B = _random_factor_pencil(rng, False)
+    C, D = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    ref = AugmentedLU(G, B, -1.0)
+    ref.solve_refined(C)
+    assert ref.refine_steps == 0 and 1e-14 < ref.move <= numerics.PIVOT_MOVE
+    if depth:
+        monkeypatch.setattr(numerics, "PIVOT_MOVE", ref.move / 100)
+    fac = AugmentedLU(G, B, -1.0)
+    fac.solve_refined(C)
+    assert (fac.refine_steps, fac.solves) == (depth, 2 + depth)
+    assert fac.move <= numerics.PIVOT_MOVE
+    assert (fac.pivoting, fac.factorizations) == ("unpivoted", 1)
+    X = fac.solve_refined(D)
+    assert fac.solves == 2 + depth + 1 + depth
+    dense = (G.T @ G).toarray() + B.toarray()
+    np.testing.assert_allclose(fac.d[:, None] * X,
+                               np.linalg.solve(dense, D / fac.d[:, None]),
+                               rtol=1e-9)
+
+
+def test_refinement_depth_keeps_the_bloch_eigenvalues(monkeypatch):
+    # each factor refined as deep as its first solve needs, against two
+    # refinement steps in every solve: the eigenvalues agree to 1e-10
+    problem = EpsProblem(default_profile(), PerturbationParams(0.125, 1.5),
+                         elements_per_period=16)
+    res = solve_eps_spectrum_bloch(problem, 3)
+    factor = AugmentedLU._factor
+
+    def two_steps(self, pivoting):
+        factor(self, pivoting)
+        self.refine_steps = 2
+
+    monkeypatch.setattr(AugmentedLU, "_factor", two_steps)
+    ref = solve_eps_spectrum_bloch(problem, 3)
+    solved = [(r, s) for r, s in zip(res.pencils, ref.pencils)
+              if r["status"] == "solved"]
+    assert len(solved) >= 2
+    for rec, two in solved:
+        assert rec["refine_steps"] < two["refine_steps"] == 2
+        assert rec["block_solves"] < two["block_solves"]
+    np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-10,
+                               atol=0)
 
 
 def test_equilibrated_lu_nudges_singular_shift():
@@ -275,14 +331,18 @@ def test_count_below_refuses_a_singular_shift():
     assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
 
 
-def _walk_diagonal_parts(solved):
+def _walk_diagonal_parts(solved, spec=(("a", [1.0, 2.0, 3.0], 1),
+                                       ("b", [3.0, 9.0], 2),
+                                       ("c", [20.0, 30.0], 2),
+                                       ("d", [3.001, 60.0], 1))):
     """walk_spectrum parts of diagonal pencils whose solves return the
     diagonal and no refinement move; ``solved`` collects the names of the
-    parts solved.  With count 4: a and b are solved unchecked (3 values in
-    hand, then 7); c is certified empty below the shift 3 + 3e-3; d is
-    checked (one value below) and solved, but supplies nothing."""
-    for name, diag, mult in (("a", [1.0, 2.0, 3.0], 1), ("b", [3.0, 9.0], 2),
-                             ("c", [20.0, 30.0], 2), ("d", [3.001, 60.0], 1)):
+    parts solved.  ``spec`` holds each part's name, diagonal and
+    multiplicity.  With count 4 the default parts go: a and b are solved
+    unchecked (3 values in hand, then 7); c is certified empty below the
+    shift 3 + 3e-3; d is checked (one value below) and solved, but supplies
+    nothing."""
+    for name, diag, mult in spec:
         def solve(name=name, diag=diag):
             solved.append(name)
             return diag, 0.0
@@ -316,6 +376,60 @@ def test_walk_spectrum_skips_merges_and_records(monkeypatch):
     assert [r["status"] for r in full] == ["solved"] * 4
     assert [r["kept"] for r in full] == [r["kept"] for r in records]
     assert min(full[2]["eigenvalues"]) > records[2]["shift"]
+
+
+def test_walk_spectrum_checks_no_part_before_the_third(monkeypatch):
+    # a holds all three wanted values, but a check of b at lam* = 3 would
+    # find b's 1.5 below it: b is solved unchecked, and c is checked at
+    # lam* = 2 from a and b
+    shifts = []
+    count = numerics.count_below
+
+    def counting(A, B, shift):
+        shifts.append(shift)
+        return count(A, B, shift)
+
+    monkeypatch.setattr(numerics, "count_below", counting)
+    solved = []
+    taken, records = walk_spectrum(_walk_diagonal_parts(
+        solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [1.5, 9.0], 1),
+                 ("c", [20.0, 30.0], 1))), 3)
+    assert solved == ["a", "b"] and shifts == [2.0 + 2e-3]
+    assert [(r["status"], r["below"], r["shift"]) for r in records] == [
+        ("solved", None, None), ("solved", None, None),
+        ("certified", 0, 2.0 + 2e-3)]
+    assert taken == [(1.0, 0, 0, 0), (1.5, 1, 0, 0), (2.0, 0, 1, 0)]
+
+
+def _mgs_reference(B, X):
+    """Modified Gram-Schmidt forming B X_j for every overlap."""
+    for j in range(X.shape[1]):
+        for i in range(j):
+            X[:, j] -= np.vdot(X[:, i], B @ X[:, j]) * X[:, i]
+        X[:, j] /= np.sqrt(np.vdot(X[:, j], B @ X[:, j]).real)
+    return X
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_b_orthonormalize_forms_one_product_per_column(complex_entries):
+    rng = np.random.default_rng(67)
+    _, B = _banded_hermitian_pencil(rng, 60, complex_entries)
+    X = rng.standard_normal((60, 11))
+    if complex_entries:
+        X = X + 1j * rng.standard_normal((60, 11))
+
+    class Counting:
+        products = 0
+
+        def __matmul__(self, x):
+            self.products += 1
+            return B @ x
+
+    counted = Counting()
+    Q = numerics._b_orthonormalize(counted, X.copy())
+    assert counted.products == 11
+    np.testing.assert_allclose(Q.conj().T @ (B @ Q), np.eye(11), atol=1e-12)
+    np.testing.assert_allclose(Q, _mgs_reference(B, X.copy()), atol=1e-12)
 
 
 def _assert_same_csc(X, Y):
