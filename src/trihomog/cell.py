@@ -118,16 +118,16 @@ class CellSolution:
         return sorted(self.modes)
 
 
-def solve_cell(profile, zero_mode_gauge=0.0):
+def solve_cell(profile):
     """Decaying per-mode solution of the strip problem for the given profile.
 
-    zero_mode_gauge adds a*t^2 to the zero-mode profile; all K routes are
-    invariant under this gauge.
+    The zero mode is b_0 t; adding a t^2 to it (c2 = a) is a gauge that
+    leaves every K route unchanged.
     """
     modes = {}
     for k, bk in profile.coefficients.items():
         if all(x == 0 for x in k):
-            modes[k] = ModeProfile(xi=0.0, c1=bk, c2=complex(zero_mode_gauge))
+            modes[k] = ModeProfile(xi=0.0, c1=bk, c2=0j)
         else:
             xi = TWO_PI * math.hypot(*k)
             modes[k] = ModeProfile(xi=xi, c1=bk, c2=-0.5 * xi * bk)

@@ -14,9 +14,10 @@ reference derivatives, and
 is integrated.  EpsAssembly computes the per-row chain-rule tables once,
 vectorised over whole horizontal element rows, and caches them: the
 quadrature energies, the load vectors, the matrices and the least-squares
-factor of the stiffness reuse them.  The stiffness and its factor share
+factor of the stiffness reuse them.  The matrices and the factor share
 one source, the weighted evaluation rows of each element (_element_rows):
-an element stiffness is their Gram matrix, its factor their QR triangle.
+an element stiffness is their Gram matrix, its factor their QR triangle,
+and an element mass the Gram matrix of their value rows.
 The matrices are assembled only when read, from the element columns a
 solve needs, one element row after another in the calling thread.
 
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, gauss_rule,
-                      is_integer, reference_table, scatter_elements, to_csr,
-                      to_element)
+from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, element_gram,
+                      gauss_rule, is_integer, reference_table,
+                      scatter_elements, to_csr, to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
 from .numerics import Gram, solve_linear, solve_smallest, walk_spectrum
@@ -113,7 +114,7 @@ class EpsProblem:
         return self.elements_per_period * self.params.periods
 
 
-def vertical_mesh(eps, n_coarse=16, n_layer=8):
+def vertical_mesh(eps, n_coarse, n_layer):
     """Vertical mesh on (-1, 0): uniform below -2 eps, geometric layer with
     0.75 shrink per element inside (-2 eps, 0) so the smallest elements sit
     at the oscillating side."""
@@ -126,14 +127,6 @@ def vertical_mesh(eps, n_coarse=16, n_layer=8):
     layer = split + np.cumsum(sizes)
     layer[-1] = 0.0
     return Mesh1D(np.concatenate([coarse, layer]))
-
-
-@functools.lru_cache(maxsize=None)
-def _row_path(spec, shapes):
-    """The contraction path einsum(optimize=True) picks for operands of
-    these shapes (it depends on nothing else), worked out once per shape
-    rather than for every row."""
-    return np.einsum_path(spec, *map(np.empty, shapes), optimize=True)[0]
 
 
 def _element_rows(geo, cols):
@@ -155,9 +148,8 @@ def _element_rows(geo, cols):
 
 def _stiffness_elements(geo, cols):
     """Stiffness element matrices (len(cols), 36, 36) of the element columns
-    ``cols`` of one row: the Gram matrices rows' rows of _element_rows."""
-    rows = _element_rows(geo, cols)
-    return np.matmul(rows.transpose(0, 2, 1), rows)
+    ``cols`` of one row: the Gram matrices of _element_rows."""
+    return element_gram(_element_rows(geo, cols))
 
 
 def _factor_elements(geo, cols):
@@ -169,16 +161,11 @@ def _factor_elements(geo, cols):
 
 
 def _mass_elements(geo, cols):
-    """Mass element matrices of the element columns ``cols`` of one row.
-    einsum(optimize=True) chooses its contraction path by batch size, and
-    the last bits follow the path, so ``cols`` alone is contracted along the
-    path chosen for the whole row: that gives the bits of the whole row's
-    contraction, sliced."""
-    Tv = geo["T"][0]                                             # (q,36)
-    spec = 'iq,qa,qb->iab'
-    dw = geo["detJ"] * geo["w"][None, :]
-    path = _row_path(spec, (dw.shape, Tv.shape, Tv.shape))
-    return np.einsum(spec, dw[cols], Tv, Tv, optimize=path)
+    """Mass element matrices of the element columns ``cols`` of one row:
+    the Gram matrices of the value rows sqrt(w detJ) T_0 of
+    _element_rows."""
+    root = np.sqrt(geo["detJ"][cols] * geo["w"][None, :])
+    return element_gram(root[:, :, None] * geo["T"][0])
 
 
 class EpsAssembly:
@@ -289,11 +276,8 @@ class EpsAssembly:
                     "mass": _mass_elements}[kind]
         parts = []
         for geo in self._rows:
-            elems = elements(geo, cols)
-            if not np.all(np.isfinite(elems)):
-                raise EpsError("non-finite entries in eps assembly")
             parts.append(scatter_elements(self.space, geo["dofs"][cols],
-                                          elems))
+                                          elements(geo, cols)))
         return to_csr(self.space, parts)
 
     def _factor(self, cols):

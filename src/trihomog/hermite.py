@@ -13,12 +13,14 @@ place: ``reference_table`` holds the six shapes and their first three
 derivatives at the QUAD_ORDER Gauss points of [0, 1], computed once, and
 ``to_element`` scales reference values to an element of size h.  Element
 dof numbering is ``element_dofs_1d`` / ``element_dofs_2d`` (index arrays
-accepted).  The 1D assemblers read a per-space ``AssemblyPlan1D`` (element
-table, einsum path, CSR scatter map), built on first use and kept on the
-space; the 2D element matrices reach the sparse matrix through
-``scatter_elements`` and ``to_csr``.  Point evaluation of assembled fields
-(``evaluate_fe``) is 1D; the eps solver reads 2D field values from the row
-tables of its assembly.
+accepted).  Every form is a sum of weighted squares: an element matrix is
+the Gram matrix (``element_gram``) of the element's weighted evaluation
+rows, and every assembled sparse matrix reaches CSR through
+``scatter_elements`` and ``to_csr``.  The 1D assemblers read a per-space
+``AssemblyPlan1D`` (element table, quadrature weights, element dofs),
+built on first use and kept on the space.  Point evaluation of assembled
+fields (``evaluate_fe``) is 1D; the eps solver reads 2D field values from
+the row tables of its assembly.
 
 Degrees of freedom are stored as raw nodal derivatives; the h^{-6}
 conditioning of sixth-order stiffness matrices is tamed by symmetric diagonal
@@ -130,26 +132,26 @@ class Mesh1D:
         return np.diff(self.nodes)
 
 
-def uniform_mesh(n, a=-1.0, b=0.0):
-    return Mesh1D(np.linspace(a, b, n + 1))
+def uniform_mesh(n):
+    return Mesh1D(np.linspace(-1.0, 0.0, n + 1))
 
 
-def graded_mesh(n, ratio=0.75, a=-1.0, b=0.0):
-    """Quasi-uniform mesh with a geometric boundary layer at the right
-    endpoint b: away from b the elements share one size, and the last few
-    shrink by `ratio` per step until they reach 1/64 of the bulk size.
-    Bounding the bulk size keeps the interpolation error small everywhere,
-    and flooring the smallest size keeps the h^{-6} dynamic range of
-    sixth-order stiffness matrices representable in double precision."""
+def graded_mesh(n, ratio=0.75):
+    """Quasi-uniform mesh on (-1, 0) with a geometric boundary layer at 0:
+    away from 0 the elements share one size, and the last few shrink by
+    `ratio` per step until they reach 1/64 of the bulk size.  Bounding the
+    bulk size keeps the interpolation error small everywhere, and flooring
+    the smallest size keeps the h^{-6} dynamic range of sixth-order
+    stiffness matrices representable in double precision."""
     if n < 2 or not (0 < ratio < 1):
         raise DiscretizationError("invalid grading parameters")
     depth = min(n - 1, int(math.ceil(math.log(1.0 / 64)
                                      / math.log(ratio))))
     tail = ratio ** np.arange(1, depth + 1)
     sizes = np.concatenate([np.ones(n - depth), tail])
-    sizes *= (b - a) / sizes.sum()
-    nodes = np.concatenate([[a], a + np.cumsum(sizes)])
-    nodes[-1] = b
+    sizes *= 1.0 / sizes.sum()
+    nodes = np.concatenate([[-1.0], -1.0 + np.cumsum(sizes)])
+    nodes[-1] = 0.0
     return Mesh1D(nodes)
 
 
@@ -277,12 +279,12 @@ def scatter_elements(space, dofs, elems):
 
 
 def to_csr(space, parts):
-    """CSR matrix on the free dofs summing the COO triples ``parts``."""
-    rows, cols, vals = zip(*parts)
+    """CSR matrix on the free dofs summing the COO triples ``parts``;
+    DiscretizationError if an entry is not finite."""
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    _check_finite(vals)
     n = space.n_free
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     return mat
 
@@ -292,24 +294,17 @@ def _require_1d(space, name):
         raise DiscretizationError("%s is 1D only" % name)
 
 
-#: the element-matrix contraction of assemble_quadratic
-_QUADRATIC = 'eq,df,edqa,efqb->eab'
+def element_gram(rows):
+    """Element matrices rows' rows (..., k, k) of stacked weighted
+    evaluation rows (..., r, k): one batched matmul, element by element."""
+    return np.matmul(rows.swapaxes(-1, -2), rows)
 
 
 class AssemblyPlan1D:
     """What every 1D assembly of one space shares, worked out once:
-
-    * ``table[e, d, q, l]``: d-th physical derivative of shape l of element
-      e at its Gauss point q, and ``weights[e, q]`` the quadrature weights;
-    * ``dofs``, the full dof indices (E, 6) of the elements;
-    * ``path``, the contraction order ``einsum(optimize=True)`` picks for
-      the element matrices of assemble_quadratic (it depends on the operand
-      shapes alone, so passing it keeps every bit);
-    * the CSR structure of the free-free matrix (``indices``, ``indptr``,
-      sorted columns), ``pos``, the flat position in the (E, 6, 6) element
-      stack of each entry scatter_elements keeps, and ``slot``, its CSR
-      position.  A 1D matrix entry sums at most two element entries, so the
-      summation order cannot change a bit against the COO -> CSR route.
+    ``table[e, d, q, l]``, the d-th physical derivative of shape l of
+    element e at its Gauss point q; ``weights[e, q]``, the quadrature
+    weights; and ``dofs``, the full dof indices (E, 6) of the elements.
 
     Read it through ``TensorElementSpace.plan``: built on first use and
     kept on the space, so it lives exactly as long as the space."""
@@ -323,30 +318,21 @@ class AssemblyPlan1D:
                               axis=1)                           # (E,4,nq,6)
         self.weights = gauss_rule(QUAD_ORDER)[1] * sizes[:, None]  # (E, nq)
         self.dofs = space.element_dofs_1d(np.arange(space.vmesh.n_elements))
-        self.path = np.einsum_path(_QUADRATIC, self.weights, np.eye(4),
-                                   self.table, self.table, optimize=True)[0]
-        # scattering the flat positions of the element entries gives the
-        # kept entries' rows, columns and positions in one place
-        E = len(self.dofs)
-        rows, cols, self.pos = scatter_elements(
-            space, self.dofs, np.arange(E * 36).reshape(E, 6, 6))
-        n = space.n_free
-        keys, self.slot = np.unique(rows.astype(np.int64) * n + cols,
-                                    return_inverse=True)
-        self.n = n
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
 
-    def matrix(self, elems):
-        """CSR matrix on the free dofs summing the element matrices
-        elems (E, 6, 6)."""
-        _check_finite(elems)
-        data = np.bincount(self.slot, weights=elems.ravel()[self.pos],
-                           minlength=len(self.indices))
-        return sparse.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()),
-            shape=(self.n, self.n))
+
+def _weighted_rows(space, weights):
+    """The weighted evaluation rows (E, r, 6) of the 1D form with
+    derivative weights c = ``weights``: sqrt(c_d w_q) times the d-th
+    derivatives of the six shapes at Gauss point q, for each c_d > 0."""
+    c = np.asarray(weights, dtype=float)
+    if np.any(c < 0):
+        raise DiscretizationError("negative derivative weight in %r"
+                                  % (weights,))
+    plan = space.plan
+    d = np.flatnonzero(c)
+    root = np.sqrt(c[d][:, None] * plan.weights[:, None, :])   # (E, nd, nq)
+    rows = root[..., None] * plan.table[:, d]                  # (E,nd,nq,6)
+    return rows.reshape(len(rows), -1, 6)
 
 
 def assemble(space, integrand):
@@ -360,55 +346,47 @@ def assemble(space, integrand):
     assemble_quadratic against; the solvers use assemble_quadratic (1D) and
     EpsAssembly (2D)."""
     _require_1d(space, "assemble")
-    sq, wq = gauss_rule(QUAD_ORDER)
-    nodes, sizes = space.vmesh.nodes, space.vmesh.sizes()
-    tab = space.plan.table
-    elems = np.zeros((space.vmesh.n_elements, 6, 6))
-    for e, emat in enumerate(elems):
-        for qi in range(len(sq)):
-            point = nodes[e] + sizes[e] * sq[qi]
-            jets = [{(d,): tab[e, d, qi, l] for d in range(4)}
-                    for l in range(6)]
-            for a in range(6):
-                for b in range(a, 6):
-                    v = integrand(point, jets[a], jets[b]) * wq[qi] * sizes[e]
-                    emat[a, b] += v
-                    if a != b:
-                        emat[b, a] += v
-    return space.plan.matrix(elems)
+    plan = space.plan
+    sq, _ = gauss_rule(QUAD_ORDER)
+    pts = space.vmesh.nodes[:-1, None] + space.vmesh.sizes()[:, None] * sq
+    elems = np.zeros((len(plan.dofs), 6, 6))
+    for (e, q), point in np.ndenumerate(pts):
+        jets = [{(d,): plan.table[e, d, q, l] for d in range(4)}
+                for l in range(6)]
+        for a, b in np.ndindex(6, 6):
+            elems[e, a, b] += (integrand(point, jets[a], jets[b])
+                               * plan.weights[e, q])
+    return to_csr(space, [scatter_elements(space, plan.dofs, elems)])
 
 
 def assemble_quadratic(space, weights):
     """Fast 1D assembler for the form
 
-        sum_{d1,d2} W[d1,d2] u^(d1) v^(d2)
+        sum_d c_d u^(d) v^(d)
 
-    with a constant (4, 4) array ``weights`` of derivative-pair weights,
-    all elements at once, through the space's assembly plan.  Used by the
-    Fourier-mode limit solver."""
+    with four constant derivative weights ``weights`` = (c_0, c_1, c_2,
+    c_3) >= 0 (DiscretizationError for a negative one): each element matrix
+    is the Gram matrix of the element's weighted evaluation rows, all
+    elements at once.  Used by the Fourier-mode limit solver."""
     _require_1d(space, "assemble_quadratic")
-    plan = space.plan
-    elems = np.einsum(_QUADRATIC, plan.weights, weights, plan.table,
-                      plan.table, optimize=plan.path)
-    return plan.matrix(elems)
+    elems = element_gram(_weighted_rows(space, weights))
+    return to_csr(space, [scatter_elements(space, space.plan.dofs, elems)])
 
 
 def quadratic_energy(space, weights, free_vec):
-    """Value of the 1D quadratic form with derivative-pair weights (same
-    convention as assemble_quadratic) on one dof vector, evaluated from the
-    finite-element derivative values at the Gauss points rather than through
-    the assembled matrix.
+    """Value of the 1D quadratic form with derivative weights ``weights``
+    (as in assemble_quadratic) on one dof vector: the sum of squares of the
+    weighted evaluation rows times the element dofs, not the matrix form.
 
     The matrix route cancels at the eps*h^{-6} level on sixth-order forms;
     this route forms each derivative first (cancellation only eps*h^{-3})
-    and then combines, so eigenvalue solvers use it for final Rayleigh
+    and then squares, so eigenvalue solvers use it for final Rayleigh
     quotients."""
     _require_1d(space, "quadratic_energy")
-    plan = space.plan
     full = space.embed(np.asarray(free_vec, dtype=float))
-    du = np.einsum('edqa,ea->edq', plan.table, full[plan.dofs])  # (E,4,nq)
-    vals = np.einsum('df,edq,efq->eq', weights, du, du)
-    return float((plan.weights * vals).sum())
+    vals = np.matmul(_weighted_rows(space, weights),
+                     full[space.plan.dofs][:, :, None])         # (E, r, 1)
+    return float(np.sum(vals ** 2))
 
 
 def assemble_rhs(space, f):

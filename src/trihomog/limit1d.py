@@ -77,17 +77,16 @@ def limit_space(bc, n_elements=DEFAULT_ELEMENTS, mesh=None):
     oscillating-domain solver)."""
     top = "clamped2" if bc.kind == "dirichlet" else "clamped1"
     if mesh is None:
-        mesh = graded_mesh(n_elements, 0.75, -1.0, 0.0)
+        mesh = graded_mesh(n_elements)
     return build_space_1d(mesh, bc_bottom="clamped1", bc_top=top)
 
 
 def stiffness_weights(xi):
-    """Derivative-pair weights of a_xi: diag(xi^6 + 1, 3 xi^4, 3 xi^2, 1)."""
-    return np.diag([xi ** 6 + 1.0, 3.0 * xi ** 4, 3.0 * xi ** 2, 1.0])
+    """Derivative weights (xi^6 + 1, 3 xi^4, 3 xi^2, 1) of a_xi."""
+    return np.array([xi ** 6 + 1.0, 3.0 * xi ** 4, 3.0 * xi ** 2, 1.0])
 
 
-MASS_WEIGHTS = np.zeros((4, 4))
-MASS_WEIGHTS[0, 0] = 1.0
+MASS_WEIGHTS = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def mode_stiffness(xi, space):
@@ -96,11 +95,10 @@ def mode_stiffness(xi, space):
     return assemble_quadratic(space, stiffness_weights(xi))
 
 
-def trace_dof(space, order=2):
-    """Free index of the derivative-``order`` degree of freedom at t = 0,
-    or -1 if it is constrained."""
-    full = 3 * space.vmesh.n_elements + order
-    return int(space.full_to_free[full])
+def trace_dof(space):
+    """Free index of the w''(0) degree of freedom, or -1 if it is
+    constrained."""
+    return int(space.full_to_free[3 * space.vmesh.n_elements + 2])
 
 
 def apply_strange_term(stiffness, K, space):

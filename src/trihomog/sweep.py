@@ -234,11 +234,14 @@ def run_converge(config, out_dir=None, log=None):
     """The classification sweep.  Solves every (alpha, eps) case, compares
     with the limit spectra and, when ``out_dir`` is given, writes the
     convergence table (CSV + JSON) and per-case result JSON files there.
-    Returns the table; raises SweepError after writing everything if the
-    strange-term adjudication favours the paper's literal minus sign
+    Returns the table; raises SweepError before any case is solved if the
+    three K routes disagree (run_cell_k), and after writing everything if
+    the strange-term adjudication favours the paper's literal minus sign
     (loud-failure contract)."""
     profile = config.profile()
-    report = compute_k_report(profile)
+    report, agreed = run_cell_k(profile)
+    if not agreed:
+        raise SweepError("K routes disagree at %.3e" % report.agreement())
     k_value = report.k_energy
     targets = _limit_targets(config.count, config.cutoff,
                              config.n_elements_1d, k_value)
@@ -392,7 +395,7 @@ def _verify_chain3():
 
 def _verify_hermite():
     from .hermite import build_space_1d, graded_mesh, evaluate_fe
-    mesh = graded_mesh(8, 0.75, -1.0, 0.0)
+    mesh = graded_mesh(8)
     space = build_space_1d(mesh, bc_bottom="free", bc_top="free")
     poly = np.polynomial.Polynomial(np.arange(1, 7, dtype=float))
     full = np.zeros(space.n_full)

@@ -5,7 +5,7 @@ import pytest
 
 from trihomog import cell
 from trihomog.cell import (UNIVERSAL_MODE_CONSTANT, CellError,
-                           compute_k_report,
+                           CellSolution, ModeProfile, compute_k_report,
                            corrector_vhat, eval_V, k_boundary, k_energy,
                            k_testfunction, mode_energy_closed_form,
                            mode_energy_quadrature, residual_check, solve_cell)
@@ -100,8 +100,11 @@ def test_residuals(cosine_profile):
 
 
 def test_k_gauge_invariance(cosine_profile):
+    # adding a t^2 to the zero-mode profile b_0 t changes no K route
     base = solve_cell(cosine_profile)
-    gauged = solve_cell(cosine_profile, zero_mode_gauge=2.5)
+    modes = dict(base.modes)
+    modes[(0,)] = ModeProfile(xi=0.0, c1=modes[(0,)].c1, c2=2.5 + 0j)
+    gauged = CellSolution(dim=base.dim, modes=modes)
     for route in (lambda s: k_energy(s)[0], k_boundary, k_testfunction):
         assert abs(route(base) - route(gauged)) < 1e-10 * (1 + abs(route(base)))
 

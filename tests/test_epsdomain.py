@@ -49,13 +49,13 @@ def test_problem_validation(cosine_profile):
         EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
                    n_coarse=4, n_layer=4)
     with pytest.raises(EpsError):
-        vertical_mesh(0.5)          # layer split at -2 eps hits the bottom
+        vertical_mesh(0.5, 16, 8)   # layer split at -2 eps hits the bottom
     with pytest.raises(EpsError):
         EpsProblem(cosine_profile, PerturbationParams(0.5, 2.0))
 
 
 def test_vertical_mesh_resolves_boundary_layer():
-    mesh = vertical_mesh(0.125)
+    mesh = vertical_mesh(0.125, 16, 8)
     assert abs(mesh.nodes[0] + 1.0) < 1e-15
     assert abs(mesh.nodes[-1]) < 1e-15
     sizes = mesh.sizes()
@@ -539,25 +539,19 @@ def test_poisson_assembles_only_what_it_reads(cosine_profile):
 
 
 def _whole_row_then_sliced(geo, cols):
-    """Stiffness, factor and mass element matrices of the columns ``cols``:
-    the first two by their kernels on every column of the row, the mass by
-    the literal whole-row einsum(optimize=True), sliced afterwards."""
-    detj, w, T = geo["detJ"], geo["w"], geo["T"]
-    every = np.arange(detj.shape[0])
-    stiffness = _stiffness_elements(geo, every)[cols]
-    factor = _factor_elements(geo, every)[cols]
-    mass = np.einsum('iq,qa,qb->iab', detj * w[None, :], T[0], T[0],
-                     optimize=True)[cols]
-    return stiffness, factor, mass
+    """Stiffness, factor and mass element matrices of the columns ``cols``,
+    by their kernels on every column of the row, sliced afterwards."""
+    every = np.arange(geo["detJ"].shape[0])
+    return tuple(kernel(geo, every)[cols] for kernel in
+                 (_stiffness_elements, _factor_elements, _mass_elements))
 
 
 def test_column_subset_elements_equal_the_whole_row(cosine_profile):
     # the kernels form only the columns a Bloch block reads; the element
-    # rows work element by element, and the mass einsum runs along the path
-    # einsum(optimize=True) picks for the whole row, so both give the bits
-    # of the whole row, sliced (optimize=True on the subset alone picks
-    # another path for the mass and changes its bits).  The benchmark's
-    # alpha = 1 ring (96 columns) and Poisson torus (128)
+    # rows and their Gram matrices work element by element, so every kernel
+    # gives the bits of the whole row, sliced, and the mass stays within
+    # 1e-15 of the literal quadrature sum.  The benchmark's alpha = 1 ring
+    # (96 columns) and Poisson torus (128)
     for alpha, epp, columns in ((1.0, 32, 96), (2.0, 16, None)):
         prob = EpsProblem(cosine_profile, PerturbationParams(0.125, alpha),
                           elements_per_period=epp)
@@ -571,6 +565,10 @@ def test_column_subset_elements_equal_the_whole_row(cosine_profile):
                                       stiffness)
                 assert np.array_equal(_factor_elements(geo, cols), factor)
                 assert np.array_equal(_mass_elements(geo, cols), mass)
+            literal = np.einsum('iq,qa,qb->iab', geo["detJ"] * geo["w"],
+                                geo["T"][0], geo["T"][0])
+            err = np.abs(_mass_elements(geo, every) - literal).max()
+            assert err <= 1e-15 * np.abs(literal).max()
 
 
 def test_stiffness_elements_are_the_gram_of_their_factor(cosine_profile):

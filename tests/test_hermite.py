@@ -115,34 +115,39 @@ def test_bc_elimination_counts():
 
 def test_assemblers_agree_on_sixth_order_form():
     # generic callback assembler vs the fast weighted assembler on the
-    # intermediate-problem form u''' v''' + u v
+    # intermediate-problem form u''' v''' + u v and on the mode forms a_xi
     mesh = graded_mesh(6, ratio=0.7)
     space = build_space_1d(mesh, "clamped1", "clamped1")
-    W = np.zeros((4, 4))
-    W[3, 3] = 1.0
-    W[0, 0] = 1.0
-    fast = assemble_quadratic(space, W)
+    for c in ([1.0, 0.0, 0.0, 1.0], *(stiffness_weights(xi) for xi in
+                                      (0.0, 2.0 * np.pi, 16.0 * np.pi))):
+        fast = assemble_quadratic(space, c)
 
-    def integrand(point, ju, jv):
-        return ju[(3,)] * jv[(3,)] + ju[(0,)] * jv[(0,)]
+        def integrand(point, ju, jv):
+            return sum(c[d] * ju[(d,)] * jv[(d,)] for d in range(4))
 
-    generic = assemble(space, integrand)
-    diff = (fast - generic).toarray()
-    scale = np.max(np.abs(fast.toarray()))
-    assert np.max(np.abs(diff)) < 1e-12 * scale
+        generic = assemble(space, integrand)
+        diff = (fast - generic).toarray()
+        scale = np.max(np.abs(fast.toarray()))
+        assert np.max(np.abs(diff)) < 1e-12 * scale
+
+
+def test_negative_derivative_weight_is_refused():
+    space = build_space_1d(uniform_mesh(4), "clamped1", "clamped1")
+    x = np.ones(space.n_free)
+    with pytest.raises(DiscretizationError, match="negative"):
+        assemble_quadratic(space, [1.0, 0.0, -1e-3, 1.0])
+    with pytest.raises(DiscretizationError, match="negative"):
+        quadratic_energy(space, [-1.0, 0.0, 0.0, 1.0], x)
 
 
 def test_quadratic_energy_matches_matrix_form():
     mesh = graded_mesh(8, ratio=0.7)
     space = build_space_1d(mesh, "clamped1", "clamped1")
-    W = np.zeros((4, 4))
-    W[3, 3] = 1.0
-    W[1, 1] = 0.5
-    W[0, 0] = 2.0
-    A = assemble_quadratic(space, W)
+    c = [2.0, 0.5, 0.0, 1.0]
+    A = assemble_quadratic(space, c)
     rng = np.random.default_rng(11)
     x = rng.normal(size=space.n_free)
-    direct = quadratic_energy(space, W, x)
+    direct = quadratic_energy(space, c, x)
     through_matrix = float(x @ (A @ x))
     assert abs(direct - through_matrix) < 1e-9 * (1 + abs(direct))
 
@@ -206,8 +211,9 @@ def test_gauss_rule_integrates_high_degree():
 @pytest.mark.parametrize("kind", ["intermediate", "strange", "dirichlet"])
 def test_assembly_plan_matches_a_fresh_plan(kind):
     # the plan kept on a space gives, call after call, the bits of a fresh
-    # plan on a fresh space and of the element-by-element COO route; a
-    # caller that scribbles over a returned matrix cannot reach the plan
+    # plan on a fresh space and of the scatter_elements + to_csr route of
+    # the Gram elements of the weighted rows; a caller that scribbles over
+    # a returned matrix cannot reach the plan
     bc = LimitBC(kind, 620.0 if kind == "strange" else 0.0)
     space = limit_space(bc)
     override = limit_space(bc, mesh=uniform_mesh(12))
@@ -215,14 +221,16 @@ def test_assembly_plan_matches_a_fresh_plan(kind):
     for sp, fresh in ((space, lambda: limit_space(bc)),
                       (override, lambda: limit_space(bc,
                                                      mesh=uniform_mesh(12)))):
+        plan = sp.plan
         for xi in (0.0, 2.0 * np.pi, 16.0 * np.pi):
             for weights in (stiffness_weights(xi), MASS_WEIGHTS):
                 kept = assemble_quadratic(sp, weights)
                 new = assemble_quadratic(fresh(), weights)
-                plan = sp.plan
-                elems = np.einsum('eq,df,edqa,efqb->eab', plan.weights,
-                                  weights, plan.table, plan.table,
-                                  optimize=True)
+                d = np.flatnonzero(weights)
+                root = np.sqrt(weights[d][:, None] * plan.weights[:, None])
+                rows = (root[..., None] * plan.table[:, d]).reshape(
+                    len(plan.dofs), -1, 6)
+                elems = np.matmul(rows.transpose(0, 2, 1), rows)
                 coo = to_csr(sp, [scatter_elements(sp, plan.dofs, elems)])
                 for ref in (new, coo):
                     assert np.array_equal(kept.data, ref.data)
@@ -235,5 +243,6 @@ def test_assembly_plan_matches_a_fresh_plan(kind):
                 assert np.array_equal(again.data, new.data)
                 assert np.array_equal(again.indices, new.indices)
                 assert np.array_equal(again.indptr, new.indptr)
+        assert vars(plan).keys() == {"table", "weights", "dofs"}
     assert override.plan.table.shape[0] == 12
     assert space.plan.table.shape[0] == space.vmesh.n_elements

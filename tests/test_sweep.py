@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from trihomog import sweep
+from trihomog import cli, sweep
+from trihomog.cell import KReport
 from trihomog.sweep import (REGIME_DIRICHLET, REGIME_INTERMEDIATE,
                             REGIME_STRANGE, ConvergenceTable, SweepConfig,
                             SweepError, config_from_dict, default_profile,
@@ -115,6 +116,25 @@ def test_converge_csv_is_deterministic(tiny_table):
 def test_converge_without_out_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_converge(SweepConfig(**TINY), out_dir=None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_converge_refuses_disagreeing_k_routes(tmp_path, monkeypatch,
+                                               capsys):
+    # the sweep takes K only when the three routes agree (run_cell_k's
+    # 1e-9 gate); otherwise converge exits 1 with the disagreement before
+    # any case is solved
+    solved = []
+    monkeypatch.setattr(sweep, "compute_k_report", lambda profile: KReport(
+        k_energy=620.0, k_boundary=620.0, k_testfunction=621.0,
+        per_mode={}))
+    monkeypatch.setattr(sweep, "solve_eps_spectrum_bloch",
+                        lambda *args: solved.append(args))
+    monkeypatch.setattr(sweep, "solve_limit_spectrum",
+                        lambda *args, **kwargs: solved.append(args))
+    assert cli.main(["converge", "--out", str(tmp_path)]) == 1
+    assert "K routes disagree at 1.610e-03" in capsys.readouterr().err
+    assert solved == []
     assert list(tmp_path.iterdir()) == []
 
 
