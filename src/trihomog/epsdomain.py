@@ -29,9 +29,10 @@ The pulled-back coefficients are eps-periodic, so the torus matrices and
 the least-squares factor are block-circulant over the periods: the rows of
 period block 0, cut by period offset -1, 0, +1 (_offset_blocks), give
 every Bloch matrix as a phase sum (_bloch).  The spectrum is one Hermitian
-pencil per quasimomentum (solve_eps_spectrum_bloch), solved through the
-factor G_theta of one period (EpsAssembly._factor) and checked on its own
-Gram, so no eigenvalue carries the h^{-6} rounding of an assembled matrix;
+pencil per quasimomentum (solve_eps_spectrum_bloch), solved with every
+residual and Ritz value formed through the factor G_theta of one period
+(EpsAssembly._factor) and checked on its own Gram, so no eigenvalue
+carries the h^{-6} rounding of an assembled matrix;
 the Poisson problem is one linear system per discrete Fourier mode of the
 load (solve_eps_poisson).  Neither builds the torus matrices; only the
 tests' references read ``stiffness`` and ``mass`` of an EpsAssembly.
@@ -433,12 +434,14 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     The form contains + int u^2, so the spectrum sits above 1 and the shift
     0.5 lies safely below it.
 
-    Each pencil is solved through the least-squares factor G_theta of its
-    stiffness (numerics.AugmentedLU), never through an assembled h^{-6}
-    matrix; its eigenvalues are the Ritz values of the Gram matrix of
-    G_theta V.  The stiffness the walk checks is the factor's own Gram, of
-    offset blocks G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0 (G_1 = G_+1); only
-    the mass is assembled.
+    The stiffness of each pencil is the Gram of the least-squares factor
+    G_theta (offset blocks G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0,
+    G_1 = G_+1); only the mass is assembled.  The walk's checks read that
+    formed Gram, and a solve factors it too (numerics.FormedLU), but
+    refines each solve on a residual formed through G_theta, and its
+    eigenvalues are the Ritz values of the Gram matrix of G_theta V.  A
+    pencil on which that refinement stalls is solved on the pivoted
+    augmented system of G_theta (numerics.AugmentedLU).
 
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
@@ -448,8 +451,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     eigenvector on that pencil, which the walk's check shift covers.
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
-    numerics.solve_smallest (n, nnz of G_theta, fill, pivoting, move,
-    refine_steps, factorizations, block_solves, rounds, residual, gate).
+    numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
+    refine_steps, block_solves, factorizations, after a fallback
+    formed_moves, rounds, residual, gate).
     ``assembly_seconds`` counts the row geometry, the factor and the
     blocks; ``solve_seconds`` starts after them."""
     check_count(count)
@@ -478,7 +482,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
         def solve():
             stats = solved[p] = {}
-            lam, vec = solve_smallest(Gram(_bloch(G, p, P)), Bh,
+            lam, vec = solve_smallest(Gram(_bloch(G, p, P), Ah), Bh,
                                       min(count, m - 1), 0.5, stats=stats)
             quotient = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
                         / np.sum(vec.conj() * (Bh @ vec), axis=0).real)

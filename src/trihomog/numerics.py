@@ -14,9 +14,12 @@ the design here:
   entries, and quadratic forms x' A x through it cancel at that level.  A
   stiffness given by a least-squares factor, A = G^H G (``Gram``: the Bloch
   pencils of epsdomain, G built from the weighted quadrature rows of each
-  element), is never assembled: its shift-inverted solves go through
-  Björck's augmented system of G (``AugmentedLU``), and its Ritz values are
-  those of the Gram matrix of G V, as accurate as the rows of G.  An
+  element), is factored in its formed, equilibrated shape (``FormedLU``),
+  but each solve is refined on a residual formed through G and its Ritz
+  values are those of the Gram matrix of G V, as accurate as the rows of
+  G.  Where the formed pencil's rounding defeats that refinement, the
+  pencil is solved on Björck's augmented system of G, with pivoting
+  (``AugmentedLU``), which never forms A.  An
   assembled stiffness (the 1D limit pencils) is factored after symmetric
   Jacobi equilibration A -> D A D, D = diag(A)^{-1/2}, a congruence that
   leaves pencil eigenvalues invariant (``EquilibratedLU``); its caller
@@ -24,12 +27,12 @@ the design here:
   through element-level quadrature energies (limit1d.solve_mode), where
   stationarity makes the eigenvector error enter only quadratically.
 
-Both factors serve the one subspace iteration of ``solve_smallest`` through
+Every factor serves the one subspace iteration of ``solve_smallest`` through
 the same operations: a refined solve of a block of right sides (one
-multi-column triangular solve per step; an ``AugmentedLU`` refines only as
+multi-column triangular solve per step; a Gram factor refines only as
 deep as its first solve showed the factor needs), A X, and X^H A X.  The
 iteration stops when the wanted Ritz values drift by less than 1e-8
-between rounds and the residual gate passes, one gate for both factors.
+between rounds and the residual gate passes, one gate for every factor.
 Convergence is certified in the shift-inverted metric,
 
     || (A - sigma B)^{-1} (A x - lambda B x) || <= EIGEN_TOL * ||x||,
@@ -56,8 +59,8 @@ class SolverError(RuntimeError):
 EIGEN_TOL = 5e-5           # shift-inverted residual gate
 SEED = 20260824            # random start block
 AUG_SCALE = 1e-4           # a of AugmentedLU's scaled augmented system
-PIVOT_MOVE = 5e-5          # refinement move that refactors with pivoting
-PIVOT_THRESH = 0.01        # diag_pivot_thresh of that refactorization
+PIVOT_MOVE = 5e-5          # refinement move FormedLU's first solve must reach
+PIVOT_THRESH = 0.01        # diag_pivot_thresh of AugmentedLU
 MAX_ROUNDS = 12            # cap of the subspace iteration
 
 
@@ -149,40 +152,37 @@ class EquilibratedLU:
 
 class Gram:
     """The Hermitian matrix A = G^H G of a sparse least-squares factor G
-    (at least as many rows as columns), kept as G alone: solve_smallest
-    solves its pencils through an ``AugmentedLU`` of G and never forms A."""
+    (at least as many rows as columns), given both as G and as the formed
+    sparse A.  solve_smallest factors the formed pencil (``FormedLU``) but
+    forms every residual and Ritz value through G."""
 
-    def __init__(self, G):
+    def __init__(self, G, A):
         self.G = G
-        self.shape = (G.shape[1], G.shape[1])
+        self.A = A
+        self.shape = A.shape
 
 
-class AugmentedLU:
-    """Shift-inverted solves of the pencil (G^H G, B) without forming G^H G,
-    whose h^{-6} entries cost a sixth-order problem its small eigenvalues as
-    the mesh shrinks.  Björck's scaled augmented system (Björck, Numerical
-    Methods for Least Squares Problems, SIAM 1996),
+class _Stall(Exception):
+    """The formed factor cannot serve its pencil: its factorization failed
+    (the argument is []) or its first solve's refinement moves, the
+    argument, never fell to PIVOT_MOVE."""
 
-        [[-a I,      G D         ],  [r]   [0]
-         [ D G^H, -(sigma/a) D B D]] [y] = [c],
 
-    gives (D A D - sigma D B D) y = a c for A = G^H G, so in the variables
-    y = x / d (D = diag(d), d = 1 / the column norms of G, the Jacobi scaling
-    of A, as in ``EquilibratedLU``) it solves the shifted, equilibrated
-    pencil.  a = AUG_SCALE.
-
-    One sparse LU of the augmented matrix (COLAMD ordering) serves every
-    solve, each followed by iterative refinement on the residual
-    c - D(G^H G - sigma B)D y, formed through G, as deep as the factor's
-    first solve showed it needs (``solve_refined``).  The first
-    factorization pivots on the diagonal only (``SymmetricMode``), which
-    keeps the fill low.  On fine rings it loses the answer without showing
-    a tiny pivot, but then its refinement stops contracting: a move above
-    PIVOT_MOVE after two steps of the first solve refactors once with
-    threshold pivoting (``diag_pivot_thresh`` = PIVOT_THRESH, about 4x the
-    fill).  A factorization that fails unpivoted is made pivoted at once.
-    The augmented matrix is dropped once factored; G itself is kept (not
-    G D or G^H)."""
+class _GramFactor:
+    """Shift-inverted solves of the pencil (G^H G, B) in the variables
+    y = x / d (D = diag(d), d = 1 / the column norms of G, the Jacobi
+    scaling of A = G^H G, as in ``EquilibratedLU``), where a subclass's
+    sparse LU ``lu`` solves the equilibrated pencil
+    D A D - sigma D B D = As - sigma Bs only approximately.  Each solve is
+    refined on the residual c - D(G^H G - sigma B)D y, formed through G, so
+    the h^{-6} rounding of a formed A never reaches the answer (Björck,
+    Numerical Methods for Least Squares Problems, SIAM 1996; Carson and
+    Higham, SIAM J. Sci. Comput. 39(6), 2017: a poor factor serves when
+    the residual is accurate).  The first solve takes at most STEPS
+    refinement steps and records each one's ``moves``, the largest
+    relative B-norm move of a column; it fixes ``refine_steps``
+    (``_first_depth``: all STEPS unless a subclass stops sooner), which
+    every later solve takes.  G itself is kept (not G D or G^H)."""
 
     def __init__(self, G, B, shift):
         self.G = G
@@ -192,65 +192,29 @@ class AugmentedLU:
         self.d = 1.0 / norms
         self.Bs = _scaled(B, self.d)
         self.complex = np.iscomplexobj(G) or np.iscomplexobj(B)
-        self.factorizations = self.solves = 0
-        self._factor(pivoting=False)
-
-    def _factor(self, pivoting):
-        self.lu = None          # free a replaced factor before its successor
-        Gs = self.G @ sparse.diags(self.d)
-        K = sparse.bmat([[-AUG_SCALE * sparse.identity(self.G.shape[0]), Gs],
-                         [Gs.conj().T, -(self.sigma / AUG_SCALE) * self.Bs]],
-                        format="csc")
-        del Gs
-        self.factorizations += 1
-        self.move = self.refine_steps = None
-        self.pivoting = "pivoted" if pivoting else "unpivoted"
-        options = ({"diag_pivot_thresh": PIVOT_THRESH} if pivoting else
-                   {"diag_pivot_thresh": 0.0,
-                    "options": {"SymmetricMode": True}})
-        try:
-            self.lu = spla.splu(K, permc_spec="COLAMD", **options)
-        except RuntimeError as err:
-            if pivoting:
-                raise SolverError("augmented factorization failed: %s" % err)
-            del K
-            self._factor(pivoting=True)
-
-    def _solve(self, C):
-        rows = self.G.shape[0]
-        rhs = np.zeros((rows + C.shape[0], C.shape[1]),
-                       dtype=complex if self.complex else float)
-        rhs[rows:] = C
-        self.solves += 1
-        return self.lu.solve(rhs)[rows:] / AUG_SCALE
+        self.solves = 0
+        self.moves = []
+        self.refine_steps = None
 
     def solve_refined(self, C):
         """(As - sigma Bs)^{-1} C for a block C, refined as deep as the
-        factor needs.  The first solve with a factor takes at most two
-        refinement steps and records ``move``, the largest relative B-norm
-        move of a column, after each.  An unpivoted factor stops at the
-        first step that moves at most PIVOT_MOVE, and the steps before that
-        one become ``refine_steps``, which every later solve takes.  Still
-        above PIVOT_MOVE after two steps, an unpivoted factor is replaced by
-        a pivoted one and C solved again; a pivoted factor keeps two."""
+        factor needs."""
         first = self.refine_steps is None
         X = self._solve(C)
-        for taken in range(2 if first else self.refine_steps):
+        for _ in range(self.STEPS if first else self.refine_steps):
             step = self._solve(C - self.apply(X) + self.sigma * (self.Bs @ X))
             X += step
             if first:
-                self.move = float(np.max(_b_norms(self.Bs, step)
-                                         / np.maximum(_b_norms(self.Bs, X),
-                                                      1e-300)))
-                if self.move <= PIVOT_MOVE and self.pivoting == "unpivoted":
-                    self.refine_steps = taken
+                self.moves.append(float(np.max(
+                    _b_norms(self.Bs, step)
+                    / np.maximum(_b_norms(self.Bs, X), 1e-300))))
+                self.refine_steps = self._first_depth()
+                if self.refine_steps is not None:
                     return X
-        if first:
-            if self.pivoting == "unpivoted":
-                self._factor(pivoting=True)
-                return self.solve_refined(C)
-            self.refine_steps = 2
         return X
+
+    def _first_depth(self):
+        return self.STEPS if len(self.moves) == self.STEPS else None
 
     def _g(self, X):
         return self.G @ (self.d[:, None] * X)
@@ -265,17 +229,97 @@ class AugmentedLU:
         return W.conj().T @ W
 
     def stats(self):
-        """Size, fill and work of this factor (see solve_smallest)."""
+        """Size, kind, fill and work of this factor (see solve_smallest)."""
         return {"n": self.Bs.shape[0], "nnz": int(self.G.nnz),
-                "fill": int(self.lu.nnz), "pivoting": self.pivoting,
-                "move": self.move, "refine_steps": self.refine_steps,
-                "factorizations": self.factorizations,
+                "fill": int(self.lu.nnz), "factor": self.FACTOR,
+                "move": self.moves[-1], "refine_steps": self.refine_steps,
                 "block_solves": self.solves}
+
+
+class FormedLU(_GramFactor):
+    """The formed factor of a ``Gram`` pencil: the LU of the equilibrated
+    formed pencil D(A - sigma B)D by ``_symmetric_lu``, the factorization
+    ``count_below`` takes, at about half the fill of Björck's augmented
+    system.  The first solve stops at the first refinement step that moves
+    at most PIVOT_MOVE, and the steps before that one, 0 to STEPS - 1,
+    become ``refine_steps``.  Where the formed pencil's rounding is not
+    small against its smallest eigenvalues, the steps stop contracting:
+    still above PIVOT_MOVE after STEPS steps, or a failed factorization,
+    releases the factor and raises ``_Stall``."""
+
+    FACTOR = "formed"
+    STEPS = 3
+
+    def __init__(self, gram, B, shift):
+        super().__init__(gram.G, B, shift)
+        try:
+            self.lu = _symmetric_lu(_scaled(gram.A - shift * B, self.d))
+        except RuntimeError:
+            raise _Stall([]) from None
+
+    def _solve(self, C):
+        self.solves += 1
+        return self.lu.solve(C)
+
+    def _first_depth(self):
+        if self.moves[-1] <= PIVOT_MOVE:
+            return len(self.moves) - 1
+        if len(self.moves) == self.STEPS:
+            self.lu = None      # free it before the fallback factors
+            raise _Stall(self.moves)
+        return None
+
+
+class AugmentedLU(_GramFactor):
+    """The fallback factor of a ``Gram`` pencil whose formed factor
+    stalls: Björck's scaled augmented system
+
+        [[-a I,      G D         ],  [r]   [0]
+         [ D G^H, -(sigma/a) D B D]] [y] = [c],
+
+    which gives (D A D - sigma D B D) y = a c for A = G^H G without forming
+    A; a = AUG_SCALE.  One sparse LU with COLAMD ordering and threshold
+    pivoting (``diag_pivot_thresh`` = PIVOT_THRESH) serves every solve, and
+    every solve takes STEPS refinement steps.  The augmented matrix is
+    dropped once factored."""
+
+    FACTOR = "augmented"
+    STEPS = 2
+
+    def __init__(self, G, B, shift):
+        super().__init__(G, B, shift)
+        Gs = G @ sparse.diags(self.d)
+        K = sparse.bmat([[-AUG_SCALE * sparse.identity(G.shape[0]), Gs],
+                         [Gs.conj().T, -(shift / AUG_SCALE) * self.Bs]],
+                        format="csc")
+        del Gs
+        try:
+            self.lu = spla.splu(K, permc_spec="COLAMD",
+                                diag_pivot_thresh=PIVOT_THRESH)
+        except RuntimeError as err:
+            raise SolverError("augmented factorization failed: %s" % err)
+
+    def _solve(self, C):
+        rows = self.G.shape[0]
+        rhs = np.zeros((rows + C.shape[0], C.shape[1]),
+                       dtype=complex if self.complex else float)
+        rhs[rows:] = C
+        self.solves += 1
+        return self.lu.solve(rhs)[rows:] / AUG_SCALE
 
 
 def _b_norms(B, X):
     """B-norms of the columns of X."""
     return np.sqrt(np.sum((X.conj() * (B @ X)).real, axis=0))
+
+
+def _symmetric_lu(M):
+    """SuperLU of a Hermitian M with the symmetric minimum-degree ordering
+    of M^T + M and no pivoting off the diagonal (``SymmetricMode``): the
+    pivots keep M's inertia, and the fill is that of a symmetric
+    factorization."""
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def count_below(A, B, shift):
@@ -296,8 +340,7 @@ def count_below(A, B, shift):
     without pivoting can leave in a pivot of a definite matrix."""
     M = _scaled(A - shift * B, _jacobi(A))
     try:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = _symmetric_lu(M)
     except RuntimeError:
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -367,30 +410,49 @@ def solve_smallest(A, B, count, shift, stats=None):
     """The ``count`` eigenpairs of A x = lambda B x nearest (from above) the
     shift, i.e. the smallest ones when the shift sits below the spectrum.
     B must be positive definite.  A is a sparse Hermitian matrix, solved
-    through an ``EquilibratedLU`` of A - shift B, or a ``Gram`` of a
-    least-squares factor G, solved through an ``AugmentedLU`` of G.
+    through an ``EquilibratedLU`` of A - shift B, or a ``Gram`` (_solve_gram).
     Eigenvalues are the Ritz values of the factor's stiffness projection
     (``gram``: for a Gram, the Gram matrix of G V); eigenvectors come back
     B-orthonormal, sorted by eigenvalue.
 
     ``stats``, a dict, may be given with a Gram: it receives the solver
-    record, the factor's size, fill and work (``AugmentedLU.stats``), the
-    subspace ``rounds``, and the final worst shift-inverted ``residual``
-    with the ``gate`` it passed."""
+    record of ``_solve_gram``."""
     n = A.shape[0]
     k = count
     if k < 1 or k > n:
         raise SolverError("requested %d eigenpairs of an order-%d problem"
                           % (k, n))
-    fac = (AugmentedLU(A.G, B, shift) if isinstance(A, Gram)
-           else EquilibratedLU(A, B, shift))
-    lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
-    if stats is not None:
-        stats.update(fac.stats(), **info)
+    if isinstance(A, Gram):
+        fac, lam, vec, record = _solve_gram(A, B, k, shift)
+        if stats is not None:
+            stats.update(record)
+    else:
+        fac = EquilibratedLU(A, B, shift)
+        lam, vec, _ = _subspace_iteration(fac, _initial_block(fac, k), k)
     vec = vec * fac.d[:, None]
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
+
+
+def _solve_gram(A, B, k, shift):
+    """The subspace iteration of a Gram pencil on its ``FormedLU``, or, when
+    that stalls, from the same start on a pivoted ``AugmentedLU`` (the
+    formed factor is released first).  Returns the factor, the k pairs and
+    the solver record: the factor's size, kind, fill and work
+    (``_GramFactor.stats``), ``factorizations`` (2 after a fallback, which
+    also records the stalled ``formed_moves``), the subspace ``rounds``,
+    and the final worst shift-inverted ``residual`` with the ``gate`` it
+    passed."""
+    try:
+        fac = FormedLU(A, B, shift)
+        lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
+        return fac, lam, vec, {**fac.stats(), "factorizations": 1, **info}
+    except _Stall as stall:
+        fallback = {"factorizations": 2, "formed_moves": stall.args[0]}
+    fac = AugmentedLU(A.G, B, shift)
+    lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
+    return fac, lam, vec, {**fac.stats(), **fallback, **info}
 
 
 def _dense_seed(n, count):

@@ -244,8 +244,8 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
         ["solved", "solved", "certified", "certified", "certified"]
     walk = ["p", "theta", "status", "below", "shift", "eigenvalues", "kept",
             "seconds"]
-    solver = ["n", "nnz", "fill", "pivoting", "move", "refine_steps",
-              "factorizations", "block_solves", "rounds", "residual", "gate"]
+    solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
+              "block_solves", "factorizations", "rounds", "residual", "gate"]
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
     # the first two pencils are solved unchecked, the rest checked
@@ -281,7 +281,7 @@ def test_flat_factored_ground_state_matches_the_limit(den):
     # with g = 0 the p = 0 pencil is the 1D intermediate mode-0 pencil on
     # the same vertical mesh; the assembled h^{-6} stiffness lost this
     # agreement below eps = 1/32, the factored solve keeps it, falling back
-    # to the pivoted factor where the unpivoted one would not do
+    # to the pivoted augmented factor where the formed one would not do
     eps = 1.0 / den
     prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
                       elements_per_period=4)
@@ -291,24 +291,46 @@ def test_flat_factored_ground_state_matches_the_limit(den):
         mesh=vertical_mesh(eps, prob.n_coarse, prob.n_layer)).eigenvalues()
     assert abs(res.eigenvalues[0] - ref[0]) <= 1e-9 * ref[0]
     if den >= 128:
-        assert res.pencils[0]["pivoting"] == "pivoted"
+        assert res.pencils[0]["factor"] == "augmented"
 
 
 @pytest.mark.parametrize("alpha, eps, epp", [(1.0, 0.125, 32),
                                              (1.5, 0.0625, 16)])
 def test_benchmark_cases_solve_unpivoted(cosine_profile, alpha, eps, epp):
-    # the two eps-spec cases of the bloch_spectra benchmark: one unpivoted
-    # factor per solved pencil, converged well inside the round cap
+    # the two eps-spec cases of the bloch_spectra benchmark: one formed
+    # (unpivoted) factor per solved pencil, converged well inside the round
+    # cap
     prob = EpsProblem(cosine_profile, PerturbationParams(eps, alpha),
                       elements_per_period=epp)
     res = solve_eps_spectrum_bloch(prob, 3)
     solved = [r for r in res.pencils if r["status"] == "solved"]
     assert [r["p"] for r in solved] == [0, 1]
     for rec in solved:
-        assert rec["pivoting"] == "unpivoted"
+        assert rec["factor"] == "formed"
         assert rec["factorizations"] == 1
         assert rec["rounds"] <= 6
         assert rec["residual"] <= rec["gate"] == numerics.EIGEN_TOL
+
+
+def test_formed_factor_matches_the_pivoted_augmented_factor(cosine_profile,
+                                                            monkeypatch):
+    # the alpha = 3/2 bloch_spectra case on the formed factor, and with
+    # PIVOT_MOVE below every move on the pivoted augmented factor
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.0625, 1.5),
+                      elements_per_period=16)
+    formed = solve_eps_spectrum_bloch(prob, 3)
+    monkeypatch.setattr(numerics, "PIVOT_MOVE", -1.0)
+    augmented = solve_eps_spectrum_bloch(prob, 3)
+    pairs = [(r, s) for r, s in zip(formed.pencils, augmented.pencils)
+             if r["status"] == s["status"] == "solved"]
+    assert [r["p"] for r, _ in pairs] == [0, 1]
+    for rec, ref in pairs:
+        assert (rec["factor"], ref["factor"]) == ("formed", "augmented")
+        assert rec["fill"] < ref["fill"]
+        np.testing.assert_allclose(rec["eigenvalues"], ref["eigenvalues"],
+                                   rtol=1e-10, atol=0)
+    np.testing.assert_allclose(formed.eigenvalues, augmented.eigenvalues,
+                               rtol=1e-10, atol=0)
 
 
 def test_bloch_needs_three_periods(cosine_profile):

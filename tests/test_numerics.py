@@ -16,9 +16,9 @@ from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
                                 _hermitian, _period_rows,
                                 solve_eps_spectrum_bloch)
 from trihomog.limit1d import LimitBC, limit_space
-from trihomog.numerics import (AugmentedLU, EquilibratedLU, Gram, SolverError,
-                               count_below, solve_linear, solve_smallest,
-                               walk_spectrum)
+from trihomog.numerics import (AugmentedLU, EquilibratedLU, FormedLU, Gram,
+                               SolverError, count_below, solve_linear,
+                               solve_smallest, walk_spectrum)
 from trihomog.oscillation import PerturbationParams
 from trihomog.sweep import default_profile
 
@@ -172,105 +172,120 @@ def test_equilibrated_lu_solves_shifted_pencil():
 
 
 def _random_factor_pencil(rng, complex_entries, rows=120, n=40):
-    """A sparse least-squares factor G (rows x n, a few entries per row,
-    spread over six decades) and a positive definite B."""
+    """The Gram of a sparse least-squares factor G (rows x n, a few entries
+    per row, spread over six decades) and a positive definite B."""
     G = sparse.random(rows, n, density=0.15, random_state=rng, format="csr")
     G = G + sparse.identity(n, format="csr").tocsr()[rng.integers(0, n, rows)]
     G = sparse.diags(np.geomspace(1.0, 1e3, rows)) @ G
     if complex_entries:
         G = G + 1j * sparse.diags(rng.normal(size=rows)) @ abs(G).sign()
     _, B = _random_spd_pencil(rng, n=n)
-    return G.tocsr(), B
+    G = G.tocsr()
+    return Gram(G, (G.conj().T @ G).tocsc()), B
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_gram_pencil_against_dense_oracle(complex_entries):
     rng = np.random.default_rng(59)
-    G, B = _random_factor_pencil(rng, complex_entries)
-    A = (G.conj().T @ G).toarray()
-    dense = eigh(A, B.toarray(), eigvals_only=True)
+    gram, B = _random_factor_pencil(rng, complex_entries)
+    dense = eigh(gram.A.toarray(), B.toarray(), eigvals_only=True)
     stats = {}
-    lam, vec = solve_smallest(Gram(G), B, 4, 0.5 * dense[0], stats=stats)
+    lam, vec = solve_smallest(gram, B, 4, 0.5 * dense[0], stats=stats)
     # a random start converges to the 1e-8 drift gate, not to the last bits
     np.testing.assert_allclose(lam, dense[:4], rtol=1e-8)
     np.testing.assert_allclose(vec.conj().T @ (B @ vec), np.eye(4),
                                atol=1e-8)
-    assert stats["pivoting"] == "unpivoted" and stats["factorizations"] == 1
-    assert stats["n"] == 40 and stats["nnz"] == G.nnz
+    assert stats["factor"] == "formed" and stats["factorizations"] == 1
+    assert "formed_moves" not in stats
+    assert stats["n"] == 40 and stats["nnz"] == gram.G.nnz
     assert stats["residual"] <= stats["gate"] == numerics.EIGEN_TOL
     # the first solve takes refine_steps + 1 refinement steps, the rounds
     # after it and the one residual check refine_steps each
     depth = stats["refine_steps"]
-    assert depth in (0, 1)
+    assert depth in (0, 1, 2)
     assert stats["block_solves"] == (2 + depth) + stats["rounds"] * (1 + depth)
 
 
-def test_augmented_lu_refactors_pivoted_on_a_large_move(monkeypatch):
-    # a move above PIVOT_MOVE in the first solve replaces the unpivoted
-    # factor by a pivoted one, once; the solve is then repeated
+def test_formed_factor_falls_back_to_the_pivoted_augmented_factor(
+        monkeypatch):
+    # a first solve on the formed factor still moving more than PIVOT_MOVE
+    # after its last step releases that factor before anything else is
+    # factored; the pencil is then solved from the same start on a pivoted
+    # AugmentedLU, to its eigenvalues bit for bit
     rng = np.random.default_rng(61)
-    G, B = _random_factor_pencil(rng, False)
-    C = rng.normal(size=(40, 3))
-    ref = AugmentedLU(G, B, -1.0)
-    X = ref.solve_refined(C)
-    dense = (G.T @ G).toarray() + B.toarray()
-    np.testing.assert_allclose(ref.d[:, None] * X,
-                               np.linalg.solve(dense, C / ref.d[:, None]),
-                               rtol=1e-9)
-    assert ref.pivoting == "unpivoted" and ref.move < numerics.PIVOT_MOVE
+    gram, B = _random_factor_pencil(rng, False)
+    shift = 0.5 * eigh(gram.A.toarray(), B.toarray(), eigvals_only=True)[0]
+    aug = AugmentedLU(gram.G, B, shift)
+    lam_aug, _, info = numerics._subspace_iteration(
+        aug, numerics._initial_block(aug, 4), 4)
+    formed = []
+
+    class Formed(FormedLU):
+        def __init__(self, *args):
+            super().__init__(*args)
+            formed.append(self)
+
+    class Augmented(AugmentedLU):
+        def __init__(self, *args):
+            assert [fac.lu for fac in formed] == [None]
+            super().__init__(*args)
+
+    monkeypatch.setattr(numerics, "FormedLU", Formed)
+    monkeypatch.setattr(numerics, "AugmentedLU", Augmented)
     monkeypatch.setattr(numerics, "PIVOT_MOVE", -1.0)
-    fac = AugmentedLU(G, B, -1.0)
-    np.testing.assert_allclose(fac.solve_refined(C), X, rtol=1e-9)
-    fac.solve_refined(C)
-    assert (fac.pivoting, fac.factorizations, fac.solves) == ("pivoted", 2,
-                                                              9)
+    stats = {}
+    lam, _ = solve_smallest(gram, B, 4, shift, stats=stats)
+    assert np.array_equal(lam, lam_aug)
+    assert (stats["factor"], stats["factorizations"]) == ("augmented", 2)
+    assert stats["formed_moves"] == formed[0].moves
+    assert len(stats["formed_moves"]) == FormedLU.STEPS == 3
+    assert stats["refine_steps"] == AugmentedLU.STEPS == 2
+    assert (stats["rounds"], stats["fill"]) == (info["rounds"], aug.lu.nnz)
 
 
 @pytest.mark.parametrize("depth", [0, 1])
 def test_later_solves_take_the_first_solves_depth(depth, monkeypatch):
     # the first solve stops at the first refinement step that moves at most
     # PIVOT_MOVE, and every later solve takes the steps it needed before
-    # that one.  This factor's first step moves about 4e-12 and its second
-    # about 6e-16, so a PIVOT_MOVE between the two makes it need one step
+    # that one.  This formed factor's first step moves about 2e-14 and its
+    # second about 6e-16, so a PIVOT_MOVE between the two makes it need
+    # one step
     rng = np.random.default_rng(61)
-    G, B = _random_factor_pencil(rng, False)
+    gram, B = _random_factor_pencil(rng, False)
     C, D = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
-    ref = AugmentedLU(G, B, -1.0)
+    ref = FormedLU(gram, B, -1.0)
     ref.solve_refined(C)
-    assert ref.refine_steps == 0 and 1e-14 < ref.move <= numerics.PIVOT_MOVE
+    assert ref.refine_steps == 0
+    assert 1e-15 < ref.moves[0] <= numerics.PIVOT_MOVE
     if depth:
-        monkeypatch.setattr(numerics, "PIVOT_MOVE", ref.move / 100)
-    fac = AugmentedLU(G, B, -1.0)
+        monkeypatch.setattr(numerics, "PIVOT_MOVE", ref.moves[0] / 10)
+    fac = FormedLU(gram, B, -1.0)
     fac.solve_refined(C)
     assert (fac.refine_steps, fac.solves) == (depth, 2 + depth)
-    assert fac.move <= numerics.PIVOT_MOVE
-    assert (fac.pivoting, fac.factorizations) == ("unpivoted", 1)
+    assert len(fac.moves) == depth + 1
+    assert fac.moves[-1] <= numerics.PIVOT_MOVE
     X = fac.solve_refined(D)
     assert fac.solves == 2 + depth + 1 + depth
-    dense = (G.T @ G).toarray() + B.toarray()
+    dense = gram.A.toarray() + B.toarray()
     np.testing.assert_allclose(fac.d[:, None] * X,
                                np.linalg.solve(dense, D / fac.d[:, None]),
                                rtol=1e-9)
 
 
 def test_refinement_depth_keeps_the_bloch_eigenvalues(monkeypatch):
-    # each factor refined as deep as its first solve needs, against two
-    # refinement steps in every solve: the eigenvalues agree to 1e-10
+    # each formed factor refined as deep as its first solve needs, against
+    # two refinement steps in every solve: the eigenvalues agree to 1e-10
     problem = EpsProblem(default_profile(), PerturbationParams(0.125, 1.5),
                          elements_per_period=16)
     res = solve_eps_spectrum_bloch(problem, 3)
-    factor = AugmentedLU._factor
-
-    def two_steps(self, pivoting):
-        factor(self, pivoting)
-        self.refine_steps = 2
-
-    monkeypatch.setattr(AugmentedLU, "_factor", two_steps)
+    monkeypatch.setattr(FormedLU, "_first_depth",
+                        lambda self: 2 if len(self.moves) == 2 else None)
     ref = solve_eps_spectrum_bloch(problem, 3)
     solved = [(r, s) for r, s in zip(res.pencils, ref.pencils)
               if r["status"] == "solved"]
     assert len(solved) >= 2
     for rec, two in solved:
+        assert rec["factor"] == two["factor"] == "formed"
         assert rec["refine_steps"] < two["refine_steps"] == 2
         assert rec["block_solves"] < two["block_solves"]
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-10,
@@ -510,8 +525,8 @@ def test_failing_residual_reports_the_one_gate(ring_pencils, monkeypatch):
     # Gram pencil both fail against the gate EIGEN_TOL
     monkeypatch.setattr(numerics, "_worst_residual",
                         lambda fac, lam, vec: 1e6)
-    G, B = _random_factor_pencil(np.random.default_rng(59), False)
-    for A, B in (ring_pencils[0], (Gram(G), B)):
+    for A, B in (ring_pencils[0],
+                 _random_factor_pencil(np.random.default_rng(59), False)):
         with pytest.raises(SolverError) as err:
             solve_smallest(A, B, 2, 0.5)
         assert str(err.value) == ("shift-inverted eigen residual %.3e "
