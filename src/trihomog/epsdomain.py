@@ -14,12 +14,15 @@ reference derivatives, and
 is integrated.  EpsAssembly computes the per-row chain-rule tables once,
 vectorised over whole horizontal element rows, and caches them: the
 quadrature energies, the load vectors, the matrices and the least-squares
-factor of the stiffness reuse them.  The matrices and the factor share
-one source, the weighted evaluation rows of each element (_element_rows):
-an element stiffness is their Gram matrix, its factor their QR triangle,
-and an element mass the Gram matrix of their value rows.
-The matrices are assembled only when read, from the element columns a
-solve needs, one element row after another in the calling thread.
+factor of the stiffness reuse them.  The third-derivative table, most of
+a row's memory, is cached only for the element columns the solves
+assemble (_block_columns) and recomputed for any other reader.  The
+matrices and the factor share one source, the weighted evaluation rows
+of each element (_element_rows): an element stiffness is their Gram
+matrix, its factor their QR triangle, and an element mass the Gram
+matrix of their value rows.  The matrices are assembled only when read,
+from the element columns a solve needs, one element row after another in
+the calling thread.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
 (spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
@@ -34,13 +37,11 @@ residual and Ritz value formed through the factor G_theta of one period
 (EpsAssembly._factor) and checked on its own Gram, so no eigenvalue
 carries the h^{-6} rounding of an assembled matrix;
 the Poisson problem is one linear system per discrete Fourier mode of the
-load (solve_eps_poisson).  Neither builds the torus matrices; only the
-tests' references read ``stiffness`` and ``mass`` of an EpsAssembly.
+load (solve_eps_poisson).  Neither builds the torus matrices.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -130,17 +131,27 @@ def vertical_mesh(eps, n_coarse, n_layer):
     return Mesh1D(np.concatenate([coarse, layer]))
 
 
+def _block_columns(columns, elements_per_period):
+    """The element columns of a ring of ``columns`` columns whose elements
+    touch the dofs of period block 0: 0..elements_per_period-1 and the
+    last column, ascending (every column of a one-period ring)."""
+    return np.unique(np.append(np.arange(elements_per_period), columns - 1))
+
+
 def _element_rows(geo, cols):
     """The 5 nq^2 weighted evaluation rows (len(cols), 5 nq^2, 36) of each
     element of the element columns ``cols`` of one row (_row_geometry):
     sqrt(mult_b w detJ) (C3 T)_b for the four third derivatives b and
     sqrt(w detJ) T_0 for the value, so that rows' rows is the element
-    stiffness.  The products work element by element, so any subset of
-    columns gets the bits of the whole row."""
+    stiffness.  C3 is read through the row's column -> slot map, so the
+    row must keep C3 for every column of ``cols`` (EpsAssembly._tables).
+    The products work element by element, so any subset of columns gets
+    the bits of the whole row."""
     C3, detj, w, T = geo["C3"], geo["detJ"], geo["w"], geo["T"]
     root = np.sqrt(detj[cols] * w[None, :])                      # (i,q)
     Tq = T.transpose(1, 0, 2)                                    # (q,10,36)
-    D3 = np.matmul(C3[:, :, cols].transpose(2, 3, 0, 1), Tq)     # (i,q,4,36)
+    D3 = np.matmul(C3[:, :, geo["slot"][cols]].transpose(2, 3, 0, 1),
+                   Tq)                                           # (i,q,4,36)
     D3 *= (root[:, :, None] * np.sqrt(MULT3))[..., None]
     rows = np.concatenate([D3, (root[:, :, None] * T[0])[:, :, None]],
                           axis=2)                                # (i,q,5,36)
@@ -177,8 +188,14 @@ class EpsAssembly:
     row (_row_geometry) and caches them; the quadrature energies, the load
     vector, the limit comparison, the matrices and the factor all read
     them, the stiffness and the factor through the same element rows
-    (_element_rows).  ``stiffness`` and ``mass`` assemble every column on
-    first read; ``_matrix`` and ``_factor`` any subset of the columns."""
+    (_element_rows).  The cache keeps the third-derivative table C3, most
+    of a row's memory, only for the columns the solves assemble
+    (_block_columns: period block 0 and its couplings); every other table
+    is kept for every column.  A reader of C3 in any other column (the
+    quadrature energies, an assembly of other columns) gets the row's full
+    tables recomputed, bit for bit, for the moment it reads them
+    (_tables).  ``_matrix`` and ``_factor`` assemble any subset of the
+    columns."""
 
     def __init__(self, problem, columns=None):
         """``columns`` restricts the ring to that many tangential element
@@ -198,7 +215,9 @@ class EpsAssembly:
                            problem.n_layer)
         self.space = build_space_2d(self.columns, vm)
         t0 = time.perf_counter()
-        self._rows = [self._row_geometry(j) for j in range(vm.n_elements)]
+        keep = _block_columns(self.columns, epp)
+        self._rows = [self._row_geometry(j, keep)
+                      for j in range(vm.n_elements)]
         self.geometry_seconds = time.perf_counter() - t0
 
     # -- geometry -----------------------------------------------------------
@@ -217,11 +236,16 @@ class EpsAssembly:
                      ).reshape(nq * nq, 36)
         return T
 
-    def _row_geometry(self, j):
-        """Cached data of element row j at all quadrature points (flattened
-        index q = qx * nq + qt): C3 (third-derivative transform rows), detJ,
+    def _row_geometry(self, j, keep):
+        """The tables of element row j at all quadrature points (flattened
+        index q = qx * nq + qt): C3 (third-derivative transform rows) of
+        the ascending element columns ``keep`` only, ``slot``, the map
+        from a column to its index in C3 (one past the end for a column
+        not kept, so that reading it raises), and for every column detJ,
         the physical coordinates x and tau, the shape table T, the element
-        dofs and the quadrature weights w."""
+        dofs and the quadrature weights w.  The chain-rule coefficients
+        are computed for every column and C3 copies those of ``keep``, so a
+        kept column has the bits of the full table."""
         problem, space = self.problem, self.space
         cols = self.columns
         sq, wq = gauss_rule(QUAD_ORDER)
@@ -239,33 +263,35 @@ class EpsAssembly:
         tau = forward[(0, 0)]
         inverse = invert_shear_derivs(forward, 2)
         coeffs, det_jacobian = transform_coeffs(inverse, 2)
-        C3 = np.zeros((len(IDX3), len(IDX10), cols, nq * nq))
+        C3 = np.zeros((len(IDX3), len(IDX10), len(keep), nq * nq))
         for bi, beta in enumerate(IDX3):
             row = coeffs[beta]
             for gi, gamma in enumerate(IDX10):
                 if gamma in row:
                     val = np.broadcast_to(np.asarray(row[gamma], dtype=float),
                                           tau.shape)
-                    C3[bi, gi] = val.reshape(cols, nq * nq)
+                    C3[bi, gi] = val.reshape(cols, nq * nq)[keep]
+        slot = np.full(cols, len(keep))
+        slot[keep] = np.arange(len(keep))
         detj = np.broadcast_to(det_jacobian, tau.shape
                                ).reshape(cols, nq * nq)
-        return {"C3": C3, "detJ": detj, "tau": tau.reshape(cols, nq * nq),
+        return {"C3": C3, "slot": slot, "detJ": detj,
+                "tau": tau.reshape(cols, nq * nq),
                 "x": np.repeat(xq, nq, axis=1),
                 "T": self._shape_tables(hx, ht),
                 "dofs": space.element_dofs_2d(np.arange(cols), j),
                 "w": np.outer(wq, wq).ravel() * hx * ht}
 
+    def _tables(self, j, cols):
+        """The tables of element row j with C3 for the element columns
+        ``cols``: the cached row when it keeps them, otherwise the row's
+        full tables, recomputed (_row_geometry) and not cached."""
+        geo = self._rows[j]
+        if np.all(geo["slot"][cols] < geo["C3"].shape[2]):
+            return geo
+        return self._row_geometry(j, np.arange(self.columns))
+
     # -- matrices -----------------------------------------------------------
-
-    @functools.cached_property
-    def stiffness(self):
-        """Stiffness on the free dofs, every column (built on first read)."""
-        return self._matrix("stiffness", np.arange(self.columns))
-
-    @functools.cached_property
-    def mass(self):
-        """Mass on the free dofs, every column (built on first read)."""
-        return self._matrix("mass", np.arange(self.columns))
 
     def _matrix(self, kind, cols):
         """The ``kind`` matrix ("stiffness" or "mass") on the free dofs,
@@ -276,9 +302,10 @@ class EpsAssembly:
         elements = {"stiffness": _stiffness_elements,
                     "mass": _mass_elements}[kind]
         parts = []
-        for geo in self._rows:
-            parts.append(scatter_elements(self.space, geo["dofs"][cols],
-                                          elements(geo, cols)))
+        for j, geo in enumerate(self._rows):
+            parts.append(scatter_elements(
+                self.space, geo["dofs"][cols],
+                elements(self._tables(j, cols), cols)))
         return to_csr(self.space, parts)
 
     def _factor(self, cols):
@@ -288,7 +315,7 @@ class EpsAssembly:
         upper = np.triu(np.ones((36, 36), dtype=bool))
         parts = []
         for j, geo in enumerate(self._rows):
-            R = _factor_elements(geo, cols)
+            R = _factor_elements(self._tables(j, cols), cols)
             first = (j * len(cols) + np.arange(len(cols))) * 36
             r = np.broadcast_to((first[:, None] + np.arange(36))[:, :, None],
                                 R.shape)
@@ -320,8 +347,10 @@ class EpsAssembly:
         quadrature of the pulled-back derivatives (sum of squares; avoids
         the h^{-6} cancellation of the matrix quadratic form)."""
         full = self.space.embed(np.asarray(free_vec, dtype=float))
+        every = np.arange(self.columns)
         ea = eb = 0.0
-        for geo in self._rows:
+        for j in range(len(self._rows)):
+            geo = self._tables(j, every)
             u = self._element_values(geo, full, range(len(IDX10)))
             p = np.einsum('bgiq,giq->biq', geo["C3"], u, optimize=True)
             dens = np.einsum('b,biq->iq', MULT3, p ** 2) + u[0] ** 2
@@ -376,13 +405,13 @@ def _period_blocks(assembly):
 
 def _period_rows(assembly, kind):
     """The offset blocks (_offset_blocks) of the rows of period block 0 of
-    the ``kind`` matrix.  Only the elements of columns 0..epp-1 and of the
-    last column touch those rows, so only these columns are assembled
+    the ``kind`` matrix.  Only the elements of the block columns
+    (_block_columns) touch those rows, so only these columns are assembled
     (EpsAssembly._matrix): the rows equal those of the whole assembly bit
     for bit."""
     periods, m = _period_blocks(assembly)
-    epp = assembly.problem.elements_per_period
-    cols = np.unique(np.append(np.arange(epp), assembly.columns - 1))
+    cols = _block_columns(assembly.columns,
+                         assembly.problem.elements_per_period)
     return _offset_blocks(assembly._matrix(kind, cols)[:m], m, periods)
 
 

@@ -60,6 +60,7 @@ EIGEN_TOL = 5e-5           # shift-inverted residual gate
 SEED = 20260824            # random start block
 AUG_SCALE = 1e-4           # a of AugmentedLU's scaled augmented system
 PIVOT_MOVE = 5e-5          # refinement move FormedLU's first solve must reach
+MAX_STEPS = 8              # cap of FormedLU's first solve while it contracts
 PIVOT_THRESH = 0.01        # diag_pivot_thresh of AugmentedLU
 MAX_ROUNDS = 12            # cap of the subspace iteration
 
@@ -178,10 +179,10 @@ class _GramFactor:
     the h^{-6} rounding of a formed A never reaches the answer (Björck,
     Numerical Methods for Least Squares Problems, SIAM 1996; Carson and
     Higham, SIAM J. Sci. Comput. 39(6), 2017: a poor factor serves when
-    the residual is accurate).  The first solve takes at most STEPS
+    the residual is accurate).  The first solve takes at most MAX_STEPS
     refinement steps and records each one's ``moves``, the largest
     relative B-norm move of a column; it fixes ``refine_steps``
-    (``_first_depth``: all STEPS unless a subclass stops sooner), which
+    (``_first_depth``: STEPS unless a subclass decides otherwise), which
     every later solve takes.  G itself is kept (not G D or G^H)."""
 
     def __init__(self, G, B, shift):
@@ -201,7 +202,7 @@ class _GramFactor:
         factor needs."""
         first = self.refine_steps is None
         X = self._solve(C)
-        for _ in range(self.STEPS if first else self.refine_steps):
+        for _ in range(MAX_STEPS if first else self.refine_steps):
             step = self._solve(C - self.apply(X) + self.sigma * (self.Bs @ X))
             X += step
             if first:
@@ -241,11 +242,15 @@ class FormedLU(_GramFactor):
     formed pencil D(A - sigma B)D by ``_symmetric_lu``, the factorization
     ``count_below`` takes, at about half the fill of Björck's augmented
     system.  The first solve stops at the first refinement step that moves
-    at most PIVOT_MOVE, and the steps before that one, 0 to STEPS - 1,
-    become ``refine_steps``.  Where the formed pencil's rounding is not
-    small against its smallest eigenvalues, the steps stop contracting:
-    still above PIVOT_MOVE after STEPS steps, or a failed factorization,
-    releases the factor and raises ``_Stall``."""
+    at most PIVOT_MOVE, and the steps before that one become
+    ``refine_steps``.  Past STEPS steps it goes on only while each step at
+    least halves the move of the one before, up to MAX_STEPS: on a poor
+    factor, refinement through an accurate residual still contracts
+    geometrically.  Where the formed pencil's rounding is not small against
+    its smallest eigenvalues, the steps stop contracting: a move above
+    PIVOT_MOVE that, from step STEPS on, does not halve the one before or
+    is the MAX_STEPS-th, or a failed factorization, releases the factor
+    and raises ``_Stall``."""
 
     FACTOR = "formed"
     STEPS = 3
@@ -262,11 +267,13 @@ class FormedLU(_GramFactor):
         return self.lu.solve(C)
 
     def _first_depth(self):
-        if self.moves[-1] <= PIVOT_MOVE:
-            return len(self.moves) - 1
-        if len(self.moves) == self.STEPS:
+        moves = self.moves
+        if moves[-1] <= PIVOT_MOVE:
+            return len(moves) - 1
+        if len(moves) >= self.STEPS and (len(moves) == MAX_STEPS
+                                         or moves[-1] > 0.5 * moves[-2]):
             self.lu = None      # free it before the fallback factors
-            raise _Stall(self.moves)
+            raise _Stall(moves)
         return None
 
 
@@ -339,14 +346,15 @@ def count_below(A, B, shift):
     10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
     without pivoting can leave in a pivot of a definite matrix."""
     M = _scaled(A - shift * B, _jacobi(A))
+    tiny = 10 * M.shape[0] * np.finfo(float).eps * np.abs(M.data).max()
     try:
         lu = _symmetric_lu(M)
     except RuntimeError:
         return None
+    del M                       # released before the copy of the factor
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     pivots = lu.U.diagonal().real
-    tiny = 10 * M.shape[0] * np.finfo(float).eps * np.abs(M.data).max()
     if np.any(np.abs(pivots) <= tiny):
         return None
     return int(np.count_nonzero(pivots < 0))

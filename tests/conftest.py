@@ -70,6 +70,13 @@ def random_nonneg_profile(rng, n_pairs=2, dim=1):
     return OscillationProfile(dim, coeffs)
 
 
+def whole_matrix(assembly, kind):
+    """The ``kind`` matrix ("stiffness" or "mass") of an EpsAssembly over
+    every column of its ring, as CSR: the reference the Bloch blocks and
+    the quadrature energies are checked against."""
+    return assembly._matrix(kind, np.arange(assembly.columns))
+
+
 def solve_eps_spectrum(problem, count, assembly=None):
     """Lowest eigenvalues of the oscillating-domain problem solved on the
     full torus pencil: the reference the Bloch reduction
@@ -79,8 +86,9 @@ def solve_eps_spectrum(problem, count, assembly=None):
     its eigenvector, as on the Bloch path."""
     if assembly is None:
         assembly = EpsAssembly(problem)
-    _, vec = solve_smallest(assembly.stiffness.tocsc(),
-                            assembly.mass.tocsc(), count, 0.5)
+    _, vec = solve_smallest(whole_matrix(assembly, "stiffness").tocsc(),
+                            whole_matrix(assembly, "mass").tocsc(), count,
+                            0.5)
     energies = [assembly.energies(vec[:, j]) for j in range(count)]
     return np.sort([ea / eb for ea, eb in energies])
 
@@ -88,7 +96,7 @@ def solve_eps_spectrum(problem, count, assembly=None):
 def solve_eps_poisson_direct(assembly, rhs):
     """One direct solve of the whole assembled Poisson system: the reference
     the Bloch split of solve_eps_poisson is checked against."""
-    return solve_linear(assembly.stiffness.tocsc(), rhs)
+    return solve_linear(whole_matrix(assembly, "stiffness").tocsc(), rhs)
 
 
 def mode_matrices(bc, m, space):

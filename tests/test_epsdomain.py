@@ -21,7 +21,8 @@ from trihomog.numerics import solve_linear
 from trihomog.oscillation import OscillationProfile, PerturbationParams
 from trihomog.sweep import write_json
 
-from conftest import solve_eps_poisson_direct, solve_eps_spectrum
+from conftest import (solve_eps_poisson_direct, solve_eps_spectrum,
+                      whole_matrix)
 
 
 def _flat_profile():
@@ -78,8 +79,10 @@ def test_quadrature_energies_match_matrix_form(cosine_assembly):
     rng = np.random.default_rng(7)
     v = rng.normal(size=asm.space.n_free)
     ea, eb = asm.energies(v)
-    assert abs(ea - v @ (asm.stiffness @ v)) < 1e-12 * abs(ea)
-    assert abs(eb - v @ (asm.mass @ v)) < 1e-12 * abs(eb)
+    stiffness, mass = (whole_matrix(asm, kind) for kind in ("stiffness",
+                                                             "mass"))
+    assert abs(ea - v @ (stiffness @ v)) < 1e-12 * abs(ea)
+    assert abs(eb - v @ (mass @ v)) < 1e-12 * abs(eb)
 
 
 def test_node_blocks_match_pointwise_pullback():
@@ -128,7 +131,8 @@ def test_node_blocks_match_pointwise_pullback():
                 for b in IDX3:
                     stiff += (jets.multinomial(b) * weight
                               * np.outer(phys[b], phys[b]))
-    for matrix, oracle in ((asm.stiffness, stiff), (asm.mass, mass)):
+    for kind, oracle in (("stiffness", stiff), ("mass", mass)):
+        matrix = whole_matrix(asm, kind)
         np.testing.assert_allclose(matrix[free][:, free].toarray(), oracle,
                                    rtol=1e-10,
                                    atol=1e-13 * np.abs(oracle).max())
@@ -281,7 +285,9 @@ def test_flat_factored_ground_state_matches_the_limit(den):
     # with g = 0 the p = 0 pencil is the 1D intermediate mode-0 pencil on
     # the same vertical mesh; the assembled h^{-6} stiffness lost this
     # agreement below eps = 1/32, the factored solve keeps it, falling back
-    # to the pivoted augmented factor where the formed one would not do
+    # to the pivoted augmented factor where the formed one would not do.
+    # At 1/128 the formed refinement contracts about tenfold per step and
+    # stays formed; at 1/256 its moves (0.47, 0.29, 0.21) do not halve
     eps = 1.0 / den
     prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
                       elements_per_period=4)
@@ -290,8 +296,8 @@ def test_flat_factored_ground_state_matches_the_limit(den):
         LimitBC("intermediate"), count=1,
         mesh=vertical_mesh(eps, prob.n_coarse, prob.n_layer)).eigenvalues()
     assert abs(res.eigenvalues[0] - ref[0]) <= 1e-9 * ref[0]
-    if den >= 128:
-        assert res.pencils[0]["factor"] == "augmented"
+    assert res.pencils[0]["factor"] == ("augmented" if den >= 256
+                                        else "formed")
 
 
 @pytest.mark.parametrize("alpha, eps, epp", [(1.0, 0.125, 32),
@@ -536,7 +542,8 @@ def test_period_blocks_equal_slices_of_the_full_matrices(cosine_profile):
     for asm in _small_ring_and_torus(cosine_profile):
         periods = asm.columns // asm.problem.elements_per_period
         m = asm.space.n_free // periods
-        for kind, M in (("stiffness", asm.stiffness), ("mass", asm.mass)):
+        for kind in ("stiffness", "mass"):
+            M = whole_matrix(asm, kind)
             blocks = _period_rows(asm, kind)
             assert sorted(blocks) == [-1, 0, 1]
             _assert_same_csr(blocks[0], M[:m, :m])
@@ -544,20 +551,63 @@ def test_period_blocks_equal_slices_of_the_full_matrices(cosine_profile):
             _assert_same_csr(blocks[-1], M[:m, (periods - 1) * m:])
 
 
-def test_poisson_assembles_only_what_it_reads(cosine_profile):
+def test_poisson_assembles_only_what_it_reads(cosine_profile, monkeypatch):
+    # the torus and the one-period ring assemble the stiffness of their
+    # block columns once, and no mass
     prob = EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
                       elements_per_period=4)
+    calls = []
+    matrix = EpsAssembly._matrix
+
+    def recorded(self, kind, cols):
+        calls.append((kind, cols.tolist()))
+        return matrix(self, kind, cols)
+
+    monkeypatch.setattr(EpsAssembly, "_matrix", recorded)
 
     def f(x, y):
         return np.cos(2.0 * np.pi * x) * y * (1.0 + y)
 
-    _, torus = solve_eps_poisson(prob, f)
-    assert "stiffness" not in torus.__dict__
-    assert "mass" not in torus.__dict__
+    solve_eps_poisson(prob, f)
     ring = EpsAssembly(prob, columns=prob.elements_per_period)
     solve_eps_poisson(prob, f, assembly=ring)
-    assert "stiffness" not in ring.__dict__
-    assert "mass" not in ring.__dict__
+    assert calls == [("stiffness", [0, 1, 2, 3, 15]),
+                     ("stiffness", [0, 1, 2, 3])]
+
+
+def test_row_cache_keeps_c3_only_for_the_block_columns(cosine_profile):
+    # the benchmark's Poisson torus (alpha = 2, eps = 1/8, 16 per period)
+    # keeps the third-derivative table of 17 of its 128 columns; every
+    # other table, and every column of a one-period ring, is kept whole
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.125, 2.0),
+                      elements_per_period=16)
+    torus = EpsAssembly(prob)
+    ring = EpsAssembly(prob, columns=16)
+    block = np.append(np.arange(16), 127)
+    for j, geo in enumerate(torus._rows):
+        assert geo["C3"].shape[2] == 17
+        assert np.array_equal(geo["slot"][block], np.arange(17))
+        assert np.all(np.delete(geo["slot"], block) == 17)
+        assert all(geo[k].shape[0] == 128 for k in ("x", "tau", "detJ",
+                                                    "dofs"))
+        whole = torus._tables(j, np.arange(128))
+        assert whole["C3"].shape[2] == 128
+        assert np.array_equal(whole["C3"][:, :, block], geo["C3"])
+        assert torus._tables(j, block) is geo
+        # the kept table gives the block's elements the bits of the full one
+        assert np.array_equal(_stiffness_elements(geo, block),
+                              _stiffness_elements(whole, block))
+        assert np.array_equal(_factor_elements(geo, block[:16]),
+                              _factor_elements(whole, block[:16]))
+    for geo in ring._rows:
+        assert geo["C3"].shape[2] == 16
+        assert np.array_equal(geo["slot"], np.arange(16))
+
+
+def _whole_rows(asm, step=1):
+    """The full tables (C3 of every column) of every ``step``-th row."""
+    every = np.arange(asm.columns)
+    return [asm._tables(j, every) for j in range(0, len(asm._rows), step)]
 
 
 def _whole_row_then_sliced(geo, cols):
@@ -580,7 +630,7 @@ def test_column_subset_elements_equal_the_whole_row(cosine_profile):
         asm = EpsAssembly(prob, columns=columns)
         every = np.arange(asm.columns)
         block = np.append(np.arange(epp), asm.columns - 1)
-        for geo in asm._rows[::5]:
+        for geo in _whole_rows(asm, 5):
             for cols in (every, block):
                 stiffness, factor, mass = _whole_row_then_sliced(geo, cols)
                 assert np.array_equal(_stiffness_elements(geo, cols),
@@ -601,7 +651,7 @@ def test_stiffness_elements_are_the_gram_of_their_factor(cosine_profile):
                       elements_per_period=32)
     asm = EpsAssembly(prob, columns=96)
     cols = np.arange(asm.columns)
-    for geo in asm._rows:
+    for geo in _whole_rows(asm):
         S = _stiffness_elements(geo, cols)
         R = _factor_elements(geo, cols)
         err = np.abs(np.matmul(R.transpose(0, 2, 1), R) - S).max(axis=(1, 2))

@@ -243,6 +243,38 @@ def test_formed_factor_falls_back_to_the_pivoted_augmented_factor(
     assert (stats["rounds"], stats["fill"]) == (info["rounds"], aug.lu.nnz)
 
 
+@pytest.mark.parametrize("rate, factor", [(0.3, "formed"),
+                                           (0.6, "augmented")])
+def test_formed_first_solve_steps_on_while_it_contracts(rate, factor,
+                                                        monkeypatch):
+    # a formed factor off by the scale 1 - rate solves with error rate x
+    # and its refinement contracts by exactly that rate per step.  At
+    # PIVOT_MOVE = 1e-3 a rate of 0.3 needs six steps, past the first
+    # STEPS, and halves every move, so the pencil stays formed; a rate of
+    # 0.6 does not halve, and stalls after STEPS steps
+    class Scaled(FormedLU):
+        def _solve(self, C):
+            return (1.0 - rate) * super()._solve(C)
+
+    rng = np.random.default_rng(61)
+    gram, B = _random_factor_pencil(rng, False)
+    shift = 0.5 * eigh(gram.A.toarray(), B.toarray(), eigvals_only=True)[0]
+    lam_ref = solve_smallest(gram, B, 4, shift)[0]
+    monkeypatch.setattr(numerics, "FormedLU", Scaled)
+    monkeypatch.setattr(numerics, "PIVOT_MOVE", 1e-3)
+    stats = {}
+    lam, _ = solve_smallest(gram, B, 4, shift, stats=stats)
+    assert stats["factor"] == factor
+    if factor == "formed":
+        assert (stats["refine_steps"], stats["factorizations"]) == (5, 1)
+        assert stats["move"] <= 1e-3
+    else:
+        moves = stats["formed_moves"]
+        assert len(moves) == FormedLU.STEPS
+        assert moves[-1] > 0.5 * moves[-2]
+    np.testing.assert_allclose(lam, lam_ref, rtol=1e-8)
+
+
 @pytest.mark.parametrize("depth", [0, 1])
 def test_later_solves_take_the_first_solves_depth(depth, monkeypatch):
     # the first solve stops at the first refinement step that moves at most
