@@ -11,36 +11,38 @@ the design here:
   iteration around a shift below the spectrum does not, so it is the path
   at every problem size (dense eigh only seeds small assembled pencils).
 * An assembled stiffness carries rounding of size eps * h^{-6} in its
-  entries, and quadratic forms x' A x through it cancel at that level.  A
-  stiffness given by a least-squares factor, A = G^H G (``Gram``: the Bloch
-  pencils of epsdomain, G built from the weighted quadrature rows of each
-  element), is factored in its formed, equilibrated shape (``FormedLU``),
-  but each solve is refined on a residual formed through G and its Ritz
-  values are those of the Gram matrix of G V, as accurate as the rows of
-  G.  Where the formed pencil's rounding defeats that refinement, the
-  pencil is solved on Björck's augmented system of G, with pivoting
-  (``AugmentedLU``), which never forms A.  An
-  assembled stiffness (the 1D limit pencils) is factored after symmetric
+  entries, and quadratic forms x' A x through it cancel at that level.
+  Every pencil is factored in one way (``FormedLU``): after symmetric
   Jacobi equilibration A -> D A D, D = diag(A)^{-1/2}, a congruence that
-  leaves pencil eigenvalues invariant (``EquilibratedLU``); its caller
-  recomputes each eigenvalue as the Rayleigh quotient of its eigenvector
-  through element-level quadrature energies (limit1d.solve_mode), where
-  stationarity makes the eigenvector error enter only quadratically.
+  leaves pencil eigenvalues invariant, D(A - sigma B)D is factored with
+  a symmetric ordering and no pivoting.  A stiffness given by a
+  least-squares factor, A = G^H G (``Gram``: the Bloch pencils of
+  epsdomain, G built from the weighted quadrature rows of each element),
+  has each solve refined on a residual formed through G and its Ritz
+  values are those of the Gram matrix of G V, as accurate as the rows of
+  G.  Where the formed pencil's rounding defeats that refinement, a Gram
+  pencil is solved on Björck's augmented system of G, with pivoting
+  (``AugmentedLU``), which never forms A; an assembled pencil has no such
+  fallback and raises.  An assembled stiffness (the 1D limit pencils) is
+  refined through D A D itself; its caller recomputes each eigenvalue as
+  the Rayleigh quotient of its eigenvector through element-level
+  quadrature energies (limit1d.solve_mode), where stationarity makes the
+  eigenvector error enter only quadratically.
 
 Every factor serves the one subspace iteration of ``solve_smallest`` through
 the same operations: a refined solve of a block of right sides (one
-multi-column triangular solve per step; a Gram factor refines only as
-deep as its first solve showed the factor needs), A X, and X^H A X.  The
-iteration stops when the wanted Ritz values drift by less than 1e-8
-between rounds and the residual gate passes, one gate for every factor.
+multi-column triangular solve per step, refined only as deep as the first
+solve showed the factor needs), A X, and X^H A X.  The iteration stops
+when the wanted Ritz values drift by less than 1e-8 between rounds and
+the residual gate passes, one gate for every factor.
 Convergence is certified in the shift-inverted metric,
 
     || (A - sigma B)^{-1} (A x - lambda B x) || <= EIGEN_TOL * ||x||,
 
 because the literal residual ||A x - lambda B x|| is dominated by
 eps * lambda_max * ||x|| rounding noise for these pencils no matter how
-accurate the pair is.  ``solve_linear`` solves through an
-``EquilibratedLU`` too.
+accurate the pair is.  ``solve_linear`` solves on the ``FormedLU`` of its
+matrix too, with one refinement step.
 """
 
 from __future__ import annotations
@@ -63,15 +65,6 @@ PIVOT_MOVE = 5e-5          # refinement move FormedLU's first solve must reach
 MAX_STEPS = 8              # cap of FormedLU's first solve while it contracts
 PIVOT_THRESH = 0.01        # diag_pivot_thresh of AugmentedLU
 MAX_ROUNDS = 12            # cap of the subspace iteration
-
-
-def equilibrate(A, B):
-    """Symmetric Jacobi equilibration of the pencil (A, B): (d, D A D,
-    D B D) with D = diag(d), d_i = |A_ii|^{-1/2} (unit scaling where a
-    diagonal entry is not positive), the matrices as CSC; the last is None
-    when B is.  A and B must store no duplicate entries (see _scaled)."""
-    d = _jacobi(A)
-    return d, _scaled(A, d), None if B is None else _scaled(B, d)
 
 
 def _jacobi(A):
@@ -97,60 +90,6 @@ def _scaled(A, d):
     return S
 
 
-class EquilibratedLU:
-    """Sparse LU of the equilibrated, shifted matrix M = As - sigma Bs, where
-    (d, As, Bs) = equilibrate(A, B).  Without B, M = As.  ``solve`` works in
-    equilibrated variables: (A - sigma B)^{-1} b = d * solve(d * b).  When
-    the factorization of a pencil is singular, the shift is nudged downward
-    and retried; ``sigma`` is the shift actually factored."""
-
-    def __init__(self, A, B=None, shift=0.0):
-        self.d, self.As, self.Bs = equilibrate(A, B)
-        self.sigma = shift
-        last = None
-        for attempt in range(1 if B is None else 4):
-            self.matrix = (self.As if B is None
-                           else (self.As - self.sigma * self.Bs).tocsc())
-            try:
-                self.lu = spla.splu(self.matrix)
-                return
-            except RuntimeError as err:
-                last = err
-                self.sigma -= 0.1 * (attempt + 1)  # nudge off a singular shift
-        raise SolverError("shifted factorization failed: %s" % last)
-
-    @property
-    def complex(self):
-        return np.iscomplexobj(self.As) or np.iscomplexobj(self.Bs)
-
-    def solve(self, b):
-        """M^{-1} b, for one right side or a block of them (columns).
-        SuperLU solves only in the factor's dtype, so a complex b on a real
-        factor is solved as its real and imaginary parts with the one
-        factor; an all-zero imaginary part costs no solve."""
-        if np.iscomplexobj(b) and not np.iscomplexobj(self.matrix):
-            x = self.lu.solve(b.real).astype(complex)
-            if np.any(b.imag):
-                x.imag = self.lu.solve(b.imag)
-            return x
-        return self.lu.solve(b)
-
-    def solve_refined(self, b):
-        """Solve with one step of iterative refinement; recovers most of the
-        accuracy lost to the h^{-6} dynamic range of the matrix."""
-        x = self.solve(b)
-        x += self.solve(b - self.matrix @ x)
-        return x
-
-    def apply(self, X):
-        """As X."""
-        return self.As @ X
-
-    def gram(self, X):
-        """X^H As X, the stiffness of the Rayleigh-Ritz projection."""
-        return X.conj().T @ (self.As @ X)
-
-
 class Gram:
     """The Hermitian matrix A = G^H G of a sparse least-squares factor G
     (at least as many rows as columns), given both as G and as the formed
@@ -163,47 +102,72 @@ class Gram:
         self.shape = A.shape
 
 
-class _Stall(Exception):
+class _Stall(SolverError):
     """The formed factor cannot serve its pencil: its factorization failed
     (the argument is []) or its first solve's refinement moves, the
-    argument, never fell to PIVOT_MOVE."""
+    argument, never fell to PIVOT_MOVE.  A Gram pencil falls back on it;
+    elsewhere it reaches the caller as a SolverError."""
+
+    def __str__(self):
+        moves = self.args[0]
+        return ("formed factor stalled, refinement moves %s" % moves if moves
+                else "formed factorization failed")
 
 
-class _GramFactor:
-    """Shift-inverted solves of the pencil (G^H G, B) in the variables
-    y = x / d (D = diag(d), d = 1 / the column norms of G, the Jacobi
-    scaling of A = G^H G, as in ``EquilibratedLU``), where a subclass's
-    sparse LU ``lu`` solves the equilibrated pencil
-    D A D - sigma D B D = As - sigma Bs only approximately.  Each solve is
-    refined on the residual c - D(G^H G - sigma B)D y, formed through G, so
-    the h^{-6} rounding of a formed A never reaches the answer (Björck,
-    Numerical Methods for Least Squares Problems, SIAM 1996; Carson and
-    Higham, SIAM J. Sci. Comput. 39(6), 2017: a poor factor serves when
-    the residual is accurate).  The first solve takes at most MAX_STEPS
-    refinement steps and records each one's ``moves``, the largest
-    relative B-norm move of a column; it fixes ``refine_steps``
-    (``_first_depth``: STEPS unless a subclass decides otherwise), which
-    every later solve takes.  G itself is kept (not G D or G^H)."""
+class _Factor:
+    """Shift-inverted solves of the pencil (A, B) in the variables y = x / d,
+    D = diag(d) the Jacobi scaling of A, where a subclass's sparse LU ``lu``
+    solves the equilibrated pencil D A D - sigma D B D = As - sigma Bs,
+    possibly only approximately.  An assembled A is kept as As = D A D
+    (``_jacobi``, ``_scaled``).  A ``Gram`` A = G^H G is kept as G itself
+    (not G D or G^H), with d = 1 / the column norms of G, the same scaling,
+    and every product with As goes through G: each solve is refined on the
+    residual c - D(G^H G - sigma B)D y, so the h^{-6} rounding of a formed A
+    never reaches the answer (Björck, Numerical Methods for Least Squares
+    Problems, SIAM 1996; Carson and Higham, SIAM J. Sci. Comput. 39(6),
+    2017: a poor factor serves when the residual is accurate).  The first
+    refined solve takes at most MAX_STEPS refinement steps and records each
+    one's ``moves``, the largest relative B-norm move of a column; it fixes
+    ``refine_steps`` (``_first_depth``: STEPS unless a subclass decides
+    otherwise), which every later refined solve takes.  B may be None for
+    a single matrix, which is then only solved and applied."""
 
-    def __init__(self, G, B, shift):
-        self.G = G
+    def __init__(self, A, B, shift):
         self.sigma = shift
-        norms = np.sqrt(np.asarray(abs(G).power(2).sum(axis=0)).ravel())
-        norms[~(norms > 0)] = 1.0
-        self.d = 1.0 / norms
-        self.Bs = _scaled(B, self.d)
-        self.complex = np.iscomplexobj(G) or np.iscomplexobj(B)
+        if isinstance(A, Gram):
+            self.G, self.As = A.G, None
+            norms = np.sqrt(np.asarray(abs(A.G).power(2).sum(axis=0)).ravel())
+            norms[~(norms > 0)] = 1.0
+            self.d = 1.0 / norms
+        else:
+            self.G, self.d = None, _jacobi(A)
+            self.As = _scaled(A, self.d)
+        self.Bs = None if B is None else _scaled(B, self.d)
+        self.complex = (np.iscomplexobj(self.As if self.G is None else self.G)
+                        or np.iscomplexobj(B))
         self.solves = 0
         self.moves = []
         self.refine_steps = None
+
+    def solve(self, C):
+        """(As - sigma Bs)^{-1} C as the factor gives it, for one right side
+        or a block of them (columns).  SuperLU solves only in the factor's
+        dtype, so a complex C on a real factor is solved as its real and
+        imaginary parts; an all-zero imaginary part costs no solve."""
+        if np.iscomplexobj(C) and not self.complex:
+            X = self._solve(C.real).astype(complex)
+            if np.any(C.imag):
+                X.imag = self._solve(C.imag)
+            return X
+        return self._solve(C)
 
     def solve_refined(self, C):
         """(As - sigma Bs)^{-1} C for a block C, refined as deep as the
         factor needs."""
         first = self.refine_steps is None
-        X = self._solve(C)
+        X = self.solve(C)
         for _ in range(MAX_STEPS if first else self.refine_steps):
-            step = self._solve(C - self.apply(X) + self.sigma * (self.Bs @ X))
+            step = self.solve(C - self.apply(X) + self.sigma * (self.Bs @ X))
             X += step
             if first:
                 self.moves.append(float(np.max(
@@ -221,44 +185,53 @@ class _GramFactor:
         return self.G @ (self.d[:, None] * X)
 
     def apply(self, X):
-        """As X = D G^H G D X, through G."""
+        """As X; for a Gram, D G^H G D X through G."""
+        if self.G is None:
+            return self.As @ X
         return self.d[:, None] * (self.G.T @ self._g(X).conj()).conj()
 
     def gram(self, X):
-        """X^H As X as the Gram matrix of G D X: no h^{-6} cancellation."""
+        """X^H As X, the stiffness of the Rayleigh-Ritz projection; for a
+        Gram, the Gram matrix of G D X: no h^{-6} cancellation."""
+        if self.G is None:
+            return X.conj().T @ (self.As @ X)
         W = self._g(X)
         return W.conj().T @ W
 
     def stats(self):
-        """Size, kind, fill and work of this factor (see solve_smallest)."""
-        return {"n": self.Bs.shape[0], "nnz": int(self.G.nnz),
+        """Size, kind, fill and work of this factor (see solve_smallest);
+        ``nnz`` counts G for a Gram and As otherwise."""
+        return {"n": self.Bs.shape[0],
+                "nnz": int((self.As if self.G is None else self.G).nnz),
                 "fill": int(self.lu.nnz), "factor": self.FACTOR,
                 "move": self.moves[-1], "refine_steps": self.refine_steps,
                 "block_solves": self.solves}
 
 
-class FormedLU(_GramFactor):
-    """The formed factor of a ``Gram`` pencil: the LU of the equilibrated
-    formed pencil D(A - sigma B)D by ``_symmetric_lu``, the factorization
-    ``count_below`` takes, at about half the fill of Björck's augmented
-    system.  The first solve stops at the first refinement step that moves
-    at most PIVOT_MOVE, and the steps before that one become
-    ``refine_steps``.  Past STEPS steps it goes on only while each step at
-    least halves the move of the one before, up to MAX_STEPS: on a poor
-    factor, refinement through an accurate residual still contracts
-    geometrically.  Where the formed pencil's rounding is not small against
-    its smallest eigenvalues, the steps stop contracting: a move above
-    PIVOT_MOVE that, from step STEPS on, does not halve the one before or
-    is the MAX_STEPS-th, or a failed factorization, releases the factor
-    and raises ``_Stall``."""
+class FormedLU(_Factor):
+    """The formed factor of a pencil: the LU of the equilibrated formed
+    pencil D(A - sigma B)D by ``_symmetric_lu``, the factorization
+    ``count_below`` takes (for a Gram at about half the fill of Björck's
+    augmented system); without B, the LU of As itself.  The first refined
+    solve stops at the first refinement step that moves at most PIVOT_MOVE,
+    and the steps before that one become ``refine_steps``.  Past STEPS
+    steps it goes on only while each step at least halves the move of the
+    one before, up to MAX_STEPS: on a poor factor, refinement through an
+    accurate residual still contracts geometrically.  Where the formed
+    pencil's rounding is not small against its smallest eigenvalues, the
+    steps stop contracting: a move above PIVOT_MOVE that, from step STEPS
+    on, does not halve the one before or is the MAX_STEPS-th, or a failed
+    factorization, releases the factor and raises ``_Stall``."""
 
     FACTOR = "formed"
     STEPS = 3
 
-    def __init__(self, gram, B, shift):
-        super().__init__(gram.G, B, shift)
+    def __init__(self, A, B, shift):
+        super().__init__(A, B, shift)
+        M = self.As if B is None else _scaled(
+            (A if self.G is None else A.A) - shift * B, self.d)
         try:
-            self.lu = _symmetric_lu(_scaled(gram.A - shift * B, self.d))
+            self.lu = _symmetric_lu(M)
         except RuntimeError:
             raise _Stall([]) from None
 
@@ -277,7 +250,7 @@ class FormedLU(_GramFactor):
         return None
 
 
-class AugmentedLU(_GramFactor):
+class AugmentedLU(_Factor):
     """The fallback factor of a ``Gram`` pencil whose formed factor
     stalls: Björck's scaled augmented system
 
@@ -293,10 +266,10 @@ class AugmentedLU(_GramFactor):
     FACTOR = "augmented"
     STEPS = 2
 
-    def __init__(self, G, B, shift):
-        super().__init__(G, B, shift)
-        Gs = G @ sparse.diags(self.d)
-        K = sparse.bmat([[-AUG_SCALE * sparse.identity(G.shape[0]), Gs],
+    def __init__(self, gram, B, shift):
+        super().__init__(gram, B, shift)
+        Gs = self.G @ sparse.diags(self.d)
+        K = sparse.bmat([[-AUG_SCALE * sparse.identity(self.G.shape[0]), Gs],
                          [Gs.conj().T, -(shift / AUG_SCALE) * self.Bs]],
                         format="csc")
         del Gs
@@ -340,7 +313,7 @@ def count_below(A, B, shift):
     U = diag(U) L^H, keeps that inertia in the pivots, so the count is the
     number of negative Re U_ii (spectrum slicing, Parlett, The Symmetric
     Eigenvalue Problem).  Ms is one scaled copy of A - shift B, with D from
-    A as in ``equilibrate``.  None when the factorization fails, when
+    A (``_jacobi``).  None when the factorization fails, when
     SuperLU pivoted off the diagonal after all (perm_r != perm_c), or when
     a pivot is too close to zero for its sign to mean anything: within
     10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
@@ -417,50 +390,42 @@ def walk_spectrum(parts, count):
 def solve_smallest(A, B, count, shift, stats=None):
     """The ``count`` eigenpairs of A x = lambda B x nearest (from above) the
     shift, i.e. the smallest ones when the shift sits below the spectrum.
-    B must be positive definite.  A is a sparse Hermitian matrix, solved
-    through an ``EquilibratedLU`` of A - shift B, or a ``Gram`` (_solve_gram).
+    B must be positive definite.  A is a sparse Hermitian matrix or a
+    ``Gram``; either is solved on the ``FormedLU`` of A - shift B.  When
+    that fails or stalls, a Gram pencil is solved from the same start on a
+    pivoted ``AugmentedLU`` (the formed factor is released first), and an
+    assembled pencil raises SolverError with the stalled moves.
     Eigenvalues are the Ritz values of the factor's stiffness projection
     (``gram``: for a Gram, the Gram matrix of G V); eigenvectors come back
     B-orthonormal, sorted by eigenvalue.
 
-    ``stats``, a dict, may be given with a Gram: it receives the solver
-    record of ``_solve_gram``."""
+    ``stats``, a dict, receives the solver record: the factor's size, kind,
+    fill and work (``_Factor.stats``), ``factorizations`` (2 after a
+    fallback, which also records the stalled ``formed_moves``), the
+    subspace ``rounds``, and the final worst shift-inverted ``residual``
+    with the ``gate`` it passed."""
     n = A.shape[0]
     k = count
     if k < 1 or k > n:
         raise SolverError("requested %d eigenpairs of an order-%d problem"
                           % (k, n))
-    if isinstance(A, Gram):
-        fac, lam, vec, record = _solve_gram(A, B, k, shift)
-        if stats is not None:
-            stats.update(record)
-    else:
-        fac = EquilibratedLU(A, B, shift)
-        lam, vec, _ = _subspace_iteration(fac, _initial_block(fac, k), k)
+    record = {"factorizations": 1}
+    try:
+        fac = FormedLU(A, B, shift)
+        lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
+    except _Stall as stall:
+        if not isinstance(A, Gram):
+            raise
+        record = {"factorizations": 2, "formed_moves": stall.args[0]}
+    if "formed_moves" in record:
+        fac = AugmentedLU(A, B, shift)
+        lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
+    if stats is not None:
+        stats.update({**fac.stats(), **record, **info})
     vec = vec * fac.d[:, None]
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
-
-
-def _solve_gram(A, B, k, shift):
-    """The subspace iteration of a Gram pencil on its ``FormedLU``, or, when
-    that stalls, from the same start on a pivoted ``AugmentedLU`` (the
-    formed factor is released first).  Returns the factor, the k pairs and
-    the solver record: the factor's size, kind, fill and work
-    (``_GramFactor.stats``), ``factorizations`` (2 after a fallback, which
-    also records the stalled ``formed_moves``), the subspace ``rounds``,
-    and the final worst shift-inverted ``residual`` with the ``gate`` it
-    passed."""
-    try:
-        fac = FormedLU(A, B, shift)
-        lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
-        return fac, lam, vec, {**fac.stats(), "factorizations": 1, **info}
-    except _Stall as stall:
-        fallback = {"factorizations": 2, "formed_moves": stall.args[0]}
-    fac = AugmentedLU(A.G, B, shift)
-    lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
-    return fac, lam, vec, {**fac.stats(), **fallback, **info}
 
 
 def _dense_seed(n, count):
@@ -506,7 +471,7 @@ def _initial_block(fac, count):
     guard columns let the count-th vector converge in a few rounds from a
     random start."""
     n = fac.Bs.shape[0]
-    if isinstance(fac, EquilibratedLU) and _dense_seed(n, count):
+    if fac.G is None and _dense_seed(n, count):
         from scipy.linalg import eigh
         _, vec = eigh(fac.As.toarray(), fac.Bs.toarray())
         return np.ascontiguousarray(vec[:, :min(n, count + 4)])
@@ -560,25 +525,26 @@ def solve_linear(A, rhs):
     """Solve the Hermitian system A x = rhs (real symmetric or complex
     Hermitian; the solve runs in the common dtype of A and rhs, at least
     float, and a complex rhs on a real A is solved as its real and
-    imaginary parts with one factor) through an ``EquilibratedLU`` with one
-    step of iterative refinement.  Raises if the normwise backward error in
-    equilibrated variables, ||b_s - A_s y|| against ||A_s||_1 ||y|| + ||b_s||
-    with A_s = D A D, b_s = D rhs and x = D y, exceeds 1e-8; for a complex
-    rhs on a real A each part is tested on its own.  That check is weak on
-    the h^{-6}-conditioned systems: it passes solutions whose equilibrated
+    imaginary parts with one factor) on the ``FormedLU`` of A with one
+    step of iterative refinement.  Raises SolverError when A cannot be
+    factored, or when the normwise backward error in equilibrated
+    variables, ||b_s - A_s y|| against ||A_s||_1 ||y|| + ||b_s|| with
+    A_s = D A D, b_s = D rhs and x = D y, exceeds 1e-8; for a complex rhs
+    on a real A each part is tested on its own.  That check is weak on the
+    h^{-6}-conditioned systems: it passes solutions whose equilibrated
     residual is a sizeable fraction of the data norm."""
     rhs = np.asarray(rhs)
     rhs = rhs.astype(np.result_type(A.dtype, rhs.dtype, float), copy=False)
-    fac = EquilibratedLU(A)
+    fac = FormedLU(A, None, 0.0)
     bs = fac.d * rhs
-    y = fac.solve_refined(bs)
-    As = fac.As
-    norm_a = spla.norm(As, 1)
+    y = fac.solve(bs)
+    y += fac.solve(bs - fac.apply(y))
+    norm_a = spla.norm(fac.As, 1)
     parts = [(bs, y)]
-    if np.iscomplexobj(bs) and not np.iscomplexobj(As):
+    if np.iscomplexobj(bs) and not fac.complex:
         parts = [(bs.real, y.real), (bs.imag, y.imag)]
     for b, x in parts:
-        nr = np.linalg.norm(b - As @ x)
+        nr = np.linalg.norm(b - fac.apply(x))
         scale = norm_a * np.linalg.norm(x) + np.linalg.norm(b)
         if nr > 1e-8 * max(scale, 1e-300):
             raise SolverError("linear backward error %.3e exceeds tolerance"

@@ -1,10 +1,6 @@
 """Eigen and linear solver contracts, checked against dense oracles on
 well-conditioned pencils and against invariance properties on hard ones."""
 
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,7 +12,7 @@ from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
                                 _hermitian, _period_rows,
                                 solve_eps_spectrum_bloch)
 from trihomog.limit1d import LimitBC, limit_space
-from trihomog.numerics import (AugmentedLU, EquilibratedLU, FormedLU, Gram,
+from trihomog.numerics import (AugmentedLU, FormedLU, Gram,
                                SolverError, count_below, solve_linear,
                                solve_smallest, walk_spectrum)
 from trihomog.oscillation import PerturbationParams
@@ -160,9 +156,10 @@ def test_solve_linear_real_matrix_complex_rhs(monkeypatch):
 
 
 def test_equilibrated_lu_solves_shifted_pencil():
+    # the formed factor of an assembled pencil, in equilibrated variables
     rng = np.random.default_rng(41)
     A, B = _random_spd_pencil(rng, n=30)
-    fac = EquilibratedLU(A.tocsc(), B.tocsc(), shift=-1.0)
+    fac = FormedLU(A.tocsc(), B.tocsc(), -1.0)
     b = rng.normal(size=30)
     x = fac.d * fac.solve(fac.d * b)
     ref = np.linalg.solve(A.toarray() + B.toarray(), b)
@@ -215,7 +212,7 @@ def test_formed_factor_falls_back_to_the_pivoted_augmented_factor(
     rng = np.random.default_rng(61)
     gram, B = _random_factor_pencil(rng, False)
     shift = 0.5 * eigh(gram.A.toarray(), B.toarray(), eigvals_only=True)[0]
-    aug = AugmentedLU(gram.G, B, shift)
+    aug = AugmentedLU(gram, B, shift)
     lam_aug, _, info = numerics._subspace_iteration(
         aug, numerics._initial_block(aug, 4), 4)
     formed = []
@@ -324,13 +321,31 @@ def test_refinement_depth_keeps_the_bloch_eigenvalues(monkeypatch):
                                atol=0)
 
 
-def test_equilibrated_lu_nudges_singular_shift():
+def test_singular_shift_raises():
+    # a shift at an eigenvalue, or a singular matrix, cannot be factored
+    # without pivoting: the solve fails loudly, with no shift moved
     A = sparse.diags([1.0, 2.0, 3.0]).tocsc()
-    B = sparse.identity(3, format="csc")
-    fac = EquilibratedLU(A, B, shift=1.0)      # A - B is singular
-    assert fac.sigma == pytest.approx(0.9)
-    with pytest.raises(SolverError):
-        EquilibratedLU(sparse.diags([1.0, 0.0, 3.0]).tocsc())
+    with pytest.raises(SolverError, match="formed factorization failed"):
+        solve_smallest(A, sparse.identity(3, format="csc"), 1, 1.0)
+    with pytest.raises(SolverError, match="formed factorization failed"):
+        solve_linear(sparse.diags([1.0, 0.0, 3.0]).tocsc(), np.ones(3))
+
+
+def test_assembled_pencil_fills_the_solver_record():
+    # a 1D limit pencil is solved on the formed factor and records it as a
+    # Gram pencil does
+    bc = LimitBC("intermediate")
+    space = limit_space(bc)
+    _, S, M = mode_matrices(bc, 1, space)
+    stats = {}
+    solve_smallest(S.tocsc(), M.tocsc(), 3, (2.0 * np.pi) ** 6 + 0.5,
+                   stats=stats)
+    assert stats["factor"] == "formed" and stats["factorizations"] == 1
+    assert stats["n"] == space.n_free and stats["nnz"] <= S.nnz
+    assert stats["fill"] >= stats["nnz"]
+    assert stats["refine_steps"] in (0, 1, 2)
+    assert stats["residual"] <= stats["gate"] == numerics.EIGEN_TOL
+    assert stats["rounds"] >= 1
 
 
 def _banded_hermitian_pencil(rng, n, complex_entries):
@@ -490,7 +505,7 @@ def _assert_same_csc(X, Y):
 @pytest.mark.parametrize("case", ["real", "complex", "explicit zero",
                                   "unsorted"])
 def test_equilibrate_equals_the_literal_product(case):
-    # equilibrate scales each stored entry by d[row], then by d[col]: the
+    # _scaled scales each stored entry by d[row], then by d[col]: the
     # two roundings of the sparse product D @ A @ D, which also drops the
     # entries that become exactly zero and sorts the indices
     rng = np.random.default_rng(47)
@@ -505,7 +520,8 @@ def test_equilibrate_equals_the_literal_product(case):
             A.indices[col], A.data[col] = (A.indices[col][::-1].copy(),
                                            A.data[col][::-1].copy())
         A.has_sorted_indices = False
-    d, As, Bs = numerics.equilibrate(A, B)
+    d = numerics._jacobi(A)
+    As, Bs = numerics._scaled(A, d), numerics._scaled(B, d)
     D = sparse.diags(d)
     _assert_same_csc(As, (D @ A @ D).tocsc())
     _assert_same_csc(Bs, (D @ B @ D).tocsc())
@@ -527,29 +543,6 @@ def ring_pencils():
                 _hermitian(_bloch(mass, p, 4))) for p in (0, 1)]
     assert pencils[0][0].shape[0] > 600
     return pencils
-
-
-def test_concurrent_refined_solves_match_sequential(ring_pencils):
-    # many refined solves at once on one factor, more workers than cores
-    # and frequent thread switches, against one after another
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for A, B in ring_pencils:
-            fac = EquilibratedLU(A, B, 0.5)
-            rng = np.random.default_rng(53)
-            rhs = [rng.standard_normal(A.shape[0]) for _ in range(24)]
-            if np.iscomplexobj(A):
-                rhs = [b + 1j * rng.standard_normal(A.shape[0]) for b in rhs]
-            sequential = [fac.solve_refined(b) for b in rhs]
-            with ThreadPoolExecutor(2 * os.cpu_count() + 2) as pool:
-                for _ in range(3):
-                    concurrent = list(pool.map(fac.solve_refined, rhs,
-                                               timeout=120))
-                    assert all(np.array_equal(x, y)
-                               for x, y in zip(sequential, concurrent))
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_failing_residual_reports_the_one_gate(ring_pencils, monkeypatch):
