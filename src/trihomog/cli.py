@@ -116,8 +116,11 @@ def _cmd_eps_spec(args):
         write_json(args.out, result.to_dict())
     for lam in result.eigenvalues:
         print("lambda %.17g" % lam)
-    print("dof %d  assembly %.2fs  solve %.2fs"
-          % (result.dof, result.assembly_seconds, result.solve_seconds))
+    rules = [r["rule"] for r in result.pencils]
+    print("dof %d  assembly %.2fs  solve %.2fs  pencils %d solved, "
+          "%d floor-certified, %d count-certified"
+          % (result.dof, result.assembly_seconds, result.solve_seconds,
+             rules.count(None), rules.count("floor"), rules.count("count")))
     return 0
 
 
@@ -175,9 +178,11 @@ def build_parser():
     p.add_argument("--modes", type=int, default=8,
                    help="tangential mode cutoff: modes |m| <= this are "
                         "the parts of the spectrum walk "
-                        "(numerics.walk_spectrum), which skips a mode that "
-                        "an inertia count certifies empty below the "
-                        "count-th eigenvalue (one record per mode under "
+                        "(numerics.walk_spectrum), which skips a mode "
+                        "certified empty below the count-th eigenvalue, by "
+                        "the form's floor xi^6 + 1 or, where that does not "
+                        "clear the check shift (and for the literal sign), "
+                        "by an inertia count (one record per mode under "
                         "'modes' in --out)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--out", default="", help="output spectrum JSON")

@@ -42,6 +42,7 @@ load (solve_eps_poisson).  Neither builds the torus matrices.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -465,7 +466,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
     The stiffness of each pencil is the Gram of the least-squares factor
     G_theta (offset blocks G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0,
-    G_1 = G_+1); only the mass is assembled.  The walk's checks read that
+    G_1 = G_+1); only the mass is assembled.  The walk's counts read that
     formed Gram, and a solve factors it too (numerics.FormedLU), but
     refines each solve on a residual formed through G_theta, and its
     eigenvalues are the Ritz values of the Gram matrix of G_theta V.  A
@@ -474,10 +475,23 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
-    a pencil that ``count_below`` certifies empty; its Gram and mass
-    matrices are Hermitian-averaged.  A solve's move is the largest gap
-    between a factored eigenvalue and the Rayleigh quotient of its
-    eigenvector on that pencil, which the walk's check shift covers.
+    a pencil certified empty; its Gram and mass matrices are
+    Hermitian-averaged, and built only for a count or a solve.  A pencil's
+    floor is 1 + (2 pi q)^6, q = min(p, P - p), by the cap lemma: the form
+    holds |d_x^3 u|^2 with weight 1 in |D^3 u|^2, so it suffices that
+    int |d_x^3 u|^2 >= (2 pi q)^6 int |u|^2 on every horizontal line of
+    Omega_eps.  A line y <= min g_eps is the whole unit circle, where a
+    Bloch function of pencil p has only the Fourier modes m = p (mod P),
+    |m| >= q, and Parseval gives the bound.  A line through the cap
+    0 < y < g_eps breaks into segments of length <= eps, at whose ends the
+    intermediate condition u = grad u = 0 on the graph gives u = u_x = 0,
+    so u_xx has zero mean; three Poincare steps give (pi / eps)^6 >=
+    (2 pi q)^6 there, as 2 q <= P = 1 / eps.  The element space is
+    conforming, so the discrete pencil keeps the floor up to the
+    quadrature of the mapped elements (the tests check it on every pencil
+    of a ring).  A solve's move is the largest gap between a factored
+    eigenvalue and the Rayleigh quotient of its eigenvector on that
+    pencil, which the walk's check shift covers.
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
@@ -507,16 +521,21 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     solved = {}
 
     def part(p):
-        Ah, Bh = (_hermitian(_bloch(b, p, P)) for b in (stiffness, mass))
+        @functools.cache
+        def pencil():
+            return tuple(_hermitian(_bloch(b, p, P))
+                         for b in (stiffness, mass))
 
         def solve():
+            Ah, Bh = pencil()
             stats = solved[p] = {}
             lam, vec = solve_smallest(Gram(_bloch(G, p, P), Ah), Bh,
                                       min(count, m - 1), 0.5, stats=stats)
             quotient = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
                         / np.sum(vec.conj() * (Bh @ vec), axis=0).real)
             return lam, float(np.max(np.abs(lam - quotient)))
-        return ({"p": p, "theta": 2.0 * np.pi * p / P}, (Ah, Bh),
+        return ({"p": p, "theta": 2.0 * np.pi * p / P}, pencil,
+                1.0 + (2.0 * np.pi * min(p, P - p)) ** 6,
                 2 if 0 < p < P / 2 else 1, solve)
 
     taken, pencils = walk_spectrum((part(p) for p in range(P // 2 + 1)),

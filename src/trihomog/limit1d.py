@@ -23,6 +23,7 @@ nothing here flips it silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,10 +202,10 @@ def _secular_bottom(S0, M, K, idx, lam1):
 def solve_mode(bc, m, count, space, matrices):
     """Lowest eigenpairs of the mode-m reduced problem, and the largest
     change |refined - raw Ritz value| of the pairs it refined (the margin
-    the inertia checks of numerics.walk_spectrum must cover).  ``matrices``
-    are the mode's stiffness S0 (mode_stiffness), the regime's stiffness S
+    the checks of numerics.walk_spectrum must cover).  ``matrices`` are the
+    mode's stiffness S0 (mode_stiffness), the regime's stiffness S
     (_with_strange_term) and the mass M, which the caller builds once for
-    the mode's inertia check and its solve.
+    the mode's inertia check, if it takes one, and its solve.
 
     When the strange term lowers the form, the rank-one structure pushes at
     most one eigenvalue per mode below the interlacing bound, possibly very
@@ -300,7 +301,12 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     symmetry of the real form), merged, and the lowest ``count`` kept.  The
     modes m = 0, 1, ..., cutoff are the parts of ``numerics.walk_spectrum``
     (multiplicity 2 for m > 0, the copies taken as -m, then m), which skips
-    a mode certified empty; ``modes`` of the result holds its records."""
+    a mode certified empty; ``modes`` of the result holds its records.  A
+    mode's floor is xi^6 + 1: every term of a_xi is non-negative and the
+    last is (xi^6 + 1) |w|^2, so a_xi(w, w) >= (xi^6 + 1) |w|^2, and the +K
+    strange term only adds to it.  The literal -K sign lowers the form
+    without bound and has no floor, so its modes are counted.  A mode its
+    floor certifies assembles no stiffness."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
     k = min(count, space.n_free)
@@ -308,14 +314,21 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     M = assemble_quadratic(space, MASS_WEIGHTS)
 
     def part(m):
-        # the mode's matrices are assembled once, for its check and its solve
-        S0 = mode_stiffness(2.0 * np.pi * m, space)
-        S = _with_strange_term(bc, S0, space)
+        xi = 2.0 * np.pi * m
+
+        # the mode's matrices are assembled once, for its check and its
+        # solve, and not at all for a mode its floor certifies
+        @functools.cache
+        def matrices():
+            S0 = mode_stiffness(xi, space)
+            return S0, _with_strange_term(bc, S0, space), M
 
         def solve():
-            lam, _, move = solve_mode(bc, m, k, space, (S0, S, M))
+            lam, _, move = solve_mode(bc, m, k, space, matrices())
             return lam, move
-        return {"m": m}, (S, M), 2 if m else 1, solve
+        return ({"m": m}, lambda: matrices()[1:],
+                None if bc.signed_k() > 0 else xi ** 6 + 1.0,
+                2 if m else 1, solve)
 
     taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
     entries = tuple((value, m if c else -m, idx)

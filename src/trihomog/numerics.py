@@ -338,41 +338,51 @@ def walk_spectrum(parts, count):
     tangential modes of limit1d, the Bloch pencils of epsdomain), and one
     record per part.
 
-    ``parts`` yields, in walk order, (label, (A, B), mult, solve): the dict
-    that opens the part's record, its Hermitian pencil, the copies of each
-    of its values in the union (2 for a conjugate pair), and a callable
-    returning its refined eigenvalues and their largest |refined - raw|.
+    ``parts`` yields, in walk order, (label, pencil, floor, mult, solve):
+    the dict that opens the part's record, a callable returning its
+    Hermitian pencil (A, B), a proven lower bound of that pencil's spectrum
+    (None where the part has none), the copies of each of its values in the
+    union (2 for a conjugate pair), and a callable returning its refined
+    eigenvalues and their largest |refined - raw|.  The walk calls
+    ``pencil`` only for a count, so a part certified by its floor builds no
+    pencil.
 
     The first two parts, and every part while fewer than ``count`` values
-    (with copies) are in hand, are solved unchecked (below and shift None):
-    a lam* read from the first part alone lies above values the next part
-    supplies, so a check there would not certify.  Otherwise
-    ``count_below`` is asked at s = lam* + max(1e-3 |lam*|, 10 move), where
-    lam* is the count-th smallest value and move the largest refinement
-    move so far, which the margin covers.  Only the answer 0 certifies the
-    part empty.  It is skipped: it cannot supply one of the ``count``
-    smallest values, so the result has the bits of a walk that solves
-    every part.
+    (with copies) are in hand, are solved unchecked (rule, below and shift
+    None): a lam* read from the first part alone lies above values the next
+    part supplies, so a check there would not certify.  Otherwise the part
+    is checked at s = lam* + max(1e-3 |lam*|, 10 move), where lam* is the
+    count-th smallest value and move the largest refinement move so far,
+    which the margin covers.  A floor above s certifies the part empty
+    (rule "floor"); otherwise ``count_below`` is asked, and only the answer
+    0 certifies it (rule "count").  A certified part is skipped: it cannot
+    supply one of the ``count`` smallest values, so the result has the bits
+    of a walk that solves every part.
 
     The merge sorts by value, ties going to the earlier part and then to
     the earlier index in it, and takes the ``count`` smallest copies.
     Returns (taken, records): each copy taken as (value, part, index in the
     part, copy), and per part its label followed by status ("solved" or
-    "certified"), below, shift, eigenvalues, kept (its copies taken) and
-    seconds (building the part included)."""
+    "certified"), rule, floor, below (the count, None where none was
+    taken), shift, eigenvalues, kept (its copies taken) and seconds
+    (building the part included)."""
     records, found = [], []     # every copy: (value, part, index, copy)
     move = 0.0
     start = time.perf_counter()
-    for i, (label, (A, B), mult, solve) in enumerate(parts):
-        below = shift = None
+    for i, (label, pencil, floor, mult, solve) in enumerate(parts):
+        rule = below = shift = None
         if i >= 2 and len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
             shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
-            below = count_below(A, B, shift)
-        record = {**label, "status": "certified" if below == 0 else "solved",
-                  "below": below, "shift": shift, "eigenvalues": [],
-                  "kept": 0}
-        if below != 0:
+            if floor is not None and floor > shift:
+                rule = "floor"
+            else:
+                below = count_below(*pencil(), shift)
+                rule = "count" if below == 0 else None
+        record = {**label, "status": "solved" if rule is None else "certified",
+                  "rule": rule, "floor": floor, "below": below,
+                  "shift": shift, "eigenvalues": [], "kept": 0}
+        if rule is None:
             values, part_move = solve()
             move = max(move, part_move)
             record["eigenvalues"] = [float(v) for v in values]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trihomog import numerics
 from trihomog.epsdomain import EpsAssembly
 from trihomog.hermite import assemble_quadratic
 from trihomog.limit1d import (MASS_WEIGHTS, _with_strange_term,
@@ -110,3 +111,17 @@ def mode_matrices(bc, m, space):
 def solve_one_mode(bc, m, count, space):
     """solve_mode on mode m's own freshly built matrices."""
     return solve_mode(bc, m, count, space, mode_matrices(bc, m, space))
+
+
+def solve_every_part(monkeypatch, module):
+    """Make ``module``'s spectrum walk solve every part: no part keeps its
+    floor and count_below never answers.  The reference of the walks'
+    bit-identity tests."""
+    walk = module.walk_spectrum
+
+    def unchecked(parts, count):
+        return walk(((label, pencil, None, mult, solve)
+                     for label, pencil, _, mult, solve in parts), count)
+
+    monkeypatch.setattr(module, "walk_spectrum", unchecked)
+    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)

@@ -56,9 +56,10 @@ def test_limit_spec_out_records_each_mode(capsys, tmp_path):
     modes = json.loads(out.read_text())["modes"]
     assert [r["m"] for r in modes] == list(range(9))
     assert [r["status"] for r in modes] == ["solved"] * 2 + ["certified"] * 7
-    assert set(modes[0]) == {"m", "status", "below", "shift", "eigenvalues",
-                             "kept", "seconds"}
-    assert modes[0]["below"] is None and modes[2]["below"] == 0
+    assert set(modes[0]) == {"m", "status", "rule", "floor", "below",
+                             "shift", "eigenvalues", "kept", "seconds"}
+    assert modes[0]["rule"] is None and modes[2]["rule"] == "floor"
+    assert modes[2]["floor"] > modes[2]["shift"]
     assert [r["kept"] for r in modes[:2]] == [1, 2]
 
 
@@ -88,6 +89,9 @@ def test_eps_spec(capsys, tmp_path):
     assert code == 0
     lam = float(stdout.splitlines()[0].split()[1])
     assert 1.0 < lam < 1e6
+    # P = 4: p = 0, 1 are solved, and the floor of p = 2 clears the shift
+    assert stdout.splitlines()[-1].endswith(
+        "pencils 2 solved, 1 floor-certified, 0 count-certified")
     data = json.loads(out.read_text())
     assert data["alpha"] == 2.0 and data["eps"] == 0.25
 

@@ -22,7 +22,7 @@ from trihomog.oscillation import OscillationProfile, PerturbationParams
 from trihomog.sweep import write_json
 
 from conftest import (solve_eps_poisson_direct, solve_eps_spectrum,
-                      whole_matrix)
+                      solve_every_part, whole_matrix)
 
 
 def _flat_profile():
@@ -215,8 +215,8 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
                                                 monkeypatch):
     prob, ring = critical_ring
     pruned = solve_eps_spectrum_bloch(prob, count, assembly=ring)
-    # a check that never answers is the fallback: every pencil is solved
-    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
+    # with no floor and a check that never answers, every pencil is solved
+    solve_every_part(monkeypatch, epsdomain)
     full = solve_eps_spectrum_bloch(prob, count, assembly=ring)
     assert np.array_equal(pruned.eigenvalues, full.eigenvalues)
     assert [r["status"] for r in full.pencils] == ["solved"] * 5
@@ -227,7 +227,8 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
     for rec, ref in zip(pruned.pencils, full.pencils):
         assert rec["kept"] == ref["kept"]
         if rec["status"] == "certified":
-            assert rec["below"] == 0 and rec["eigenvalues"] == []
+            assert rec["rule"] in ("floor", "count")
+            assert rec["eigenvalues"] == []
             # what a full solve finds there lies above the shift
             assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
         elif rec["below"] is not None and max(rec["eigenvalues"]) > \
@@ -236,6 +237,28 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
             assert rec["below"] == sum(v < rec["shift"]
                                        for v in rec["eigenvalues"])
     assert sum(r["kept"] for r in pruned.pencils) == count
+    # count 3: p = 2 .. 4 lie above their floors' shift; count 8 reaches
+    # p = 2, whose floor (4 pi)^6 + 1 lies below the shift: it is counted
+    assert [r["rule"] for r in pruned.pencils] == (
+        [None, None, "floor", "floor", "floor"] if count == 3
+        else [None, None, None, "floor", "floor"])
+
+
+def test_bloch_floor_bounds_every_pencil(critical_ring, monkeypatch):
+    # the cap lemma: every pencil's spectrum lies above
+    # 1 + (2 pi min(p, P - p))^6, the floor walk_spectrum certifies
+    # pencils by.  The quadrature of the mapped elements is inexact, so
+    # the solved pencils are the check that the discrete form keeps it
+    prob, ring = critical_ring
+    P = prob.params.periods
+    floors = [1.0 + (2.0 * np.pi * min(p, P - p)) ** 6 for p in range(5)]
+    pruned = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    assert [r["floor"] for r in pruned.pencils] == floors
+    solve_every_part(monkeypatch, epsdomain)
+    full = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    assert [r["status"] for r in full.pencils] == ["solved"] * 5
+    for rec, floor in zip(full.pencils, floors):
+        assert min(rec["eigenvalues"]) >= floor
 
 
 def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
@@ -246,14 +269,17 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     data = json.loads(path.read_text())
     assert [r["status"] for r in data["pencils"]] == \
         ["solved", "solved", "certified", "certified", "certified"]
-    walk = ["p", "theta", "status", "below", "shift", "eigenvalues", "kept",
-            "seconds"]
+    walk = ["p", "theta", "status", "rule", "floor", "below", "shift",
+            "eigenvalues", "kept", "seconds"]
     solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
               "block_solves", "factorizations", "rounds", "residual", "gate"]
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
-    # the first two pencils are solved unchecked, the rest checked
-    assert [r["below"] for r in data["pencils"]] == [None, None, 0, 0, 0]
+    # the first two pencils are solved unchecked, the rest certified by
+    # their floors, with no count
+    assert [r["rule"] for r in data["pencils"]] == \
+        [None, None, "floor", "floor", "floor"]
+    assert [r["below"] for r in data["pencils"]] == [None] * 5
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -266,7 +292,7 @@ def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
     pencils = []
 
     def capture(parts, count):
-        pencils.extend(pencil for _, pencil, _, _ in parts)
+        pencils.extend(pencil() for _, pencil, _, _, _ in parts)
         return [], []
 
     monkeypatch.setattr(epsdomain, "walk_spectrum", capture)
@@ -280,18 +306,28 @@ def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
     assert abs(gram - A).max() <= 1e-14 * abs(A).max()
 
 
+def _never_called(*args):
+    raise AssertionError("count_below was called")
+
+
 @pytest.mark.parametrize("den", [64, 128, 256])
-def test_flat_factored_ground_state_matches_the_limit(den):
+def test_flat_factored_ground_state_matches_the_limit(den, monkeypatch):
     # with g = 0 the p = 0 pencil is the 1D intermediate mode-0 pencil on
     # the same vertical mesh; the assembled h^{-6} stiffness lost this
     # agreement below eps = 1/32, the factored solve keeps it, falling back
     # to the pivoted augmented factor where the formed one would not do.
     # At 1/128 the formed refinement contracts about tenfold per step and
     # stays formed; at 1/256 its moves (0.47, 0.29, 0.21) do not halve
+    # Every certified pencil is certified by its floor: the formed-matrix
+    # count reads too high from 1/128 (ROADMAP F10), and it is never asked
     eps = 1.0 / den
     prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
                       elements_per_period=4)
+    monkeypatch.setattr(numerics, "count_below", _never_called)
     res = solve_eps_spectrum_bloch(prob, 1)
+    assert [r["status"] for r in res.pencils] == \
+        ["solved"] * 2 + ["certified"] * (den // 2 - 1)
+    assert {r["rule"] for r in res.pencils[2:]} == {"floor"}
     ref = solve_limit_spectrum(
         LimitBC("intermediate"), count=1,
         mesh=vertical_mesh(eps, prob.n_coarse, prob.n_layer)).eigenvalues()

@@ -23,7 +23,7 @@ from trihomog.limit1d import (LimitBC, LimitError, _mode_energy,
                               solve_limit_spectrum, trace_dof)
 from trihomog.sweep import write_json
 
-from conftest import mode_matrices, solve_one_mode
+from conftest import mode_matrices, solve_every_part, solve_one_mode
 
 K_COS = 20.0 * np.pi ** 3            # strange constant of 1 + cos(2 pi y)
 
@@ -234,13 +234,16 @@ def test_eigenvalue_convergence_is_sixth_order():
 @pytest.mark.parametrize("count", [3, 12])
 def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
     # count 12 takes its last entry from a mode |m| >= 2 for every condition
+    literal = bc.kind == "strange" and not bc.flip_sign
     walked = solve_limit_spectrum(bc, count=count)
-    # a check that never answers is the fallback: every mode is solved
-    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
+    # with no floor and a check that never answers, every mode is solved
+    solve_every_part(monkeypatch, limit1d)
     every = solve_limit_spectrum(bc, count=count)
     assert walked.entries == every.entries
     assert [r["status"] for r in every.modes] == ["solved"] * 9
     assert [r["m"] for r in walked.modes] == list(range(9))
+    # the literal sign lowers the form without bound: no mode has a floor
+    assert all((r["floor"] is None) == literal for r in walked.modes)
     if count == 3:
         assert any(r["status"] == "certified" for r in walked.modes)
     else:
@@ -249,12 +252,32 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
     for rec, ref in zip(walked.modes, every.modes):
         assert rec["kept"] == ref["kept"]
         if rec["status"] == "certified":
-            assert rec["below"] == 0 and rec["eigenvalues"] == []
+            # the form's floor certifies every mode it bounds; the literal
+            # sign has none and is counted
+            assert rec["rule"] == ("count" if literal else "floor")
+            assert rec["eigenvalues"] == []
             # what a full solve finds there lies above the shift
             assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
         else:
             assert rec["eigenvalues"] == ref["eigenvalues"]
     assert sum(r["kept"] for r in walked.modes) == count
+
+
+@pytest.mark.parametrize("bc", [
+    LimitBC("intermediate"), LimitBC("dirichlet"),
+    LimitBC("strange", K=K_COS, flip_sign=True),
+], ids=["int", "dir", "strange-flipped"])
+def test_mode_floor_bounds_every_mode(bc, monkeypatch):
+    # a_xi(w, w) >= (xi^6 + 1) |w|^2 for every sign but the literal one:
+    # the floor walk_spectrum certifies modes by, here below every mode's
+    # solved eigenvalues
+    walked = solve_limit_spectrum(bc, count=3)
+    solve_every_part(monkeypatch, limit1d)
+    every = solve_limit_spectrum(bc, count=3)
+    for rec, ref in zip(walked.modes, every.modes):
+        floor = (2.0 * np.pi * rec["m"]) ** 6 + 1.0
+        assert rec["floor"] == floor
+        assert min(ref["eigenvalues"]) >= floor
 
 
 # ------------------------------------------------------------------ Poisson
