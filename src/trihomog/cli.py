@@ -180,10 +180,9 @@ def build_parser():
                         "the parts of the spectrum walk "
                         "(numerics.walk_spectrum), which skips a mode "
                         "certified empty below the count-th eigenvalue, by "
-                        "the form's floor xi^6 + 1 or, where that does not "
-                        "clear the check shift (and for the literal sign), "
-                        "by an inertia count (one record per mode under "
-                        "'modes' in --out)")
+                        "the form's floor xi^6 + 1, or, for the literal "
+                        "sign, which has no floor, by an inertia count (one "
+                        "record per mode under 'modes' in --out)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--out", default="", help="output spectrum JSON")
     p.set_defaults(func=_cmd_limit_spec)

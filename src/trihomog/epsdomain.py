@@ -42,7 +42,6 @@ load (solve_eps_poisson).  Neither builds the torus matrices.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -466,9 +465,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
     The stiffness of each pencil is the Gram of the least-squares factor
     G_theta (offset blocks G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0,
-    G_1 = G_+1); only the mass is assembled.  The walk's counts read that
-    formed Gram, and a solve factors it too (numerics.FormedLU), but
-    refines each solve on a residual formed through G_theta, and its
+    G_1 = G_+1); only the mass is assembled.  A solve factors that formed
+    Gram (numerics.FormedLU), but refines each solve on a residual formed
+    through G_theta, and its
     eigenvalues are the Ritz values of the Gram matrix of G_theta V.  A
     pencil on which that refinement stalls is solved on the pivoted
     augmented system of G_theta (numerics.AugmentedLU).
@@ -476,8 +475,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
     a pencil certified empty; its Gram and mass matrices are
-    Hermitian-averaged, and built only for a count or a solve.  A pencil's
-    floor is 1 + (2 pi q)^6, q = min(p, P - p), by the cap lemma: the form
+    Hermitian-averaged, and built only for a solve.  A pencil's floor is
+    1 + (2 pi q)^6, q = min(p, P - p) (q = p on the walk's p <= P/2), by
+    the cap lemma, so no pencil is certified by count_below: the form
     holds |d_x^3 u|^2 with weight 1 in |D^3 u|^2, so it suffices that
     int |d_x^3 u|^2 >= (2 pi q)^6 int |u|^2 on every horizontal line of
     Omega_eps.  A line y <= min g_eps is the whole unit circle, where a
@@ -488,8 +488,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     so u_xx has zero mean; three Poincare steps give (pi / eps)^6 >=
     (2 pi q)^6 there, as 2 q <= P = 1 / eps.  The element space is
     conforming, so the discrete pencil keeps the floor up to the
-    quadrature of the mapped elements (the tests check it on every pencil
-    of a ring).  A solve's move is the largest gap between a factored
+    quadrature of the mapped elements, which is measured, not proven: the
+    walk checks every pencil it solves against its floor, and the tests
+    every pencil of a ring.  A solve's move is the largest gap between a factored
     eigenvalue and the Rayleigh quotient of its eigenvector on that
     pencil, which the walk's check shift covers.
     ``pencils`` of the result holds the walk's records, labelled by p and
@@ -521,21 +522,16 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     solved = {}
 
     def part(p):
-        @functools.cache
-        def pencil():
-            return tuple(_hermitian(_bloch(b, p, P))
-                         for b in (stiffness, mass))
-
         def solve():
-            Ah, Bh = pencil()
+            Ah, Bh = (_hermitian(_bloch(b, p, P)) for b in (stiffness, mass))
             stats = solved[p] = {}
             lam, vec = solve_smallest(Gram(_bloch(G, p, P), Ah), Bh,
                                       min(count, m - 1), 0.5, stats=stats)
             quotient = (np.sum(vec.conj() * (Ah @ vec), axis=0).real
                         / np.sum(vec.conj() * (Bh @ vec), axis=0).real)
             return lam, float(np.max(np.abs(lam - quotient)))
-        return ({"p": p, "theta": 2.0 * np.pi * p / P}, pencil,
-                1.0 + (2.0 * np.pi * min(p, P - p)) ** 6,
+        return ({"p": p, "theta": 2.0 * np.pi * p / P}, None,
+                1.0 + (2.0 * np.pi * p) ** 6,
                 2 if 0 < p < P / 2 else 1, solve)
 
     taken, pencils = walk_spectrum((part(p) for p in range(P // 2 + 1)),

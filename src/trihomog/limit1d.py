@@ -305,8 +305,9 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     mode's floor is xi^6 + 1: every term of a_xi is non-negative and the
     last is (xi^6 + 1) |w|^2, so a_xi(w, w) >= (xi^6 + 1) |w|^2, and the +K
     strange term only adds to it.  The literal -K sign lowers the form
-    without bound and has no floor, so its modes are counted.  A mode its
-    floor certifies assembles no stiffness."""
+    without bound and has no floor, so its modes are counted.  A mode with
+    a floor is certified by it or solved, and one its floor certifies
+    assembles no stiffness."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
     k = min(count, space.n_free)
@@ -316,8 +317,9 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     def part(m):
         xi = 2.0 * np.pi * m
 
-        # the mode's matrices are assembled once, for its check and its
-        # solve, and not at all for a mode its floor certifies
+        # the mode's matrices are assembled once, for its count (a mode
+        # without a floor) and its solve, and not at all for a mode its
+        # floor certifies
         @functools.cache
         def matrices():
             S0 = mode_stiffness(xi, space)
@@ -326,9 +328,9 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
         def solve():
             lam, _, move = solve_mode(bc, m, k, space, matrices())
             return lam, move
-        return ({"m": m}, lambda: matrices()[1:],
-                None if bc.signed_k() > 0 else xi ** 6 + 1.0,
-                2 if m else 1, solve)
+        if bc.signed_k() > 0:
+            return {"m": m}, lambda: matrices()[1:], None, 2 if m else 1, solve
+        return {"m": m}, None, xi ** 6 + 1.0, 2 if m else 1, solve
 
     taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
     entries = tuple((value, m if c else -m, idx)

@@ -340,12 +340,11 @@ def walk_spectrum(parts, count):
 
     ``parts`` yields, in walk order, (label, pencil, floor, mult, solve):
     the dict that opens the part's record, a callable returning its
-    Hermitian pencil (A, B), a proven lower bound of that pencil's spectrum
-    (None where the part has none), the copies of each of its values in the
-    union (2 for a conjugate pair), and a callable returning its refined
-    eigenvalues and their largest |refined - raw|.  The walk calls
-    ``pencil`` only for a count, so a part certified by its floor builds no
-    pencil.
+    Hermitian pencil (A, B), read only for a part without a floor (None for
+    a part with one), a lower bound of the part's spectrum (its floor, None
+    where it has none), the copies of each of its values in the union (2
+    for a conjugate pair), and a callable returning its refined eigenvalues
+    and their largest |refined - raw|.
 
     The first two parts, and every part while fewer than ``count`` values
     (with copies) are in hand, are solved unchecked (rule, below and shift
@@ -353,11 +352,20 @@ def walk_spectrum(parts, count):
     part supplies, so a check there would not certify.  Otherwise the part
     is checked at s = lam* + max(1e-3 |lam*|, 10 move), where lam* is the
     count-th smallest value and move the largest refinement move so far,
-    which the margin covers.  A floor above s certifies the part empty
-    (rule "floor"); otherwise ``count_below`` is asked, and only the answer
-    0 certifies it (rule "count").  A certified part is skipped: it cannot
-    supply one of the ``count`` smallest values, so the result has the bits
-    of a walk that solves every part.
+    which the margin covers.  A part with a floor is certified empty when
+    the floor lies above s (rule "floor") and solved otherwise; it builds
+    no pencil to be certified.  A part without one is asked
+    ``count_below``, and only the answer 0 certifies it (rule "count").  A
+    certified part is skipped: it cannot supply one of the ``count``
+    smallest values, so the result has the bits of a walk that solves
+    every part.
+
+    A floor is proven for the part's form, but the discrete pencil may keep
+    it only as far as its quadrature does (the mapped elements of
+    epsdomain), which is measured, not proven.  So every solved part with a
+    floor is checked against it: a value below the floor raises
+    SolverError, as a certification by that floor could have dropped a
+    value unseen.
 
     The merge sorts by value, ties going to the earlier part and then to
     the earlier index in it, and takes the ``count`` smallest copies.
@@ -374,11 +382,11 @@ def walk_spectrum(parts, count):
         if i >= 2 and len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
             shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
-            if floor is not None and floor > shift:
-                rule = "floor"
-            else:
+            if floor is None:
                 below = count_below(*pencil(), shift)
                 rule = "count" if below == 0 else None
+            elif floor > shift:
+                rule = "floor"
         record = {**label, "status": "solved" if rule is None else "certified",
                   "rule": rule, "floor": floor, "below": below,
                   "shift": shift, "eigenvalues": [], "kept": 0}
@@ -386,6 +394,10 @@ def walk_spectrum(parts, count):
             values, part_move = solve()
             move = max(move, part_move)
             record["eigenvalues"] = [float(v) for v in values]
+            low = min(record["eigenvalues"])
+            if floor is not None and low < floor:
+                raise SolverError("part %s: eigenvalue %.17g below its floor "
+                                  "%.17g" % (label, low, floor))
             found += [(v, i, j, c) for j, v in enumerate(record["eigenvalues"])
                       for c in range(mult)]
         record["seconds"] = time.perf_counter() - start

@@ -215,7 +215,8 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
                                                 monkeypatch):
     prob, ring = critical_ring
     pruned = solve_eps_spectrum_bloch(prob, count, assembly=ring)
-    # with no floor and a check that never answers, every pencil is solved
+    # a floor of -inf clears no shift and stops every count: every pencil
+    # is solved
     solve_every_part(monkeypatch, epsdomain)
     full = solve_eps_spectrum_bloch(prob, count, assembly=ring)
     assert np.array_equal(pruned.eigenvalues, full.eigenvalues)
@@ -224,41 +225,25 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
     certified = [r for r in pruned.pencils if r["status"] == "certified"]
     assert certified
     lam_star = pruned.eigenvalues[-1]
+    P = prob.params.periods
     for rec, ref in zip(pruned.pencils, full.pencils):
         assert rec["kept"] == ref["kept"]
+        # the cap lemma's floor, which the mapped elements' inexact
+        # quadrature keeps only by measurement, bounds every pencil
+        q = min(rec["p"], P - rec["p"])
+        assert rec["floor"] == 1.0 + (2.0 * np.pi * q) ** 6
+        assert min(ref["eigenvalues"]) >= rec["floor"]
+        assert rec["below"] is None
         if rec["status"] == "certified":
-            assert rec["rule"] in ("floor", "count")
-            assert rec["eigenvalues"] == []
+            assert rec["rule"] == "floor" and rec["eigenvalues"] == []
             # what a full solve finds there lies above the shift
             assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
-        elif rec["below"] is not None and max(rec["eigenvalues"]) > \
-                rec["shift"]:
-            # the inertia count agrees with the solved eigenvalues
-            assert rec["below"] == sum(v < rec["shift"]
-                                       for v in rec["eigenvalues"])
     assert sum(r["kept"] for r in pruned.pencils) == count
     # count 3: p = 2 .. 4 lie above their floors' shift; count 8 reaches
-    # p = 2, whose floor (4 pi)^6 + 1 lies below the shift: it is counted
+    # p = 2, whose floor (4 pi)^6 + 1 lies below the shift: it is solved
     assert [r["rule"] for r in pruned.pencils] == (
         [None, None, "floor", "floor", "floor"] if count == 3
         else [None, None, None, "floor", "floor"])
-
-
-def test_bloch_floor_bounds_every_pencil(critical_ring, monkeypatch):
-    # the cap lemma: every pencil's spectrum lies above
-    # 1 + (2 pi min(p, P - p))^6, the floor walk_spectrum certifies
-    # pencils by.  The quadrature of the mapped elements is inexact, so
-    # the solved pencils are the check that the discrete form keeps it
-    prob, ring = critical_ring
-    P = prob.params.periods
-    floors = [1.0 + (2.0 * np.pi * min(p, P - p)) ** 6 for p in range(5)]
-    pruned = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
-    assert [r["floor"] for r in pruned.pencils] == floors
-    solve_every_part(monkeypatch, epsdomain)
-    full = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
-    assert [r["status"] for r in full.pencils] == ["solved"] * 5
-    for rec, floor in zip(full.pencils, floors):
-        assert min(rec["eigenvalues"]) >= floor
 
 
 def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
@@ -285,17 +270,18 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
 @pytest.mark.parametrize("p", [0, 1])
 def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
                                                 monkeypatch):
-    # the stiffness pencil the walk checks, the Gram of the factor's offset
-    # blocks, against the assembled rows of period block 0: real at p = 0,
-    # complex at p = 1
+    # the stiffness pencil each solve factors, the Gram of the factor's
+    # offset blocks, against the assembled rows of period block 0: real at
+    # p = 0, complex at p = 1
     prob, ring = critical_ring
     pencils = []
+    solve = epsdomain.solve_smallest
 
-    def capture(parts, count):
-        pencils.extend(pencil() for _, pencil, _, _, _ in parts)
-        return [], []
+    def capture(A, B, *args, **kwargs):
+        pencils.append((A.A, B))
+        return solve(A, B, *args, **kwargs)
 
-    monkeypatch.setattr(epsdomain, "walk_spectrum", capture)
+    monkeypatch.setattr(epsdomain, "solve_smallest", capture)
     solve_eps_spectrum_bloch(prob, 3, assembly=ring)
     gram, mass = pencils[p]
     P = prob.params.periods
@@ -319,7 +305,8 @@ def test_flat_factored_ground_state_matches_the_limit(den, monkeypatch):
     # At 1/128 the formed refinement contracts about tenfold per step and
     # stays formed; at 1/256 its moves (0.47, 0.29, 0.21) do not halve
     # Every certified pencil is certified by its floor: the formed-matrix
-    # count reads too high from 1/128 (ROADMAP F10), and it is never asked
+    # count reads too high from 1/128 (ROADMAP F10), and no Bloch pencil
+    # is ever counted
     eps = 1.0 / den
     prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
                       elements_per_period=4)

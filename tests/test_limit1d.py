@@ -236,7 +236,8 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
     # count 12 takes its last entry from a mode |m| >= 2 for every condition
     literal = bc.kind == "strange" and not bc.flip_sign
     walked = solve_limit_spectrum(bc, count=count)
-    # with no floor and a check that never answers, every mode is solved
+    # a floor of -inf clears no shift and stops every count: every mode
+    # is solved
     solve_every_part(monkeypatch, limit1d)
     every = solve_limit_spectrum(bc, count=count)
     assert walked.entries == every.entries
@@ -251,6 +252,10 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
     lam_star = walked.entries[-1][0]
     for rec, ref in zip(walked.modes, every.modes):
         assert rec["kept"] == ref["kept"]
+        if not literal:
+            # a_xi(w, w) >= (xi^6 + 1) |w|^2 bounds every mode
+            assert rec["floor"] == (2.0 * np.pi * rec["m"]) ** 6 + 1.0
+            assert min(ref["eigenvalues"]) >= rec["floor"]
         if rec["status"] == "certified":
             # the form's floor certifies every mode it bounds; the literal
             # sign has none and is counted
@@ -261,23 +266,6 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
         else:
             assert rec["eigenvalues"] == ref["eigenvalues"]
     assert sum(r["kept"] for r in walked.modes) == count
-
-
-@pytest.mark.parametrize("bc", [
-    LimitBC("intermediate"), LimitBC("dirichlet"),
-    LimitBC("strange", K=K_COS, flip_sign=True),
-], ids=["int", "dir", "strange-flipped"])
-def test_mode_floor_bounds_every_mode(bc, monkeypatch):
-    # a_xi(w, w) >= (xi^6 + 1) |w|^2 for every sign but the literal one:
-    # the floor walk_spectrum certifies modes by, here below every mode's
-    # solved eigenvalues
-    walked = solve_limit_spectrum(bc, count=3)
-    solve_every_part(monkeypatch, limit1d)
-    every = solve_limit_spectrum(bc, count=3)
-    for rec, ref in zip(walked.modes, every.modes):
-        floor = (2.0 * np.pi * rec["m"]) ** 6 + 1.0
-        assert rec["floor"] == floor
-        assert min(ref["eigenvalues"]) >= floor
 
 
 # ------------------------------------------------------------------ Poisson

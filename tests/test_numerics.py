@@ -397,27 +397,37 @@ def _walk_diagonal_parts(solved, spec=(("a", [1.0, 2.0, 3.0], 1),
                                        ("b", [3.0, 9.0], 2),
                                        ("c", [20.0, 30.0], 2),
                                        ("d", [3.001, 60.0], 1)),
-                         floors=None, built=None):
+                         floors=None):
     """walk_spectrum parts of diagonal pencils whose solves return the
     diagonal and no refinement move; ``solved`` collects the names of the
-    parts solved, and ``built`` (if given) those whose pencil was asked
-    for.  ``spec`` holds each part's name, diagonal and multiplicity, and
-    ``floors`` maps a name to its floor (None otherwise).  With count 4 the
-    default parts go: a and b are solved unchecked (3 values in hand, then
-    7); c is certified empty below the shift 3 + 3e-3; d is checked (one
-    value below) and solved, but supplies nothing."""
+    parts solved.  ``spec`` holds each part's name, diagonal and
+    multiplicity, and ``floors`` maps a name to its floor: a part with one
+    hands over no pencil.  With count 4 the default parts go: a and b are
+    solved unchecked (3 values in hand, then 7); c is certified empty below
+    the shift 3 + 3e-3; d is checked (one value below) and solved, but
+    supplies nothing."""
     for name, diag, mult in spec:
         def solve(name=name, diag=diag):
             solved.append(name)
             return diag, 0.0
+        floor = (floors or {}).get(name)
+        pencil = None if floor is not None else (
+            lambda diag=diag: (sparse.diags(diag).tocsc(),
+                               sparse.identity(len(diag), format="csc")))
+        yield {"name": name}, pencil, floor, mult, solve
 
-        def pencil(name=name, diag=diag):
-            if built is not None:
-                built.append(name)
-            return (sparse.diags(diag).tocsc(),
-                    sparse.identity(len(diag), format="csc"))
-        yield ({"name": name}, pencil, (floors or {}).get(name), mult,
-               solve)
+
+def _counting(monkeypatch):
+    """Record the shift of every count_below call in the returned list."""
+    shifts = []
+    count = numerics.count_below
+
+    def counting(A, B, shift):
+        shifts.append(shift)
+        return count(A, B, shift)
+
+    monkeypatch.setattr(numerics, "count_below", counting)
+    return shifts
 
 
 def test_walk_spectrum_skips_merges_and_records(monkeypatch):
@@ -448,53 +458,42 @@ def test_walk_spectrum_skips_merges_and_records(monkeypatch):
     assert min(full[2]["eigenvalues"]) > records[2]["shift"]
 
 
-def test_walk_spectrum_certifies_by_the_floor_before_counting(monkeypatch):
-    # c's floor 10 lies above the shift 3 + 3e-3: c is certified by it,
-    # and neither its pencil nor a count is taken.  d's floor 3 lies below
-    # the shift, so d is counted as before
-    shifts = []
-    count = numerics.count_below
-
-    def counting(A, B, shift):
-        shifts.append(shift)
-        return count(A, B, shift)
-
-    monkeypatch.setattr(numerics, "count_below", counting)
-    solved, built = [], []
+def test_walk_spectrum_certifies_by_the_floor_or_solves(monkeypatch):
+    # c's floor 10 lies above the shift 3 + 3e-3: c is certified by it.
+    # d's floor 3 lies below the shift, so d is solved; a part with a floor
+    # is never counted
+    shifts = _counting(monkeypatch)
+    solved = []
     taken, records = walk_spectrum(_walk_diagonal_parts(
-        solved, floors={"a": 1.0, "c": 10.0, "d": 3.0}, built=built), 4)
-    assert solved == ["a", "b", "d"] and built == ["d"]
-    assert shifts == [3.0 + 3e-3]
+        solved, floors={"a": 1.0, "c": 10.0, "d": 3.0}), 4)
+    assert solved == ["a", "b", "d"] and shifts == []
     assert [(r["status"], r["rule"], r["floor"], r["below"])
             for r in records] == [
         ("solved", None, 1.0, None), ("solved", None, None, None),
-        ("certified", "floor", 10.0, None), ("solved", None, 3.0, 1)]
-    assert records[2]["shift"] == 3.0 + 3e-3
+        ("certified", "floor", 10.0, None), ("solved", None, 3.0, None)]
+    assert records[2]["shift"] == records[3]["shift"] == 3.0 + 3e-3
     # the same values as the walk without floors
     plain, _ = walk_spectrum(_walk_diagonal_parts([]), 4)
     assert taken == plain
 
 
+def test_walk_spectrum_refuses_a_solved_value_below_its_floor():
+    # a's floor 1.5 lies above its value 1: the floor does not bound a,
+    # and a certification by it could have dropped values
+    with pytest.raises(SolverError, match="below its floor"):
+        walk_spectrum(_walk_diagonal_parts([], floors={"a": 1.5}), 4)
+
+
 def test_walk_spectrum_checks_no_part_before_the_third(monkeypatch):
     # a holds all three wanted values, but a check of b at lam* = 3 would
     # find b's 1.5 below it: b is solved unchecked, and c is checked at
-    # lam* = 2 from a and b.  b's floor would clear any shift, but b is
-    # solved unchecked, and its pencil is never built
-    shifts = []
-    count = numerics.count_below
-
-    def counting(A, B, shift):
-        shifts.append(shift)
-        return count(A, B, shift)
-
-    monkeypatch.setattr(numerics, "count_below", counting)
-    solved, built = [], []
+    # lam* = 2 from a and b
+    shifts = _counting(monkeypatch)
+    solved = []
     taken, records = walk_spectrum(_walk_diagonal_parts(
         solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [1.5, 9.0], 1),
-                 ("c", [20.0, 30.0], 1)), floors={"b": 1e3},
-        built=built), 3)
+                 ("c", [20.0, 30.0], 1))), 3)
     assert solved == ["a", "b"] and shifts == [2.0 + 2e-3]
-    assert built == ["c"]
     assert [(r["status"], r["rule"], r["below"], r["shift"])
             for r in records] == [
         ("solved", None, None, None), ("solved", None, None, None),
