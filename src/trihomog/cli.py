@@ -118,9 +118,9 @@ def _cmd_eps_spec(args):
         print("lambda %.17g" % lam)
     rules = [r["rule"] for r in result.pencils]
     print("dof %d  assembly %.2fs  solve %.2fs  pencils %d solved, "
-          "%d floor-certified, %d count-certified"
+          "%d floor-certified"
           % (result.dof, result.assembly_seconds, result.solve_seconds,
-             rules.count(None), rules.count("floor"), rules.count("count")))
+             rules.count(None), rules.count("floor")))
     return 0
 
 

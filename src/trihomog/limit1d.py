@@ -162,16 +162,18 @@ def _resolvent_entry(bands, idx, lam):
     return x, float(x[idx])
 
 
-def _secular_bottom(S0, M, K, idx, lam1):
-    """Lowest eigenvalue of the pencil (S0 - K e e^T, M), K > 0.
+def _secular_bottom(S0, M, K, idx, shift):
+    """Lowest eigenvalue of the pencil (S0 - K e e^T, M), K > 0, when it
+    lies below ``shift``, a point below the spectrum of (S0, M).
 
     Rank-one theory: for lam below the unperturbed spectrum the eigenvalue
-    equation collapses to the scalar secular equation 1/f(lam) = K with
-    f(lam) = e'(S0 - lam M)^{-1} e, and f increases from 0 at -inf to +inf
-    at the pole lam1, so the root exists, is unique, and brackets cleanly no
-    matter how far the strange term throws it.  Returns (eigenvalue,
-    eigenvector) or None when the root is numerically indistinguishable
-    from lam1 (tiny K; the regular cluster solve covers it)."""
+    equation collapses to the scalar secular equation h(lam) = 1/f(lam) - K
+    = 0 with f(lam) = e'(S0 - lam M)^{-1} e, and f increases from 0 at -inf
+    to +inf at the first pole, so the root exists, is unique, and brackets
+    cleanly downward from the shift no matter how far the strange term
+    throws it.  Returns (eigenvalue, eigenvector), or None when
+    h(shift) >= 0: the root then lies above the shift, where the caller's
+    cluster solve finds it."""
     bands = _upper_band(S0), _upper_band(M)
 
     def h(lam):
@@ -180,39 +182,36 @@ def _secular_bottom(S0, M, K, idx, lam1):
             raise LimitError("secular function lost positivity; "
                              "shift past the first pole")
         return 1.0 / fval - K
-    gap = max(1e-6 * abs(lam1), 1e-3)
-    hi = lam1 - gap
-    while h(hi) >= 0:
-        gap *= 1e-3
-        if gap < 1e-12 * abs(lam1):
-            return None
-        hi = lam1 - gap
-    step = max(1.0, 0.1 * abs(lam1))
-    lo = hi - step
+    if h(shift) >= 0:
+        return None
+    step = max(1.0, 0.1 * abs(shift))
+    lo = shift - step
     while h(lo) < 0:
         step *= 8.0
-        lo = hi - step
+        lo = shift - step
         if step > 1e20:
             raise LimitError("failed to bracket the strange-term bottom")
-    lam = brentq(h, lo, hi, rtol=1e-14)
+    lam = brentq(h, lo, shift, rtol=1e-14)
     vec, _ = _resolvent_entry(bands, idx, lam)
     return lam, vec
 
 
 def solve_mode(bc, m, count, space, matrices):
-    """Lowest eigenpairs of the mode-m reduced problem, and the largest
-    change |refined - raw Ritz value| of the pairs it refined (the margin
-    the checks of numerics.walk_spectrum must cover).  ``matrices`` are the
-    mode's stiffness S0 (mode_stiffness), the regime's stiffness S
-    (_with_strange_term) and the mass M, which the caller builds once for
-    the mode's inertia check, if it takes one, and its solve.
+    """Lowest eigenpairs (values, vectors) of the mode-m reduced problem.
+    ``matrices`` are the mode's stiffness S0 (mode_stiffness), the regime's
+    stiffness S (_with_strange_term) and the mass M, which the caller
+    builds once for the mode's inertia check, if it takes one, and its
+    solve.
 
-    When the strange term lowers the form, the rank-one structure pushes at
-    most one eigenvalue per mode below the interlacing bound, possibly very
-    far (the form is only bounded below by a large negative power of K).  A
-    single shift cannot resolve both that runaway and the regular cluster,
-    so this solves twice, once far below for the runaway and once at the
-    standard shift for the rest, and merges."""
+    Every eigenvalue but a runaway is the Rayleigh quotient of its
+    eigenvector through the quadrature energies, which avoid the h^{-6}
+    cancellation of the matrix form.  When the strange term lowers the
+    form, the rank-one structure pushes at most one eigenvalue per mode
+    below the interlacing bound, possibly very far (the form is only
+    bounded below by a large negative power of K).  A single shift cannot
+    resolve both that runaway and the regular cluster, so the runaway
+    below the shift comes from the secular equation (_secular_bottom), the
+    root of the assembled matrices, and is merged with the cluster."""
     xi = 2.0 * np.pi * abs(m)
     S0, S, M = matrices
     Sc, Mc = S.tocsc(), M.tocsc()
@@ -222,27 +221,23 @@ def solve_mode(bc, m, count, space, matrices):
     # previous unperturbed one, so this shift sits below everything the
     # regular cluster can reach while staying close to it
     base_shift = xi ** 6 + 0.5
-    raw, vec_u = solve_smallest(Sc, Mc, count, base_shift)
-    # final eigenvalues are Rayleigh quotients through the quadrature
-    # energies, which avoid the h^{-6} cancellation of the matrix form
+    _, vec_u = solve_smallest(Sc, Mc, count, base_shift)
     lam_u = np.empty(vec_u.shape[1])
     for j in range(len(lam_u)):
         ea, eb = _mode_energy(bc, xi, space, vec_u[:, j])
         if eb <= 0:
             raise SolverError("non-positive mass energy in Rayleigh quotient")
         lam_u[j] = ea / eb
-    move = float(np.max(np.abs(lam_u - raw)))
     order = np.argsort(lam_u)
     lam_u, vec_u = lam_u[order], vec_u[:, order]
     if not (bc.kind == "strange" and bc.signed_k() > 0.0):
-        return lam_u, vec_u, move
-    # the lowering sign can throw exactly one eigenvalue per mode far below
-    # the cluster; chase it through the rank-one secular equation
-    lam1, _ = solve_smallest(S0.tocsc(), Mc, 1, base_shift)
+        return lam_u, vec_u
+    # the lowering sign can throw one eigenvalue per mode below the shift;
+    # the floor xi^6 + 1 of S0 keeps the shift below the spectrum of S0
     bottom = _secular_bottom(S0, M, bc.signed_k(), trace_dof(space),
-                             float(lam1[0]))
+                             base_shift)
     if bottom is None:
-        return lam_u, vec_u, move
+        return lam_u, vec_u
     lam_b, vec_b = bottom
     vec_b = vec_b / np.sqrt(vec_b @ (Mc @ vec_b))
     keep = [j for j in range(len(lam_u))
@@ -250,7 +245,7 @@ def solve_mode(bc, m, count, space, matrices):
     lam = np.concatenate([[lam_b], lam_u[keep]])[:count]
     vec = np.hstack([vec_b[:, None], vec_u[:, keep]])[:, :count]
     order = np.argsort(lam)
-    return lam[order], vec[:, order], move
+    return lam[order], vec[:, order]
 
 
 @dataclass(frozen=True)
@@ -305,8 +300,10 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     mode's floor is xi^6 + 1: every term of a_xi is non-negative and the
     last is (xi^6 + 1) |w|^2, so a_xi(w, w) >= (xi^6 + 1) |w|^2, and the +K
     strange term only adds to it.  The literal -K sign lowers the form
-    without bound and has no floor, so its modes are counted.  A mode with
-    a floor is certified by it or solved, and one its floor certifies
+    without bound and has no floor, so its modes are counted; the floor of
+    its S0 still puts solve_mode's shift xi^6 + 0.5 below the spectrum of
+    S0, where the secular bracket of its runaway starts.  A mode with a
+    floor is certified by it or solved, and one its floor certifies
     assembles no stiffness."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
@@ -326,8 +323,7 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
             return S0, _with_strange_term(bc, S0, space), M
 
         def solve():
-            lam, _, move = solve_mode(bc, m, k, space, matrices())
-            return lam, move
+            return solve_mode(bc, m, k, space, matrices())[0]
         if bc.signed_k() > 0:
             return {"m": m}, lambda: matrices()[1:], None, 2 if m else 1, solve
         return {"m": m}, None, xi ** 6 + 1.0, 2 if m else 1, solve

@@ -343,22 +343,22 @@ def walk_spectrum(parts, count):
     Hermitian pencil (A, B), read only for a part without a floor (None for
     a part with one), a lower bound of the part's spectrum (its floor, None
     where it has none), the copies of each of its values in the union (2
-    for a conjugate pair), and a callable returning its refined eigenvalues
-    and their largest |refined - raw|.
+    for a conjugate pair), and a callable returning its eigenvalues.
 
     The first two parts, and every part while fewer than ``count`` values
     (with copies) are in hand, are solved unchecked (rule, below and shift
     None): a lam* read from the first part alone lies above values the next
     part supplies, so a check there would not certify.  Otherwise the part
-    is checked at s = lam* + max(1e-3 |lam*|, 10 move), where lam* is the
-    count-th smallest value and move the largest refinement move so far,
-    which the margin covers.  A part with a floor is certified empty when
-    the floor lies above s (rule "floor") and solved otherwise; it builds
-    no pencil to be certified.  A part without one is asked
-    ``count_below``, and only the answer 0 certifies it (rule "count").  A
-    certified part is skipped: it cannot supply one of the ``count``
-    smallest values, so the result has the bits of a walk that solves
-    every part.
+    is checked at s = lam* + 1e-3 |lam*|, where lam* is the count-th
+    smallest value so far; the margin covers the rounding by which a
+    part's values (quadrature-energy quotients in limit1d) may sit from the
+    eigenvalues of the pencil its count reads.  A part with a floor is
+    certified empty when the floor lies above s (rule "floor") and solved
+    otherwise; it builds no pencil to be certified.  A part without one is
+    asked ``count_below``, and only the answer 0 certifies it (rule
+    "count").  A certified part is skipped: it cannot supply one of the
+    ``count`` smallest values, so the result has the bits of a walk that
+    solves every part.
 
     A floor is proven for the part's form, but the discrete pencil may keep
     it only as far as its quadrature does (the mapped elements of
@@ -375,13 +375,12 @@ def walk_spectrum(parts, count):
     taken), shift, eigenvalues, kept (its copies taken) and seconds
     (building the part included)."""
     records, found = [], []     # every copy: (value, part, index, copy)
-    move = 0.0
     start = time.perf_counter()
     for i, (label, pencil, floor, mult, solve) in enumerate(parts):
         rule = below = shift = None
         if i >= 2 and len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
-            shift = lam_star + max(1e-3 * abs(lam_star), 10.0 * move)
+            shift = lam_star + 1e-3 * abs(lam_star)
             if floor is None:
                 below = count_below(*pencil(), shift)
                 rule = "count" if below == 0 else None
@@ -391,9 +390,7 @@ def walk_spectrum(parts, count):
                   "rule": rule, "floor": floor, "below": below,
                   "shift": shift, "eigenvalues": [], "kept": 0}
         if rule is None:
-            values, part_move = solve()
-            move = max(move, part_move)
-            record["eigenvalues"] = [float(v) for v in values]
+            record["eigenvalues"] = [float(v) for v in solve()]
             low = min(record["eigenvalues"])
             if floor is not None and low < floor:
                 raise SolverError("part %s: eigenvalue %.17g below its floor "

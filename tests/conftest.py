@@ -83,7 +83,8 @@ def solve_eps_spectrum(problem, count, assembly=None):
     (solve_eps_spectrum_bloch) is checked against.  The form contains
     + int u^2, so the spectrum sits above 1 and the shift 0.5 lies safely
     below it.  Each eigenvalue is the quadrature-energy Rayleigh quotient of
-    its eigenvector, as on the Bloch path."""
+    its eigenvector: like the Bloch path's Ritz values through G_theta, it
+    avoids the h^{-6} cancellation of the assembled stiffness."""
     if assembly is None:
         assembly = EpsAssembly(problem)
     _, vec = solve_smallest(whole_matrix(assembly, "stiffness").tocsc(),

@@ -91,7 +91,7 @@ def test_eps_spec(capsys, tmp_path):
     assert 1.0 < lam < 1e6
     # P = 4: p = 0, 1 are solved, and the floor of p = 2 clears the shift
     assert stdout.splitlines()[-1].endswith(
-        "pencils 2 solved, 1 floor-certified, 0 count-certified")
+        "pencils 2 solved, 1 floor-certified")
     data = json.loads(out.read_text())
     assert data["alpha"] == 2.0 and data["eps"] == 0.25
 

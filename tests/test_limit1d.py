@@ -109,7 +109,7 @@ def test_trace_dof_and_strange_guard():
 def test_ground_eigenvalue_matches_shooting(bc, m, bracket):
     oracle = shooting_eigenvalue(bc, m, *bracket)
     space = limit_space(bc)
-    lam, _, _ = solve_one_mode(bc, m, 1, space)
+    lam, _ = solve_one_mode(bc, m, 1, space)
     assert abs(lam[0] - oracle) < 1e-7 * abs(oracle), (lam[0], oracle)
 
 
@@ -156,12 +156,23 @@ def test_large_k_approaches_dirichlet():
     assert gaps[2] < 1.0                     # K = 1e6 pinches w''(0) to zero
 
 
-def test_literal_sign_runs_away():
+def test_literal_sign_runs_away(monkeypatch):
     # the form-lowering sign throws one branch per mode far below the
     # physical window while the remainder interlaces above the unperturbed
-    # intermediate ground state
+    # intermediate ground state.  The runaway comes from the secular
+    # equation, bracketed from the cluster's shift: one eigen solve per mode
     bc = LimitBC("strange", K=K_COS, flip_sign=False)
-    lam = solve_limit_spectrum(bc, count=3, cutoff=0).eigenvalues()
+    calls = []
+    solve = limit1d.solve_smallest
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(limit1d, "solve_smallest", counting)
+    spec = solve_limit_spectrum(bc, count=3, cutoff=0)
+    assert len(calls) == sum(r["status"] == "solved" for r in spec.modes)
+    lam = spec.eigenvalues()
     lam_int = solve_limit_spectrum(LimitBC("intermediate"), count=1,
                                    cutoff=0).eigenvalues()[0]
     assert lam[0] < -1e10
@@ -173,7 +184,7 @@ def test_mode_floor_and_merged_symmetry():
     # spectrum every m != 0 entry appears with its -m partner at the same
     # eigenvalue
     space = limit_space(LimitBC("intermediate"))
-    lam2, _, _ = solve_one_mode(LimitBC("intermediate"), 2, 1, space)
+    lam2, _ = solve_one_mode(LimitBC("intermediate"), 2, 1, space)
     assert lam2[0] >= (4.0 * np.pi) ** 6 + 1.0
     spec = solve_limit_spectrum(LimitBC("intermediate"), count=8)
     lam = spec.eigenvalues()
@@ -190,7 +201,7 @@ def test_mode_floor_and_merged_symmetry():
 def test_natural_third_derivative_vanishes():
     bc = LimitBC("intermediate")
     space = limit_space(bc)
-    _, vec, _ = solve_one_mode(bc, 0, 1, space)
+    _, vec = solve_one_mode(bc, 0, 1, space)
     t = np.linspace(-1.0, 0.0, 1001)
     w3 = evaluate_fe(space, vec[:, 0], t, (3,))
     assert abs(w3[-1]) < 1e-8 * np.max(np.abs(w3))
@@ -198,13 +209,15 @@ def test_natural_third_derivative_vanishes():
 
 @pytest.mark.parametrize("bc", [
     LimitBC("intermediate"), LimitBC("dirichlet"),
-    LimitBC("strange", K=K_COS, flip_sign=True),
-], ids=["int", "dir", "strange-flipped"])
+    LimitBC("strange", K=K_COS, flip_sign=True), LimitBC("strange", K=1.0),
+], ids=["int", "dir", "strange-flipped", "strange-literal-small-k"])
 def test_solve_mode_returns_quadrature_rayleigh_quotients(bc):
     # the eigenvalues are the quadrature-energy Rayleigh quotients of the
-    # eigenvectors returned with them, in ascending order
+    # eigenvectors returned with them, in ascending order.  At K = 1 the
+    # literal sign's lowest root lies above the shift xi^6 + 0.5, so the
+    # secular equation finds no runaway and the cluster solve gives it
     space = limit_space(bc)
-    lam, vec, _ = solve_one_mode(bc, 1, 4, space)
+    lam, vec = solve_one_mode(bc, 1, 4, space)
     quotients = []
     for j in range(vec.shape[1]):
         ea, eb = _mode_energy(bc, 2.0 * np.pi, space, vec[:, j])
@@ -219,7 +232,7 @@ def test_eigenvalue_convergence_is_sixth_order():
     errs = []
     for n in (3, 6, 12):
         space = limit_space(bc, mesh=uniform_mesh(n))
-        lam, _, _ = solve_one_mode(bc, 0, 1, space)
+        lam, _ = solve_one_mode(bc, 0, 1, space)
         errs.append(abs(lam[0] - oracle))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 5.5, (errs, rates)

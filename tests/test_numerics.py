@@ -399,17 +399,16 @@ def _walk_diagonal_parts(solved, spec=(("a", [1.0, 2.0, 3.0], 1),
                                        ("d", [3.001, 60.0], 1)),
                          floors=None):
     """walk_spectrum parts of diagonal pencils whose solves return the
-    diagonal and no refinement move; ``solved`` collects the names of the
-    parts solved.  ``spec`` holds each part's name, diagonal and
-    multiplicity, and ``floors`` maps a name to its floor: a part with one
-    hands over no pencil.  With count 4 the default parts go: a and b are
+    diagonal; ``solved`` collects the names of the parts solved.  ``spec``
+    holds each part's name, diagonal and multiplicity, and ``floors`` maps
+    a name to its floor: a part with one hands over no pencil.  With count 4 the default parts go: a and b are
     solved unchecked (3 values in hand, then 7); c is certified empty below
     the shift 3 + 3e-3; d is checked (one value below) and solved, but
     supplies nothing."""
     for name, diag, mult in spec:
         def solve(name=name, diag=diag):
             solved.append(name)
-            return diag, 0.0
+            return diag
         floor = (floors or {}).get(name)
         pencil = None if floor is not None else (
             lambda diag=diag: (sparse.diags(diag).tocsc(),
