@@ -495,7 +495,7 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
     refine_steps, block_solves, factorizations, after a fallback
-    formed_moves, rounds, residual, gate).
+    formed_moves, start, rounds, residual, gate).
     ``assembly_seconds`` counts the row geometry, the factor and the
     blocks; ``solve_seconds`` starts after them."""
     check_count(count)

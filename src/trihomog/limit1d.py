@@ -196,12 +196,13 @@ def _secular_bottom(S0, M, K, idx, shift):
     return lam, vec
 
 
-def solve_mode(bc, m, count, space, matrices):
+def solve_mode(bc, m, count, space, matrices, stats):
     """Lowest eigenpairs (values, vectors) of the mode-m reduced problem.
     ``matrices`` are the mode's stiffness S0 (mode_stiffness), the regime's
     stiffness S (_with_strange_term) and the mass M, which the caller
     builds once for the mode's inertia check, if it takes one, and its
-    solve.
+    solve.  ``stats``, a dict, receives the solver record of the cluster
+    solve (numerics.solve_smallest).
 
     Every eigenvalue but a runaway is the Rayleigh quotient of its
     eigenvector through the quadrature energies, which avoid the h^{-6}
@@ -221,7 +222,7 @@ def solve_mode(bc, m, count, space, matrices):
     # previous unperturbed one, so this shift sits below everything the
     # regular cluster can reach while staying close to it
     base_shift = xi ** 6 + 0.5
-    _, vec_u = solve_smallest(Sc, Mc, count, base_shift)
+    _, vec_u = solve_smallest(Sc, Mc, count, base_shift, stats=stats)
     lam_u = np.empty(vec_u.shape[1])
     for j in range(len(lam_u)):
         ea, eb = _mode_energy(bc, xi, space, vec_u[:, j])
@@ -254,7 +255,10 @@ class LimitSpectrum:
     (eigenvalue, tangential mode m, within-mode index), sorted by
     eigenvalue, ties in walk order (|m|, index, -m before m).  ``modes``
     holds one numerics.walk_spectrum record per mode m = 0..cutoff,
-    labelled by m (``kept`` counts m and -m together)."""
+    labelled by m (``kept`` counts m and -m together); a solved mode's
+    record also holds the solver record of numerics.solve_smallest (n, nnz,
+    fill, factor, move, refine_steps, block_solves, factorizations, start,
+    rounds, residual, gate)."""
     bc: LimitBC
     entries: tuple
     cutoff: int
@@ -310,6 +314,7 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     k = min(count, space.n_free)
     # the mass matrix is the same for every mode
     M = assemble_quadratic(space, MASS_WEIGHTS)
+    solved = {}
 
     def part(m):
         xi = 2.0 * np.pi * m
@@ -323,12 +328,15 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
             return S0, _with_strange_term(bc, S0, space), M
 
         def solve():
-            return solve_mode(bc, m, k, space, matrices())[0]
+            stats = solved[m] = {}
+            return solve_mode(bc, m, k, space, matrices(), stats)[0]
         if bc.signed_k() > 0:
             return {"m": m}, lambda: matrices()[1:], None, 2 if m else 1, solve
         return {"m": m}, None, xi ** 6 + 1.0, 2 if m else 1, solve
 
     taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
+    for record in modes:
+        record.update(solved.get(record["m"], {}))
     entries = tuple((value, m if c else -m, idx)
                     for value, m, idx, c in taken)
     return LimitSpectrum(bc=bc, entries=entries, cutoff=cutoff,

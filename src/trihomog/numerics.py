@@ -9,7 +9,8 @@ the design here:
 * Dense eigh carries an absolute error of order eps * lambda_max, which
   wrecks the small eigenvalues we care about.  Shift-inverted subspace
   iteration around a shift below the spectrum does not, so it is the path
-  at every problem size (dense eigh only seeds small assembled pencils).
+  at every problem size (dense eigh only seeds assembled pencils stored
+  dense, ``_dense_seed``).
 * An assembled stiffness carries rounding of size eps * h^{-6} in its
   entries, and quadratic forms x' A x through it cancel at that level.
   Every pencil is factored in one way (``FormedLU``): after symmetric
@@ -421,6 +422,7 @@ def solve_smallest(A, B, count, shift, stats=None):
     ``stats``, a dict, receives the solver record: the factor's size, kind,
     fill and work (``_Factor.stats``), ``factorizations`` (2 after a
     fallback, which also records the stalled ``formed_moves``), the
+    ``start`` block ("dense" or "random", ``_initial_block``), the
     subspace ``rounds``, and the final worst shift-inverted ``residual``
     with the ``gate`` it passed."""
     n = A.shape[0]
@@ -440,17 +442,28 @@ def solve_smallest(A, B, count, shift, stats=None):
         fac = AugmentedLU(A, B, shift)
         lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
     if stats is not None:
-        stats.update({**fac.stats(), **record, **info})
+        start = "dense" if _dense_seed(fac, k) else "random"
+        stats.update({**fac.stats(), **record, "start": start, **info})
     vec = vec * fac.d[:, None]
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
 
 
-def _dense_seed(n, count):
-    """Whether an order-n assembled pencil is seeded by dense eigh (small
-    pencils) rather than by a random block."""
-    return count > max(1, n - 2) or n < 600
+def _dense_seed(fac, count):
+    """Whether the factor's pencil starts from dense eigh rather than from
+    a random block: an assembled pencil (not a Gram) that asks for nearly
+    all its eigenpairs, or whose As is stored dense, 2 nnz(As) >= n^2,
+    where dense eigh costs the n^3 of the factorization anyway.  The 1D
+    limit pencils (storage density 0.047 at n = 190-191, below 0.2 from
+    n = 47) take the random block: 3-4 rounds per mode solve of
+    ``limit-spec --count 3 --modes 8`` (3-8 from the seed), 4 at count 20
+    (7-9), and bits that do not depend on the BLAS thread count.  A fully
+    dense pencil keeps the seed: from a random block the 50 x 50 random
+    pencil of ``verify`` takes 22 rounds, past MAX_ROUNDS."""
+    n = fac.Bs.shape[0]
+    return fac.G is None and (count > max(1, n - 2)
+                              or 2 * fac.As.nnz >= n * n)
 
 
 def _subspace_iteration(fac, vec, k):
@@ -485,12 +498,12 @@ def _subspace_iteration(fac, vec, k):
 
 def _initial_block(fac, count):
     """The start block (at most n columns): the lowest count + 4
-    eigenvectors of a small assembled pencil by dense eigh, otherwise a
-    random block of max(2 count, count + 8) columns drawn from SEED, whose
-    guard columns let the count-th vector converge in a few rounds from a
-    random start."""
+    eigenvectors by dense eigh where ``_dense_seed`` allows it, otherwise
+    a random block of max(2 count, count + 8) columns drawn from SEED,
+    whose guard columns let the count-th vector converge in a few rounds
+    from a random start."""
     n = fac.Bs.shape[0]
-    if fac.G is None and _dense_seed(n, count):
+    if _dense_seed(fac, count):
         from scipy.linalg import eigh
         _, vec = eigh(fac.As.toarray(), fac.Bs.toarray())
         return np.ascontiguousarray(vec[:, :min(n, count + 4)])

@@ -109,8 +109,9 @@ def mode_matrices(bc, m, space):
 
 
 def solve_one_mode(bc, m, count, space):
-    """solve_mode on mode m's own freshly built matrices."""
-    return solve_mode(bc, m, count, space, mode_matrices(bc, m, space))
+    """solve_mode on mode m's own freshly built matrices, its solver record
+    dropped."""
+    return solve_mode(bc, m, count, space, mode_matrices(bc, m, space), {})
 
 
 def solve_every_part(monkeypatch, module):

@@ -1,11 +1,16 @@
-"""Command-line verbs, exit codes, and output files (all invoked
-in-process through main)."""
+"""Command-line verbs, exit codes, and output files (invoked in-process
+through main, except the BLAS thread-count check, which needs fresh
+processes)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trihomog
 from trihomog import cli
 
 #: the TINY sweep of tests/test_sweep.py as a converge config
@@ -56,11 +61,39 @@ def test_limit_spec_out_records_each_mode(capsys, tmp_path):
     modes = json.loads(out.read_text())["modes"]
     assert [r["m"] for r in modes] == list(range(9))
     assert [r["status"] for r in modes] == ["solved"] * 2 + ["certified"] * 7
-    assert set(modes[0]) == {"m", "status", "rule", "floor", "below",
-                             "shift", "eigenvalues", "kept", "seconds"}
+    walk = ["m", "status", "rule", "floor", "below", "shift", "eigenvalues",
+            "kept", "seconds"]
+    solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
+              "block_solves", "factorizations", "start", "rounds",
+              "residual", "gate"]
+    assert [list(r) for r in modes[:3]] == [walk + solver] * 2 + [walk]
+    # the 1D pencils are stored sparse, so they start from the random block
+    assert [r["start"] for r in modes[:2]] == ["random"] * 2
     assert modes[0]["rule"] is None and modes[2]["rule"] == "floor"
     assert modes[2]["floor"] > modes[2]["shift"]
     assert [r["kept"] for r in modes[:2]] == [1, 2]
+
+
+@pytest.mark.parametrize("flags", [("--bc", "int"),
+                                   ("--bc", "strange", "--sign", "literal")],
+                         ids=["int", "literal"])
+def test_limit_spec_bits_do_not_depend_on_blas_threads(tmp_path, flags):
+    # OpenBLAS reads its thread count at load, so each count needs its own
+    # process; they run in tmp_path and write no bytecode
+    src = str(os.path.dirname(os.path.dirname(trihomog.__file__)))
+    argv = [sys.executable, "-m", "trihomog.cli", "limit-spec", *flags,
+            "--K", "auto", "--count", "3", "--modes", "8"]
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(argv, cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines.append([l for l in proc.stdout.splitlines()
+                      if l.startswith("lambda")])
+    assert len(lines[0]) == 3
+    assert lines[0] == lines[1]
 
 
 def test_limit_spec_strange_explicit_k(capsys):

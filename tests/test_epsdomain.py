@@ -257,7 +257,8 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     walk = ["p", "theta", "status", "rule", "floor", "below", "shift",
             "eigenvalues", "kept", "seconds"]
     solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
-              "block_solves", "factorizations", "rounds", "residual", "gate"]
+              "block_solves", "factorizations", "start", "rounds", "residual",
+              "gate"]
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
     # the first two pencils are solved unchecked, the rest certified by

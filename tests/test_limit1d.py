@@ -240,6 +240,16 @@ def test_eigenvalue_convergence_is_sixth_order():
 
 # ---------------------------------------------------------------- mode walk
 
+def test_limit_modes_start_from_the_random_block():
+    # the 1D pencils are stored sparse (density 0.047 at n = 191), so no
+    # dense eigh seeds them; from the random block every mode solve of the
+    # count-20 walk takes 4 rounds, against 9, 7 and 9 from a dense seed
+    spec = solve_limit_spectrum(LimitBC("intermediate"), count=20, cutoff=8)
+    solved = [r for r in spec.modes if r["status"] == "solved"]
+    assert len(solved) == 3
+    assert all(r["start"] == "random" and r["rounds"] <= 6 for r in solved)
+
+
 @pytest.mark.parametrize("bc", [
     LimitBC("intermediate"), LimitBC("dirichlet"),
     LimitBC("strange", K=K_COS, flip_sign=True), LimitBC("strange", K=K_COS),

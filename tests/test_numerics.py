@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 from scipy.linalg import eigh
 
-from trihomog import numerics
+from trihomog import numerics, sweep
 from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
                                 _hermitian, _period_rows,
                                 solve_eps_spectrum_bloch)
@@ -71,6 +71,22 @@ def test_b_orthonormal_eigenvectors():
     for j in range(5):
         r = A @ vec[:, j] - lam[j] * (B @ vec[:, j])
         assert np.linalg.norm(r) < 1e-6 * np.linalg.norm(A @ vec[:, j])
+
+
+def test_verify_pencil_keeps_the_dense_seed(monkeypatch):
+    # the 50 x 50 pencil of verify's numerics check is stored dense, where
+    # dense eigh costs the order of the factorization; from a random block
+    # it would take 22 rounds, past MAX_ROUNDS
+    records = []
+    solve = numerics.solve_smallest
+
+    def recording(*args, **kwargs):
+        records.append({})
+        return solve(*args, stats=records[-1], **kwargs)
+
+    monkeypatch.setattr(numerics, "solve_smallest", recording)
+    sweep._verify_numerics()
+    assert [r["start"] for r in records] == ["dense"]
 
 
 def test_count_validation():
