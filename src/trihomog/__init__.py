@@ -15,7 +15,7 @@ from .hermite import (HermiteBasis1D, Mesh1D, uniform_mesh, graded_mesh,
                       build_space_1d, build_space_2d, assemble,
                       assemble_quadratic, assemble_rhs, quadratic_energy,
                       evaluate_fe)
-from .numerics import SolverError, count_below, solve_smallest, solve_linear
+from .numerics import SolverError, solve_smallest, solve_linear
 from .limit1d import (LimitBC, LimitSpectrum, solve_limit_spectrum,
                       solve_limit_poisson)
 from .epsdomain import (EpsProblem, EpsAssembly, EpsEigenResult,

@@ -181,8 +181,9 @@ def build_parser():
                         "(numerics.walk_spectrum), which skips a mode "
                         "certified empty below the count-th eigenvalue, by "
                         "the form's floor xi^6 + 1, or, for the literal "
-                        "sign, which has no floor, by an inertia count (one "
-                        "record per mode under 'modes' in --out)")
+                        "sign, which has no floor, by the sign of its "
+                        "secular function below the floor of its -K-free "
+                        "form (one record per mode under 'modes' in --out)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--out", default="", help="output spectrum JSON")
     p.set_defaults(func=_cmd_limit_spec)

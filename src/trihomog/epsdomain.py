@@ -477,8 +477,8 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     a pencil certified empty; its Gram and mass matrices are
     Hermitian-averaged, and built only for a solve.  A pencil's floor is
     1 + (2 pi q)^6, q = min(p, P - p) (q = p on the walk's p <= P/2), by
-    the cap lemma, so no pencil is certified by count_below: the form
-    holds |d_x^3 u|^2 with weight 1 in |D^3 u|^2, so it suffices that
+    the cap lemma, so every part has a floor and needs no ``certify``: the
+    form holds |d_x^3 u|^2 with weight 1 in |D^3 u|^2, so it suffices that
     int |d_x^3 u|^2 >= (2 pi q)^6 int |u|^2 on every horizontal line of
     Omega_eps.  A line y <= min g_eps is the whole unit circle, where a
     Bloch function of pencil p has only the Fourier modes m = p (mod P),

@@ -16,9 +16,10 @@ keeps the intermediate condition w(-1) = w'(-1) = 0.
 
 The strange term is implemented with the sign written above, which lowers
 the form; large K then drives branches of the spectrum far below 1 (the form
-is only bounded below by roughly -K^3).  A sign flag allows +K runs so the
-oscillating-domain solver can adjudicate the physical sign empirically;
-nothing here flips it silently.
+is only bounded below by about -c K^6: a trace layer of width ~1/K gives
+it, and at K = 620.13 the runaway reads -8.87e14, about -0.0156 K^6).  A
+sign flag allows +K runs so the oscillating-domain solver can adjudicate the
+physical sign empirically; nothing here flips it silently.
 """
 
 from __future__ import annotations
@@ -162,26 +163,38 @@ def _resolvent_entry(bands, idx, lam):
     return x, float(x[idx])
 
 
-def _secular_bottom(S0, M, K, idx, shift):
+def _secular(bands, K, idx, lam):
+    """h(lam) = 1/f(lam) - K, f(lam) = e'(S0 - lam M)^{-1} e, the secular
+    function of the pencil (S0 - K e e^T, M), K > 0, at a lam below the
+    spectrum of (S0, M); ``bands`` are S0 and M in upper banded storage.
+
+    There S0 - lam M is positive definite, and S0 - K e e^T - lam M, a
+    rank-one downdate of it with determinant det(S0 - lam M)(1 - K f), has
+    one negative eigenvalue when h(lam) < 0 and none otherwise.  By
+    Sylvester's law of inertia the pencil then has exactly one eigenvalue
+    below lam when h(lam) < 0 and none when h(lam) >= 0 (rank-one
+    interlacing: Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen,
+    Numer. Math. 31, 1978)."""
+    _, fval = _resolvent_entry(bands, idx, lam)
+    if fval <= 0:
+        raise LimitError("secular function lost positivity; "
+                         "shift past the first pole")
+    return 1.0 / fval - K
+
+
+def _secular_bottom(bands, K, idx, shift):
     """Lowest eigenvalue of the pencil (S0 - K e e^T, M), K > 0, when it
-    lies below ``shift``, a point below the spectrum of (S0, M).
+    lies below ``shift``, a point below the spectrum of (S0, M); ``bands``
+    are S0 and M in upper banded storage.
 
-    Rank-one theory: for lam below the unperturbed spectrum the eigenvalue
-    equation collapses to the scalar secular equation h(lam) = 1/f(lam) - K
-    = 0 with f(lam) = e'(S0 - lam M)^{-1} e, and f increases from 0 at -inf
-    to +inf at the first pole, so the root exists, is unique, and brackets
-    cleanly downward from the shift no matter how far the strange term
-    throws it.  Returns (eigenvalue, eigenvector), or None when
-    h(shift) >= 0: the root then lies above the shift, where the caller's
-    cluster solve finds it."""
-    bands = _upper_band(S0), _upper_band(M)
-
-    def h(lam):
-        _, fval = _resolvent_entry(bands, idx, lam)
-        if fval <= 0:
-            raise LimitError("secular function lost positivity; "
-                             "shift past the first pole")
-        return 1.0 / fval - K
+    For lam below the unperturbed spectrum the eigenvalue equation
+    collapses to the scalar secular equation h(lam) = 0 (``_secular``), and
+    f increases from 0 at -inf to +inf at the first pole, so the root
+    exists, is unique, and brackets cleanly downward from the shift no
+    matter how far the strange term throws it.  Returns (eigenvalue,
+    eigenvector), or None when h(shift) >= 0: the root then lies above the
+    shift, where the caller's cluster solve finds it."""
+    h = functools.partial(_secular, bands, K, idx)
     if h(shift) >= 0:
         return None
     step = max(1.0, 0.1 * abs(shift))
@@ -198,23 +211,25 @@ def _secular_bottom(S0, M, K, idx, shift):
 
 def solve_mode(bc, m, count, space, matrices, stats):
     """Lowest eigenpairs (values, vectors) of the mode-m reduced problem.
-    ``matrices`` are the mode's stiffness S0 (mode_stiffness), the regime's
-    stiffness S (_with_strange_term) and the mass M, which the caller
-    builds once for the mode's inertia check, if it takes one, and its
-    solve.  ``stats``, a dict, receives the solver record of the cluster
-    solve (numerics.solve_smallest).
+    ``matrices`` are the regime's stiffness S (_with_strange_term), the
+    mass M and, for the literal -K sign, the upper banded forms of the
+    mode's S0 (mode_stiffness) and of M that its secular equation reads
+    (None otherwise), which the caller builds once for the mode's secular
+    sign check, if it takes one, and its solve.  ``stats``, a dict,
+    receives the solver record of the cluster solve
+    (numerics.solve_smallest).
 
     Every eigenvalue but a runaway is the Rayleigh quotient of its
     eigenvector through the quadrature energies, which avoid the h^{-6}
     cancellation of the matrix form.  When the strange term lowers the
     form, the rank-one structure pushes at most one eigenvalue per mode
     below the interlacing bound, possibly very far (the form is only
-    bounded below by a large negative power of K).  A single shift cannot
-    resolve both that runaway and the regular cluster, so the runaway
-    below the shift comes from the secular equation (_secular_bottom), the
-    root of the assembled matrices, and is merged with the cluster."""
+    bounded below by about -c K^6).  A single shift cannot resolve both
+    that runaway and the regular cluster, so the runaway below the shift
+    comes from the secular equation (_secular_bottom), the root of the
+    assembled matrices, and is merged with the cluster."""
     xi = 2.0 * np.pi * abs(m)
-    S0, S, M = matrices
+    S, M, bands = matrices
     Sc, Mc = S.tocsc(), M.tocsc()
     count = min(count, space.n_free)
     # without the K-term the form gives lambda >= xi^6 + 1 outright, and the
@@ -235,7 +250,7 @@ def solve_mode(bc, m, count, space, matrices, stats):
         return lam_u, vec_u
     # the lowering sign can throw one eigenvalue per mode below the shift;
     # the floor xi^6 + 1 of S0 keeps the shift below the spectrum of S0
-    bottom = _secular_bottom(S0, M, bc.signed_k(), trace_dof(space),
+    bottom = _secular_bottom(bands, bc.signed_k(), trace_dof(space),
                              base_shift)
     if bottom is None:
         return lam_u, vec_u
@@ -304,35 +319,50 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     mode's floor is xi^6 + 1: every term of a_xi is non-negative and the
     last is (xi^6 + 1) |w|^2, so a_xi(w, w) >= (xi^6 + 1) |w|^2, and the +K
     strange term only adds to it.  The literal -K sign lowers the form
-    without bound and has no floor, so its modes are counted; the floor of
-    its S0 still puts solve_mode's shift xi^6 + 0.5 below the spectrum of
-    S0, where the secular bracket of its runaway starts.  A mode with a
-    floor is certified by it or solved, and one its floor certifies
-    assembles no stiffness."""
+    without bound and has no floor, but its S0 has that floor, so below it
+    the sign of the secular function h counts the mode's values under the
+    check shift (``_secular``): h(s) >= 0 certifies the mode (rule
+    "secular"), and a mode with h(s) < 0, or checked at a shift above its
+    S0 floor, where the sign decides nothing, is solved.  The same floor
+    puts solve_mode's shift xi^6 + 0.5 below the spectrum of S0, where the
+    secular bracket of its runaway starts.  A mode with a floor is
+    certified by it or solved, and one its floor certifies assembles no
+    stiffness."""
     check_spectrum_args(count, cutoff, n_elements)
     space = limit_space(bc, n_elements, mesh=mesh)
     k = min(count, space.n_free)
-    # the mass matrix is the same for every mode
+    K = bc.signed_k()
+    # the mass matrix is the same for every mode, and so is its banded form,
+    # which the literal sign's secular function reads
     M = assemble_quadratic(space, MASS_WEIGHTS)
+    Mb = _upper_band(M) if K > 0 else None
     solved = {}
 
     def part(m):
         xi = 2.0 * np.pi * m
+        floor = xi ** 6 + 1.0
 
-        # the mode's matrices are assembled once, for its count (a mode
-        # without a floor) and its solve, and not at all for a mode its
+        # the mode's matrices are built once, for its sign check (a mode of
+        # the literal sign) and its solve, and not at all for a mode its
         # floor certifies
         @functools.cache
         def matrices():
             S0 = mode_stiffness(xi, space)
-            return S0, _with_strange_term(bc, S0, space), M
+            bands = None if Mb is None else (_upper_band(S0), Mb)
+            return _with_strange_term(bc, S0, space), M, bands
+
+        def certify(shift):
+            if shift < floor and _secular(matrices()[2], K, trace_dof(space),
+                                          shift) >= 0:
+                return "secular"
+            return None
 
         def solve():
             stats = solved[m] = {}
             return solve_mode(bc, m, k, space, matrices(), stats)[0]
-        if bc.signed_k() > 0:
-            return {"m": m}, lambda: matrices()[1:], None, 2 if m else 1, solve
-        return {"m": m}, None, xi ** 6 + 1.0, 2 if m else 1, solve
+        if K > 0:
+            return {"m": m}, certify, None, 2 if m else 1, solve
+        return {"m": m}, None, floor, 2 if m else 1, solve
 
     taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
     for record in modes:

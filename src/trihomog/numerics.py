@@ -211,18 +211,18 @@ class _Factor:
 
 class FormedLU(_Factor):
     """The formed factor of a pencil: the LU of the equilibrated formed
-    pencil D(A - sigma B)D by ``_symmetric_lu``, the factorization
-    ``count_below`` takes (for a Gram at about half the fill of Björck's
-    augmented system); without B, the LU of As itself.  The first refined
-    solve stops at the first refinement step that moves at most PIVOT_MOVE,
-    and the steps before that one become ``refine_steps``.  Past STEPS
-    steps it goes on only while each step at least halves the move of the
-    one before, up to MAX_STEPS: on a poor factor, refinement through an
-    accurate residual still contracts geometrically.  Where the formed
-    pencil's rounding is not small against its smallest eigenvalues, the
-    steps stop contracting: a move above PIVOT_MOVE that, from step STEPS
-    on, does not halve the one before or is the MAX_STEPS-th, or a failed
-    factorization, releases the factor and raises ``_Stall``."""
+    pencil D(A - sigma B)D by ``_symmetric_lu`` (for a Gram at about half
+    the fill of Björck's augmented system); without B, the LU of As
+    itself.  The first refined solve stops at the first refinement step
+    that moves at most PIVOT_MOVE, and the steps before that one become
+    ``refine_steps``.  Past STEPS steps it goes on only while each step at
+    least halves the move of the one before, up to MAX_STEPS: on a poor
+    factor, refinement through an accurate residual still contracts
+    geometrically.  Where the formed pencil's rounding is not small against
+    its smallest eigenvalues, the steps stop contracting: a move above
+    PIVOT_MOVE that, from step STEPS on, does not halve the one before or
+    is the MAX_STEPS-th, or a failed factorization, releases the factor and
+    raises ``_Stall``."""
 
     FACTOR = "formed"
     STEPS = 3
@@ -296,42 +296,10 @@ def _b_norms(B, X):
 
 def _symmetric_lu(M):
     """SuperLU of a Hermitian M with the symmetric minimum-degree ordering
-    of M^T + M and no pivoting off the diagonal (``SymmetricMode``): the
-    pivots keep M's inertia, and the fill is that of a symmetric
-    factorization."""
+    of M^T + M and no pivoting off the diagonal (``SymmetricMode``), so
+    that the fill is that of a symmetric factorization."""
     return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
-
-
-def count_below(A, B, shift):
-    """Number of eigenvalues of the Hermitian pencil A x = lambda B x (B
-    positive definite) below ``shift``, or None when it cannot be read off.
-
-    Sylvester's law of inertia: A - shift B has as many negative eigenvalues
-    as the pencil has eigenvalues below the shift, and so has the congruent
-    equilibrated matrix Ms = D (A - shift B) D.  A factorization of Ms with
-    a symmetric permutation and no pivoting, Ms = P' L U P with
-    U = diag(U) L^H, keeps that inertia in the pivots, so the count is the
-    number of negative Re U_ii (spectrum slicing, Parlett, The Symmetric
-    Eigenvalue Problem).  Ms is one scaled copy of A - shift B, with D from
-    A (``_jacobi``).  None when the factorization fails, when
-    SuperLU pivoted off the diagonal after all (perm_r != perm_c), or when
-    a pivot is too close to zero for its sign to mean anything: within
-    10 n eps max |Ms_ij|, the rounding that forming Ms and factoring it
-    without pivoting can leave in a pivot of a definite matrix."""
-    M = _scaled(A - shift * B, _jacobi(A))
-    tiny = 10 * M.shape[0] * np.finfo(float).eps * np.abs(M.data).max()
-    try:
-        lu = _symmetric_lu(M)
-    except RuntimeError:
-        return None
-    del M                       # released before the copy of the factor
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    pivots = lu.U.diagonal().real
-    if np.any(np.abs(pivots) <= tiny):
-        return None
-    return int(np.count_nonzero(pivots < 0))
 
 
 def walk_spectrum(parts, count):
@@ -339,27 +307,28 @@ def walk_spectrum(parts, count):
     tangential modes of limit1d, the Bloch pencils of epsdomain), and one
     record per part.
 
-    ``parts`` yields, in walk order, (label, pencil, floor, mult, solve):
-    the dict that opens the part's record, a callable returning its
-    Hermitian pencil (A, B), read only for a part without a floor (None for
-    a part with one), a lower bound of the part's spectrum (its floor, None
+    ``parts`` yields, in walk order, (label, certify, floor, mult, solve):
+    the dict that opens the part's record, a callable that takes the check
+    shift and returns the name of the rule that certifies the part empty
+    below it, or None, asked only of a part without a floor (None for a
+    part with one), a lower bound of the part's spectrum (its floor, None
     where it has none), the copies of each of its values in the union (2
     for a conjugate pair), and a callable returning its eigenvalues.
 
     The first two parts, and every part while fewer than ``count`` values
-    (with copies) are in hand, are solved unchecked (rule, below and shift
-    None): a lam* read from the first part alone lies above values the next
-    part supplies, so a check there would not certify.  Otherwise the part
-    is checked at s = lam* + 1e-3 |lam*|, where lam* is the count-th
-    smallest value so far; the margin covers the rounding by which a
-    part's values (quadrature-energy quotients in limit1d) may sit from the
-    eigenvalues of the pencil its count reads.  A part with a floor is
-    certified empty when the floor lies above s (rule "floor") and solved
-    otherwise; it builds no pencil to be certified.  A part without one is
-    asked ``count_below``, and only the answer 0 certifies it (rule
-    "count").  A certified part is skipped: it cannot supply one of the
-    ``count`` smallest values, so the result has the bits of a walk that
-    solves every part.
+    (with copies) are in hand, are solved unchecked (rule and shift None):
+    a lam* read from the first part alone lies above values the next part
+    supplies, so a check there would not certify.  Otherwise the part is
+    checked at s = lam* + 1e-3 |lam*|, where lam* is the count-th smallest
+    value so far; the margin covers the rounding by which a part's values
+    (quadrature-energy quotients in limit1d) may sit from the assembled
+    matrices a ``certify`` reads (limit1d's secular sign).  A part with a
+    floor is certified empty when the floor lies above s (rule "floor")
+    and solved otherwise; it builds nothing to be certified.  A part
+    without one is certified by the rule its ``certify`` names and solved
+    when that returns None.  A certified part is skipped: it cannot supply
+    one of the ``count`` smallest values, so the result has the bits of a
+    walk that solves every part.
 
     A floor is proven for the part's form, but the discrete pencil may keep
     it only as far as its quadrature does (the mapped elements of
@@ -372,24 +341,22 @@ def walk_spectrum(parts, count):
     the earlier index in it, and takes the ``count`` smallest copies.
     Returns (taken, records): each copy taken as (value, part, index in the
     part, copy), and per part its label followed by status ("solved" or
-    "certified"), rule, floor, below (the count, None where none was
-    taken), shift, eigenvalues, kept (its copies taken) and seconds
-    (building the part included)."""
+    "certified"), rule, floor, shift, eigenvalues, kept (its copies taken)
+    and seconds (building the part included)."""
     records, found = [], []     # every copy: (value, part, index, copy)
     start = time.perf_counter()
-    for i, (label, pencil, floor, mult, solve) in enumerate(parts):
-        rule = below = shift = None
+    for i, (label, certify, floor, mult, solve) in enumerate(parts):
+        rule = shift = None
         if i >= 2 and len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
             shift = lam_star + 1e-3 * abs(lam_star)
             if floor is None:
-                below = count_below(*pencil(), shift)
-                rule = "count" if below == 0 else None
+                rule = certify(shift)
             elif floor > shift:
                 rule = "floor"
         record = {**label, "status": "solved" if rule is None else "certified",
-                  "rule": rule, "floor": floor, "below": below,
-                  "shift": shift, "eigenvalues": [], "kept": 0}
+                  "rule": rule, "floor": floor, "shift": shift,
+                  "eigenvalues": [], "kept": 0}
         if rule is None:
             record["eigenvalues"] = [float(v) for v in solve()]
             low = min(record["eigenvalues"])

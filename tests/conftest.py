@@ -9,7 +9,7 @@ import pytest
 
 from trihomog.epsdomain import EpsAssembly
 from trihomog.hermite import assemble_quadratic
-from trihomog.limit1d import (MASS_WEIGHTS, _with_strange_term,
+from trihomog.limit1d import (MASS_WEIGHTS, _upper_band, _with_strange_term,
                               mode_stiffness, solve_mode)
 from trihomog.numerics import solve_linear, solve_smallest
 from trihomog.oscillation import OscillationProfile
@@ -101,11 +101,13 @@ def solve_eps_poisson_direct(assembly, rhs):
 
 
 def mode_matrices(bc, m, space):
-    """Stiffness S0, regime stiffness S and mass M of tangential mode m, as
-    solve_limit_spectrum builds them for its walk."""
+    """Regime stiffness S, mass M and, for the literal -K sign, the banded
+    forms of the stiffness S0 and of M (None otherwise) of tangential mode
+    m, as solve_limit_spectrum builds them for its walk."""
     S0 = mode_stiffness(2.0 * np.pi * abs(m), space)
-    return (S0, _with_strange_term(bc, S0, space),
-            assemble_quadratic(space, MASS_WEIGHTS))
+    M = assemble_quadratic(space, MASS_WEIGHTS)
+    bands = (_upper_band(S0), _upper_band(M)) if bc.signed_k() > 0 else None
+    return _with_strange_term(bc, S0, space), M, bands
 
 
 def solve_one_mode(bc, m, count, space):
@@ -116,8 +118,8 @@ def solve_one_mode(bc, m, count, space):
 
 def solve_every_part(monkeypatch, module):
     """Make ``module``'s spectrum walk solve every part: each part's floor
-    becomes -inf, which clears no shift, so no part is certified or
-    counted.  The reference of the walks' bit-identity tests."""
+    becomes -inf, which clears no shift, so no part is certified.  The
+    reference of the walks' bit-identity tests."""
     walk = module.walk_spectrum
 
     def unchecked(parts, count):

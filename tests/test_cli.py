@@ -61,8 +61,8 @@ def test_limit_spec_out_records_each_mode(capsys, tmp_path):
     modes = json.loads(out.read_text())["modes"]
     assert [r["m"] for r in modes] == list(range(9))
     assert [r["status"] for r in modes] == ["solved"] * 2 + ["certified"] * 7
-    walk = ["m", "status", "rule", "floor", "below", "shift", "eigenvalues",
-            "kept", "seconds"]
+    walk = ["m", "status", "rule", "floor", "shift", "eigenvalues", "kept",
+            "seconds"]
     solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
               "block_solves", "factorizations", "start", "rounds",
               "residual", "gate"]

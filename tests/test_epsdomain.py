@@ -215,8 +215,7 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
                                                 monkeypatch):
     prob, ring = critical_ring
     pruned = solve_eps_spectrum_bloch(prob, count, assembly=ring)
-    # a floor of -inf clears no shift and stops every count: every pencil
-    # is solved
+    # a floor of -inf clears no shift: every pencil is solved
     solve_every_part(monkeypatch, epsdomain)
     full = solve_eps_spectrum_bloch(prob, count, assembly=ring)
     assert np.array_equal(pruned.eigenvalues, full.eigenvalues)
@@ -233,7 +232,6 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
         q = min(rec["p"], P - rec["p"])
         assert rec["floor"] == 1.0 + (2.0 * np.pi * q) ** 6
         assert min(ref["eigenvalues"]) >= rec["floor"]
-        assert rec["below"] is None
         if rec["status"] == "certified":
             assert rec["rule"] == "floor" and rec["eigenvalues"] == []
             # what a full solve finds there lies above the shift
@@ -254,7 +252,7 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     data = json.loads(path.read_text())
     assert [r["status"] for r in data["pencils"]] == \
         ["solved", "solved", "certified", "certified", "certified"]
-    walk = ["p", "theta", "status", "rule", "floor", "below", "shift",
+    walk = ["p", "theta", "status", "rule", "floor", "shift",
             "eigenvalues", "kept", "seconds"]
     solver = ["n", "nnz", "fill", "factor", "move", "refine_steps",
               "block_solves", "factorizations", "start", "rounds", "residual",
@@ -262,10 +260,9 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
     # the first two pencils are solved unchecked, the rest certified by
-    # their floors, with no count
+    # their floors
     assert [r["rule"] for r in data["pencils"]] == \
         [None, None, "floor", "floor", "floor"]
-    assert [r["below"] for r in data["pencils"]] == [None] * 5
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -293,25 +290,20 @@ def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
     assert abs(gram - A).max() <= 1e-14 * abs(A).max()
 
 
-def _never_called(*args):
-    raise AssertionError("count_below was called")
-
-
 @pytest.mark.parametrize("den", [64, 128, 256])
-def test_flat_factored_ground_state_matches_the_limit(den, monkeypatch):
+def test_flat_factored_ground_state_matches_the_limit(den):
     # with g = 0 the p = 0 pencil is the 1D intermediate mode-0 pencil on
     # the same vertical mesh; the assembled h^{-6} stiffness lost this
     # agreement below eps = 1/32, the factored solve keeps it, falling back
     # to the pivoted augmented factor where the formed one would not do.
     # At 1/128 the formed refinement contracts about tenfold per step and
     # stays formed; at 1/256 its moves (0.47, 0.29, 0.21) do not halve
-    # Every certified pencil is certified by its floor: the formed-matrix
-    # count reads too high from 1/128 (ROADMAP F10), and no Bloch pencil
-    # is ever counted
+    # Every certified pencil is certified by its floor, which reads no
+    # matrix: an inertia count of the formed matrix read too high from
+    # 1/128 (ROADMAP F10)
     eps = 1.0 / den
     prob = EpsProblem(_flat_profile(), PerturbationParams(eps, 2.0),
                       elements_per_period=4)
-    monkeypatch.setattr(numerics, "count_below", _never_called)
     res = solve_eps_spectrum_bloch(prob, 1)
     assert [r["status"] for r in res.pencils] == \
         ["solved"] * 2 + ["certified"] * (den // 2 - 1)

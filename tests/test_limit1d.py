@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from trihomog import numerics
@@ -250,17 +251,22 @@ def test_limit_modes_start_from_the_random_block():
     assert all(r["start"] == "random" and r["rounds"] <= 6 for r in solved)
 
 
-@pytest.mark.parametrize("bc", [
-    LimitBC("intermediate"), LimitBC("dirichlet"),
-    LimitBC("strange", K=K_COS, flip_sign=True), LimitBC("strange", K=K_COS),
-], ids=["int", "dir", "strange-flipped", "strange-literal"])
-@pytest.mark.parametrize("count", [3, 12])
-def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
+WALK_CONDITIONS = (
+    ("int", LimitBC("intermediate")), ("dir", LimitBC("dirichlet")),
+    ("strange-flipped", LimitBC("strange", K=K_COS, flip_sign=True)),
+    ("strange-literal", LimitBC("strange", K=K_COS)))
+
+
+@pytest.mark.parametrize("count, bc", [
+    pytest.param(count, bc, id="%d-%s" % (count, name))
+    for count in (3, 12) for name, bc in WALK_CONDITIONS] + [
+    pytest.param(8, LimitBC("strange", K=1.0),
+                 id="8-strange-literal-small-k")])
+def test_mode_walk_is_bit_identical(count, bc, monkeypatch):
     # count 12 takes its last entry from a mode |m| >= 2 for every condition
     literal = bc.kind == "strange" and not bc.flip_sign
     walked = solve_limit_spectrum(bc, count=count)
-    # a floor of -inf clears no shift and stops every count: every mode
-    # is solved
+    # a floor of -inf clears no shift: every mode is solved
     solve_every_part(monkeypatch, limit1d)
     every = solve_limit_spectrum(bc, count=count)
     assert walked.entries == every.entries
@@ -269,9 +275,19 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
     # the literal sign lowers the form without bound: no mode has a floor
     assert all((r["floor"] is None) == literal for r in walked.modes)
     if count == 3:
-        assert any(r["status"] == "certified" for r in walked.modes)
-    else:
+        # modes 2-8: the floor certifies them, or for the literal sign the
+        # secular sign does
+        assert [r["rule"] for r in walked.modes[2:]] == \
+            ["secular" if literal else "floor"] * 7
+    elif count == 12:
         assert abs(walked.entries[-1][1]) >= 2
+    else:
+        # at the literal K = 1 mode 2 is checked at a shift above the floor
+        # (4 pi)^6 + 1 of its S0, where the secular sign decides nothing:
+        # it is solved
+        mode2 = walked.modes[2]
+        assert mode2["shift"] > (4.0 * np.pi) ** 6 + 1.0
+        assert (mode2["status"], mode2["rule"]) == ("solved", None)
     lam_star = walked.entries[-1][0]
     for rec, ref in zip(walked.modes, every.modes):
         assert rec["kept"] == ref["kept"]
@@ -281,14 +297,48 @@ def test_mode_walk_is_bit_identical(bc, count, monkeypatch):
             assert min(ref["eigenvalues"]) >= rec["floor"]
         if rec["status"] == "certified":
             # the form's floor certifies every mode it bounds; the literal
-            # sign has none and is counted
-            assert rec["rule"] == ("count" if literal else "floor")
+            # sign has none, and the secular sign certifies its modes
+            assert rec["rule"] == ("secular" if literal else "floor")
             assert rec["eigenvalues"] == []
             # what a full solve finds there lies above the shift
             assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
         else:
+            assert rec["rule"] is None
             assert rec["eigenvalues"] == ref["eigenvalues"]
     assert sum(r["kept"] for r in walked.modes) == count
+
+
+@pytest.mark.parametrize("K, runaways", [(1.0, 0), (50.0, 4), (K_COS, 9)])
+def test_secular_sign_decides_as_dense_inertia_does(K, runaways):
+    # below the floor xi^6 + 1 of S0 the literal pencil (S0 - K e e^T, M)
+    # has at most one value (rank-one interlacing), and the secular
+    # function h is negative exactly at the shifts above it.  The shifts
+    # sit at the quarter points of each gap of the dense spectrum below the
+    # floor, on both sides of the runaway where there is one (K = 1 throws
+    # no mode below its floor, K = 50 modes 0-3, K = 620.13 all nine).  On
+    # 16 uniform elements the pencils' top values are 2.6e13 and dense eigh
+    # gives their lowest two to 7e-9 of solve_mode's; on the default graded
+    # mesh they reach 1.7e27, and dense eigh misplaces the low values by up
+    # to 1e11
+    bc = LimitBC("strange", K)
+    space = limit_space(bc, mesh=uniform_mesh(16))
+    idx = trace_dof(space)
+    thrown = 0
+    for m in range(9):
+        S, M, bands = mode_matrices(bc, m, space)
+        lam = eigh(S.toarray(), M.toarray(), eigvals_only=True)
+        floor = (2.0 * np.pi * m) ** 6 + 1.0
+        edges = np.concatenate([[2.0 * min(lam[0], 0.0) - 1.0],
+                                lam[lam < floor], [floor]])
+        thrown += len(edges) - 2
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for s in (0.75 * lo + 0.25 * hi, 0.5 * (lo + hi),
+                      0.25 * lo + 0.75 * hi):
+                below = np.count_nonzero(lam < s)
+                assert below <= 1
+                assert (limit1d._secular(bands, K, idx, s) < 0) == \
+                    (below == 1), (m, s)
+    assert thrown == runaways
 
 
 # ------------------------------------------------------------------ Poisson
@@ -384,8 +434,8 @@ def test_banded_resolvent_matches_the_sparse_reference(m, monkeypatch):
     bc = LimitBC("strange", K_COS)
     space = limit_space(bc)
     idx = trace_dof(space)
-    S0, _, M = mode_matrices(bc, m, space)
-    bands = limit1d._upper_band(S0), limit1d._upper_band(M)
+    S0 = mode_stiffness(2.0 * np.pi * m, space)
+    _, M, bands = mode_matrices(bc, m, space)
     root = solve_one_mode(bc, m, 1, space)[0][0]
     assert root < -8e14
     for lam in (-1.2e15, root, -1e14, -1e12, -1e10, -1e8, -1e6, -1e5):

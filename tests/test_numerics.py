@@ -13,7 +13,7 @@ from trihomog.epsdomain import (EpsAssembly, EpsProblem, _bloch,
                                 solve_eps_spectrum_bloch)
 from trihomog.limit1d import LimitBC, limit_space
 from trihomog.numerics import (AugmentedLU, FormedLU, Gram,
-                               SolverError, count_below, solve_linear,
+                               SolverError, solve_linear,
                                solve_smallest, walk_spectrum)
 from trihomog.oscillation import PerturbationParams
 from trihomog.sweep import default_profile
@@ -352,7 +352,7 @@ def test_assembled_pencil_fills_the_solver_record():
     # Gram pencil does
     bc = LimitBC("intermediate")
     space = limit_space(bc)
-    _, S, M = mode_matrices(bc, 1, space)
+    S, M, _ = mode_matrices(bc, 1, space)
     stats = {}
     solve_smallest(S.tocsc(), M.tocsc(), 3, (2.0 * np.pi) ** 6 + 0.5,
                    stats=stats)
@@ -383,75 +383,42 @@ def _banded_hermitian_pencil(rng, n, complex_entries):
     return A, B
 
 
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_count_below_matches_dense_inertia(complex_entries):
-    # shifts below the spectrum, between neighbouring eigenvalues and above
-    # it; the count is the number of dense eigenvalues below the shift
-    rng = np.random.default_rng(43)
-    A, B = _banded_hermitian_pencil(rng, 60, complex_entries)
-    lam = eigh(A.toarray(), B.toarray(), eigvals_only=True)
-    shifts = [lam[0] - 1.0, lam[-1] + 1.0]
-    shifts += [0.5 * (lam[j] + lam[j + 1]) for j in (0, 7, 23, 41, 58)]
-    for shift in shifts:
-        assert count_below(A, B, shift) == np.count_nonzero(lam < shift)
-
-
-def test_count_below_refuses_a_singular_shift():
-    # at an eigenvalue the shifted matrix is singular: the sign of its zero
-    # pivot means nothing, so no count comes back
-    A = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))  # 1 and 3
-    B = sparse.identity(2, format="csc")
-    assert count_below(A, B, 0.5) == 0
-    assert count_below(A, B, 4.0) == 2
-    assert count_below(A, B, 1.0) is None
-    assert count_below(A, B, 3.0) is None
-    D = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsc()
-    assert count_below(D, sparse.identity(4, format="csc"), 3.0) is None
-
-
 def _walk_diagonal_parts(solved, spec=(("a", [1.0, 2.0, 3.0], 1),
                                        ("b", [3.0, 9.0], 2),
                                        ("c", [20.0, 30.0], 2),
                                        ("d", [3.001, 60.0], 1)),
-                         floors=None):
-    """walk_spectrum parts of diagonal pencils whose solves return the
-    diagonal; ``solved`` collects the names of the parts solved.  ``spec``
-    holds each part's name, diagonal and multiplicity, and ``floors`` maps
-    a name to its floor: a part with one hands over no pencil.  With count 4 the default parts go: a and b are
-    solved unchecked (3 values in hand, then 7); c is certified empty below
-    the shift 3 + 3e-3; d is checked (one value below) and solved, but
-    supplies nothing."""
+                         floors=None, asked=None):
+    """walk_spectrum parts whose solves return their diagonal; ``solved``
+    collects the names of the parts solved.  ``spec`` holds each part's
+    name, diagonal and multiplicity, and ``floors`` maps a name to its
+    floor: a part with one has no certify.  A part without one is
+    certified by the rule "diagonal" when no diagonal entry lies below the
+    check shift, and ``asked``, a list, collects the shifts it is asked
+    at.  With count 4 the default parts go: a and b are solved unchecked
+    (3 values in hand, then 7); c is certified empty below the shift
+    3 + 3e-3; d is checked (one value below) and solved, but supplies
+    nothing."""
     for name, diag, mult in spec:
         def solve(name=name, diag=diag):
             solved.append(name)
             return diag
+
+        def certify(shift, diag=diag):
+            if asked is not None:
+                asked.append(shift)
+            return "diagonal" if min(diag) >= shift else None
         floor = (floors or {}).get(name)
-        pencil = None if floor is not None else (
-            lambda diag=diag: (sparse.diags(diag).tocsc(),
-                               sparse.identity(len(diag), format="csc")))
-        yield {"name": name}, pencil, floor, mult, solve
+        yield ({"name": name}, None if floor is not None else certify, floor,
+               mult, solve)
 
 
-def _counting(monkeypatch):
-    """Record the shift of every count_below call in the returned list."""
-    shifts = []
-    count = numerics.count_below
-
-    def counting(A, B, shift):
-        shifts.append(shift)
-        return count(A, B, shift)
-
-    monkeypatch.setattr(numerics, "count_below", counting)
-    return shifts
-
-
-def test_walk_spectrum_skips_merges_and_records(monkeypatch):
+def test_walk_spectrum_skips_merges_and_records():
     solved = []
     taken, records = walk_spectrum(_walk_diagonal_parts(solved), 4)
     assert solved == ["a", "b", "d"]
-    assert [(r["status"], r["rule"], r["below"]) for r in records] == [
-        ("solved", None, None), ("solved", None, None),
-        ("certified", "count", 0), ("solved", None, 1)]
+    assert [(r["status"], r["rule"]) for r in records] == [
+        ("solved", None), ("solved", None), ("certified", "diagonal"),
+        ("solved", None)]
     assert records[2]["shift"] == 3.0 + 3e-3
     assert records[2]["eigenvalues"] == []
     # the exact tie at 3 goes to the earlier part a, so only one copy of
@@ -460,12 +427,13 @@ def test_walk_spectrum_skips_merges_and_records(monkeypatch):
                      (3.0, 1, 0, 0)]
     assert [r["kept"] for r in records] == [3, 1, 0, 0]
     for rec in records:
-        assert list(rec) == ["name", "status", "rule", "floor", "below",
-                             "shift", "eigenvalues", "kept", "seconds"]
+        assert list(rec) == ["name", "status", "rule", "floor", "shift",
+                             "eigenvalues", "kept", "seconds"]
         assert rec["seconds"] >= 0.0
-    # a check that never answers solves every part, to the same result
-    monkeypatch.setattr(numerics, "count_below", lambda A, B, shift: None)
-    every, full = walk_spectrum(_walk_diagonal_parts(solved), 4)
+    # a check that never certifies solves every part, to the same result
+    every, full = walk_spectrum(
+        ((label, lambda shift: None, floor, mult, solve)
+         for label, _, floor, mult, solve in _walk_diagonal_parts(solved)), 4)
     assert every == taken
     assert [r["status"] for r in full] == ["solved"] * 4
     assert [r["rule"] for r in full] == [None] * 4
@@ -473,19 +441,17 @@ def test_walk_spectrum_skips_merges_and_records(monkeypatch):
     assert min(full[2]["eigenvalues"]) > records[2]["shift"]
 
 
-def test_walk_spectrum_certifies_by_the_floor_or_solves(monkeypatch):
+def test_walk_spectrum_certifies_by_the_floor_or_solves():
     # c's floor 10 lies above the shift 3 + 3e-3: c is certified by it.
     # d's floor 3 lies below the shift, so d is solved; a part with a floor
-    # is never counted
-    shifts = _counting(monkeypatch)
-    solved = []
+    # is never asked to certify itself
+    solved, asked = [], []
     taken, records = walk_spectrum(_walk_diagonal_parts(
-        solved, floors={"a": 1.0, "c": 10.0, "d": 3.0}), 4)
-    assert solved == ["a", "b", "d"] and shifts == []
-    assert [(r["status"], r["rule"], r["floor"], r["below"])
-            for r in records] == [
-        ("solved", None, 1.0, None), ("solved", None, None, None),
-        ("certified", "floor", 10.0, None), ("solved", None, 3.0, None)]
+        solved, floors={"a": 1.0, "c": 10.0, "d": 3.0}, asked=asked), 4)
+    assert solved == ["a", "b", "d"] and asked == []
+    assert [(r["status"], r["rule"], r["floor"]) for r in records] == [
+        ("solved", None, 1.0), ("solved", None, None),
+        ("certified", "floor", 10.0), ("solved", None, 3.0)]
     assert records[2]["shift"] == records[3]["shift"] == 3.0 + 3e-3
     # the same values as the walk without floors
     plain, _ = walk_spectrum(_walk_diagonal_parts([]), 4)
@@ -499,20 +465,18 @@ def test_walk_spectrum_refuses_a_solved_value_below_its_floor():
         walk_spectrum(_walk_diagonal_parts([], floors={"a": 1.5}), 4)
 
 
-def test_walk_spectrum_checks_no_part_before_the_third(monkeypatch):
+def test_walk_spectrum_checks_no_part_before_the_third():
     # a holds all three wanted values, but a check of b at lam* = 3 would
     # find b's 1.5 below it: b is solved unchecked, and c is checked at
     # lam* = 2 from a and b
-    shifts = _counting(monkeypatch)
-    solved = []
+    solved, asked = [], []
     taken, records = walk_spectrum(_walk_diagonal_parts(
         solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [1.5, 9.0], 1),
-                 ("c", [20.0, 30.0], 1))), 3)
-    assert solved == ["a", "b"] and shifts == [2.0 + 2e-3]
-    assert [(r["status"], r["rule"], r["below"], r["shift"])
-            for r in records] == [
-        ("solved", None, None, None), ("solved", None, None, None),
-        ("certified", "count", 0, 2.0 + 2e-3)]
+                 ("c", [20.0, 30.0], 1)), asked=asked), 3)
+    assert solved == ["a", "b"] and asked == [2.0 + 2e-3]
+    assert [(r["status"], r["rule"], r["shift"]) for r in records] == [
+        ("solved", None, None), ("solved", None, None),
+        ("certified", "diagonal", 2.0 + 2e-3)]
     assert taken == [(1.0, 0, 0, 0), (1.5, 1, 0, 0), (2.0, 0, 1, 0)]
 
 
