@@ -42,8 +42,11 @@ load (solve_eps_poisson).  Neither builds the torus matrices.
 
 from __future__ import annotations
 
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -53,7 +56,8 @@ from .hermite import (QUAD_ORDER, Mesh1D, build_space_2d, element_gram,
                       scatter_elements, to_csr, to_element)
 from .jets import (multi_indices, multinomial, index_order,
                    invert_shear_derivs, transform_coeffs)
-from .numerics import Gram, solve_linear, solve_smallest, walk_spectrum
+from .numerics import (FACTOR_LOCK, Gram, solve_linear, solve_smallest,
+                       walk_spectrum)
 from .oscillation import OscillationProfile, PerturbationParams
 
 IDX10 = tuple(multi_indices(2))               # all |beta| <= 3, graded lex
@@ -447,9 +451,20 @@ def _bloch(blocks, p, P):
 
 
 def _hermitian(H):
-    """H averaged with its conjugate transpose, as CSC."""
+    """H averaged with its conjugate transpose, as CSC: the sum H + H^H,
+    halved in place.  The transpose shares H's index arrays, and a real
+    one its data too."""
     H = H.tocsc()
-    return 0.5 * (H + H.getH())
+    H = H + H.T.conj(copy=False)
+    H.data *= 0.5
+    return H
+
+
+def _gram_blocks(G):
+    """The offset blocks of the Gram of the factor whose offset blocks are
+    G: G_0'G_0 + G_1'G_1, G_0'G_1 and G_1'G_0 (G_1 = G_+1)."""
+    return {0: G[0].T @ G[0] + G[1].T @ G[1], 1: G[0].T @ G[1],
+            -1: G[1].T @ G[0]}
 
 
 def solve_eps_spectrum_bloch(problem, count, assembly=None):
@@ -475,7 +490,9 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     The pencils p = 0, 1, ..., P/2 are the parts of
     ``numerics.walk_spectrum`` (multiplicity 2 for 0 < p < P/2), which skips
     a pencil certified empty; its Gram and mass matrices are
-    Hermitian-averaged, and built only for a solve.  A pencil's floor is
+    Hermitian-averaged, and formed only inside the setup of its factor
+    (they reach numerics.solve_smallest as callables, and no unscaled copy
+    outlives the setup).  A pencil's floor is
     1 + (2 pi q)^6, q = min(p, P - p) (q = p on the walk's p <= P/2), by
     the cap lemma, so every part has a floor and needs no ``certify``: the
     form holds |d_x^3 u|^2 with weight 1 in |D^3 u|^2, so it suffices that
@@ -491,11 +508,25 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     quadrature of the mapped elements, which is measured, not proven: the
     walk checks every pencil it solves against its floor, and the tests
     every pencil of a ring.
+
+    The walk solves p = 0 and p = 1 unchecked whatever the count, so the
+    pair is solved before it reads them, overlapped: p = 1 on the calling
+    thread, p = 0 on one worker thread that starts once p = 1's factor is
+    set up.  Factorizations take numerics.FACTOR_LOCK one at a time, so
+    the complex p = 1 factors first and the two overlap in their solves.
+    The walk solves any later pencil itself.  The pair forms its
+    stiffness from one set of Gram offset blocks, dropped once both have
+    formed it; a later solved pencil forms its own from G, by the same
+    operations, so to the same bits.  The call returns only after the
+    worker has ended, also when a pencil raises, which reaches the
+    caller.
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
     refine_steps, block_solves, factorizations, after a fallback
-    formed_moves, start, rounds, residual, gate).
+    formed_moves, start, rounds, residual, gate), and its ``seconds`` are
+    its own build and solve, timed on the thread that solved it, not the
+    walk's wait for it.
     ``assembly_seconds`` counts the row geometry, the factor and the
     blocks; ``solve_seconds`` starts after them."""
     check_count(count)
@@ -508,9 +539,12 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         raise EpsError("Bloch extraction needs >= 3 assembled periods")
     G = _offset_blocks(
         assembly._factor(np.arange(problem.elements_per_period)), m, periods)
-    stiffness = {0: G[0].T @ G[0] + G[1].T @ G[1], 1: G[0].T @ G[1],
-                 -1: G[1].T @ G[0]}
-    mass = _period_rows(assembly, "mass")
+    # the unchecked pair forms its stiffness from one set of Gram blocks,
+    # dropped once both have; any later pencil forms its own from G
+    pair_blocks = dict.fromkeys((0, 1), _gram_blocks(G))
+    # as CSC, the format of the Gram blocks, so that _hermitian converts
+    # neither sum
+    mass = {k: b.tocsc() for k, b in _period_rows(assembly, "mass").items()}
     t_solve = time.perf_counter()
     assembly_seconds = assembly.geometry_seconds + t_solve - t0
     # the walk reads the blocks alone; unless the caller holds the assembly,
@@ -518,19 +552,50 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     del assembly
     P = problem.params.periods
     solved = {}
+    factoring = threading.Event()
 
-    def part(p):
-        def solve():
-            Ah, Bh = (_hermitian(_bloch(b, p, P)) for b in (stiffness, mass))
-            stats = solved[p] = {}
-            return solve_smallest(Gram(_bloch(G, p, P), Ah), Bh,
-                                  min(count, m - 1), 0.5, stats=stats)[0]
+    def stiffness(p):
+        # formed inside p's factor setup, under numerics.FACTOR_LOCK, so
+        # the event says that p = 1 holds the lock
+        blocks = pair_blocks.pop(p, None) or _gram_blocks(G)
+        if p == 1:
+            factoring.set()
+        return _hermitian(_bloch(blocks, p, P))
+
+    def solve(p):
+        start = time.perf_counter()
+        stats = {}
+        lam = solve_smallest(
+            Gram(_bloch(G, p, P), lambda: stiffness(p)),
+            lambda: _hermitian(_bloch(mass, p, P)), min(count, m - 1), 0.5,
+            stats=stats)[0]
+        stats["seconds"] = time.perf_counter() - start
+        solved[p] = stats
+        return lam
+
+    def solve_zero():
+        # p = 0 starts once p = 1's factor is set up (or p = 1 has failed):
+        # taking the lock waits for its release
+        factoring.wait()
+        with FACTOR_LOCK:
+            pass
+        return solve(0)
+
+    def part(p, solve_part):
         return ({"p": p, "theta": 2.0 * np.pi * p / P}, None,
                 1.0 + (2.0 * np.pi * p) ** 6,
-                2 if 0 < p < P / 2 else 1, solve)
+                2 if 0 < p < P / 2 else 1, solve_part)
 
-    taken, pencils = walk_spectrum((part(p) for p in range(P // 2 + 1)),
-                                   count)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        zero = worker.submit(solve_zero)
+        try:
+            one = solve(1)
+        finally:
+            factoring.set()
+        ahead = {0: zero.result, 1: lambda: one}
+        taken, pencils = walk_spectrum(
+            (part(p, ahead.get(p, partial(solve, p)))
+             for p in range(P // 2 + 1)), count)
     for record in pencils:
         record.update(solved.get(record["p"], {}))
     return EpsEigenResult(problem=problem,

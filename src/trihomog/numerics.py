@@ -44,10 +44,23 @@ because the literal residual ||A x - lambda B x|| is dominated by
 eps * lambda_max * ||x|| rounding noise for these pencils no matter how
 accurate the pair is.  ``solve_linear`` solves on the ``FormedLU`` of its
 matrix too, with one refinement step.
+
+Pencils may be solved on several threads at once (epsdomain overlaps the
+two unchecked Bloch pencils of a case), but they factor one at a time:
+every factor's setup, from its scaling to its SuperLU factorization, holds
+``FACTOR_LOCK``, so only the triangular solves and sparse products, which
+release the GIL, overlap, and at most one factorization's workspace is
+live.  A factor keeps one copy of each pencil matrix: the scaled mass Bs,
+the LU, and As (assembled) or G (Gram).  D(A - sigma B)D is scaled in
+place and dropped once factored.  A Gram's formed A and its B may be
+given as callables (epsdomain's Bloch pencils are): each is then formed
+under the lock, A is dropped once D(A - sigma B)D is formed, and B is
+scaled in place into Bs, so no unscaled copy outlives the setup.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -76,14 +89,21 @@ def _jacobi(A):
 
 
 def _scaled(A, d):
-    """D A D with D = diag(d) as CSC, by scaling a copy's entries in place,
-    each a by d[row] and then by d[col]: the two roundings, in the same
-    order, of the sparse product (D @ A @ D).tocsc(), which it equals bit
-    for bit, including the dropped entries that become exactly zero and the
-    sorted indices.  Only without duplicate entries: the product sums a
-    stored duplicate pair as d a1 + d a2, where this scales the sum,
-    d (a1 + a2)."""
-    S = A.tocsc(copy=True)
+    """D A D with D = diag(d) as CSC, scaled in place (``_scale_in_place``)
+    on what ``_owned`` gives for A: a copy of a matrix A, or what a
+    callable A forms."""
+    return _scale_in_place(_owned(A), d)
+
+
+def _scale_in_place(A, d):
+    """D A D with D = diag(d) as CSC, by scaling the entries of A itself
+    when it is CSC (of a CSC conversion otherwise), each a by d[row] and
+    then by d[col]: the two roundings, in the same order, of the sparse
+    product (D @ A @ D).tocsc(), which it equals bit for bit, including the
+    dropped entries that become exactly zero and the sorted indices.  Only
+    without duplicate entries: the product sums a stored duplicate pair as
+    d a1 + d a2, where this scales the sum, d (a1 + a2)."""
+    S = A.tocsc()
     S.data *= d[S.indices]
     S.data *= np.repeat(d, np.diff(S.indptr))
     S.eliminate_zeros()
@@ -91,16 +111,29 @@ def _scaled(A, d):
     return S
 
 
+def _owned(M):
+    """A pencil matrix that the factor may scale in place: the matrix a
+    callable M forms, or a CSC copy of a matrix M, which its caller
+    keeps."""
+    return M() if callable(M) else M.tocsc(copy=True)
+
+
 class Gram:
     """The Hermitian matrix A = G^H G of a sparse least-squares factor G
     (at least as many rows as columns), given both as G and as the formed
-    sparse A.  solve_smallest factors the formed pencil (``FormedLU``) but
-    forms every residual and Ritz value through G."""
+    sparse A, or as a callable that forms it.  solve_smallest factors the
+    formed pencil (``FormedLU``) but forms every residual and Ritz value
+    through G.  A callable's A is formed inside the factorization lock and
+    lives only until D(A - sigma B)D is formed."""
 
     def __init__(self, G, A):
         self.G = G
         self.A = A
-        self.shape = A.shape
+        self.shape = (G.shape[1], G.shape[1])
+
+    def formed(self):
+        """The formed A: as given, or as the callable forms it anew."""
+        return self.A() if callable(self.A) else self.A
 
 
 class _Stall(SolverError):
@@ -113,6 +146,13 @@ class _Stall(SolverError):
         moves = self.args[0]
         return ("formed factor stalled, refinement moves %s" % moves if moves
                 else "formed factorization failed")
+
+
+#: held by every factor's setup (``FormedLU``, ``AugmentedLU``; so by
+#: ``solve_linear`` too), from its scaling to its SuperLU factorization:
+#: pencils solved on several threads factor one at a time, and overlap only
+#: in their solves and sparse products
+FACTOR_LOCK = threading.Lock()
 
 
 class _Factor:
@@ -131,9 +171,12 @@ class _Factor:
     one's ``moves``, the largest relative B-norm move of a column; it fixes
     ``refine_steps`` (``_first_depth``: STEPS unless a subclass decides
     otherwise), which every later refined solve takes.  B may be None for
-    a single matrix, which is then only solved and applied."""
+    a single matrix, which is then only solved and applied.  A subclass
+    sets up Bs (``_owned``: B is scaled in place when a callable forms it)
+    and ``lu`` under ``FACTOR_LOCK``; the factor keeps no unscaled
+    matrix."""
 
-    def __init__(self, A, B, shift):
+    def __init__(self, A, shift):
         self.sigma = shift
         if isinstance(A, Gram):
             self.G, self.As = A.G, None
@@ -143,12 +186,14 @@ class _Factor:
         else:
             self.G, self.d = None, _jacobi(A)
             self.As = _scaled(A, self.d)
-        self.Bs = None if B is None else _scaled(B, self.d)
-        self.complex = (np.iscomplexobj(self.As if self.G is None else self.G)
-                        or np.iscomplexobj(B))
         self.solves = 0
         self.moves = []
         self.refine_steps = None
+
+    @property
+    def complex(self):
+        return (np.iscomplexobj(self.As if self.G is None else self.G)
+                or np.iscomplexobj(self.Bs))
 
     def solve(self, C):
         """(As - sigma Bs)^{-1} C as the factor gives it, for one right side
@@ -228,13 +273,19 @@ class FormedLU(_Factor):
     STEPS = 3
 
     def __init__(self, A, B, shift):
-        super().__init__(A, B, shift)
-        M = self.As if B is None else _scaled(
-            (A if self.G is None else A.A) - shift * B, self.d)
-        try:
-            self.lu = _symmetric_lu(M)
-        except RuntimeError:
-            raise _Stall([]) from None
+        with FACTOR_LOCK:
+            super().__init__(A, shift)
+            if B is None:
+                M, self.Bs = self.As, None
+            else:
+                B = _owned(B)
+                M = _scale_in_place(
+                    (A if self.G is None else A.formed()) - shift * B, self.d)
+                self.Bs = _scale_in_place(B, self.d)
+            try:
+                self.lu = _symmetric_lu(M)
+            except RuntimeError:
+                raise _Stall([]) from None
 
     def _solve(self, C):
         self.solves += 1
@@ -262,23 +313,27 @@ class AugmentedLU(_Factor):
     A; a = AUG_SCALE.  One sparse LU with COLAMD ordering and threshold
     pivoting (``diag_pivot_thresh`` = PIVOT_THRESH) serves every solve, and
     every solve takes STEPS refinement steps.  The augmented matrix is
-    dropped once factored."""
+    dropped once factored, and the formed A is never read."""
 
     FACTOR = "augmented"
     STEPS = 2
 
     def __init__(self, gram, B, shift):
-        super().__init__(gram, B, shift)
-        Gs = self.G @ sparse.diags(self.d)
-        K = sparse.bmat([[-AUG_SCALE * sparse.identity(self.G.shape[0]), Gs],
-                         [Gs.conj().T, -(shift / AUG_SCALE) * self.Bs]],
-                        format="csc")
-        del Gs
-        try:
-            self.lu = spla.splu(K, permc_spec="COLAMD",
-                                diag_pivot_thresh=PIVOT_THRESH)
-        except RuntimeError as err:
-            raise SolverError("augmented factorization failed: %s" % err)
+        with FACTOR_LOCK:
+            super().__init__(gram, shift)
+            self.Bs = _scaled(B, self.d)
+            Gs = self.G @ sparse.diags(self.d)
+            K = sparse.bmat(
+                [[-AUG_SCALE * sparse.identity(self.G.shape[0]), Gs],
+                 [Gs.conj().T, -(shift / AUG_SCALE) * self.Bs]],
+                format="csc")
+            del Gs
+            try:
+                self.lu = spla.splu(K, permc_spec="COLAMD",
+                                    diag_pivot_thresh=PIVOT_THRESH)
+            except RuntimeError as err:
+                raise SolverError("augmented factorization failed: %s"
+                                  % err)
 
     def _solve(self, C):
         rows = self.G.shape[0]
@@ -380,11 +435,15 @@ def solve_smallest(A, B, count, shift, stats=None):
     B must be positive definite.  A is a sparse Hermitian matrix or a
     ``Gram``; either is solved on the ``FormedLU`` of A - shift B.  When
     that fails or stalls, a Gram pencil is solved from the same start on a
-    pivoted ``AugmentedLU`` (the formed factor is released first), and an
-    assembled pencil raises SolverError with the stalled moves.
+    pivoted ``AugmentedLU``: the stalled factor, its scaled mass with it,
+    is released before the pivoted one is built.  An assembled pencil
+    raises SolverError with the stalled moves.  For a Gram pencil B may be
+    a callable that forms the mass; it is then formed in each factor's
+    setup (again for a fallback), and nothing keeps it unscaled.
     Eigenvalues are the Ritz values of the factor's stiffness projection
     (``gram``: for a Gram, the Gram matrix of G V); eigenvectors come back
-    B-orthonormal, sorted by eigenvalue.
+    B-orthonormal, sorted by eigenvalue, those of a Gram pencil
+    orthonormalized in the scaled variables, against Bs.
 
     ``stats``, a dict, receives the solver record: the factor's size, kind,
     fill and work (``_Factor.stats``), ``factorizations`` (2 after a
@@ -405,15 +464,19 @@ def solve_smallest(A, B, count, shift, stats=None):
         if not isinstance(A, Gram):
             raise
         record = {"factorizations": 2, "formed_moves": stall.args[0]}
-    if "formed_moves" in record:
+        fac = None      # its scaled mass goes before the pivoted factor
+    if fac is None:
         fac = AugmentedLU(A, B, shift)
         lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
     if stats is not None:
         start = "dense" if _dense_seed(fac, k) else "random"
         stats.update({**fac.stats(), **record, "start": start, **info})
-    vec = vec * fac.d[:, None]
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
+    if isinstance(A, Gram):
+        return lam, fac.d[:, None] * _b_orthonormalize(
+            fac.Bs, np.ascontiguousarray(vec), skip=1e-10)
+    vec = vec * fac.d[:, None]
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
 
 

@@ -3,6 +3,9 @@ energy, symmetry) and against the limit solver on domains where the limit
 is exact."""
 
 import json
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -265,18 +268,102 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
         [None, None, "floor", "floor", "floor"]
 
 
+class _Inline:
+    """An executor that runs each task on the thread that asks for its
+    result, when it asks: the pencil pair solved one after the other."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        return types.SimpleNamespace(result=fn)
+
+
+def _solving_threads(monkeypatch):
+    """Record the thread that solves each pencil of the pair, keyed by
+    whether its G is complex: True for p = 1, False for p = 0."""
+    threads = {}
+    solve = epsdomain.solve_smallest
+
+    def recorded(A, *args, **kwargs):
+        threads[np.iscomplexobj(A.G)] = threading.current_thread()
+        return solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(epsdomain, "solve_smallest", recorded)
+    return threads
+
+
+def test_overlapped_pair_equals_the_sequential_walk(critical_ring,
+                                                     monkeypatch):
+    # p = 1 (complex) is solved on the calling thread while p = 0 (real) is
+    # solved on the worker, here with the interpreter switching threads
+    # every 10 us; run inline, the worker's pencil gives the same
+    # eigenvalues and records bit for bit
+    prob, ring = critical_ring
+    threads = _solving_threads(monkeypatch)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        overlapped = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert threads[True] is threading.main_thread()
+    assert threads[False] is not threading.main_thread()
+    monkeypatch.setattr(epsdomain, "ThreadPoolExecutor", _Inline)
+    inline = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    assert threads[False] is threading.main_thread()
+    assert np.array_equal(overlapped.eigenvalues, inline.eigenvalues)
+    assert len(overlapped.pencils) == len(inline.pencils) == 5
+    for rec, ref in zip(overlapped.pencils, inline.pencils):
+        assert list(rec) == list(ref)
+        assert ({k: v for k, v in rec.items() if k != "seconds"}
+                == {k: v for k, v in ref.items() if k != "seconds"})
+        assert rec["seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("failing", ["worker", "calling"])
+def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
+                                                        failing,
+                                                        monkeypatch):
+    # a SolverError in either pencil of the overlapped pair reaches the
+    # caller, and no thread outlives the call
+    prob, ring = critical_ring
+    solve = epsdomain.solve_smallest
+
+    def failing_solve(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (
+                failing == "calling"):
+            raise numerics.SolverError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(epsdomain, "solve_smallest", failing_solve)
+    before = threading.active_count()
+    with pytest.raises(numerics.SolverError, match="injected failure"):
+        solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("p", [0, 1])
 def test_factor_gram_equals_the_bloch_stiffness(critical_ring, p,
                                                 monkeypatch):
     # the stiffness pencil each solve factors, the Gram of the factor's
     # offset blocks, against the assembled rows of period block 0: real at
-    # p = 0, complex at p = 1
+    # p = 0, complex at p = 1.  The solve is handed both as callables; this
+    # capture forms them first, so the solve forms its stiffness anew from G
     prob, ring = critical_ring
-    pencils = []
+    pencils = {}
     solve = epsdomain.solve_smallest
 
     def capture(A, B, *args, **kwargs):
-        pencils.append((A.A, B))
+        pencils[int(np.iscomplexobj(A.G))] = (A.A(), B())
         return solve(A, B, *args, **kwargs)
 
     monkeypatch.setattr(epsdomain, "solve_smallest", capture)

@@ -478,6 +478,18 @@ def test_walk_spectrum_checks_no_part_before_the_third():
         ("solved", None, None), ("solved", None, None),
         ("certified", "diagonal", 2.0 + 2e-3)]
     assert taken == [(1.0, 0, 0, 0), (1.5, 1, 0, 0), (2.0, 0, 1, 0)]
+    # count 1: b's floor 5 lies above a's value 1, and b is still solved
+    # unchecked, so a solve of the second part started early is never
+    # wasted
+    solved = []
+    taken, records = walk_spectrum(_walk_diagonal_parts(
+        solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [6.0, 9.0], 1),
+                 ("c", [20.0, 30.0], 1)), floors={"b": 5.0, "c": 7.0}), 1)
+    assert solved == ["a", "b"]
+    assert [(r["status"], r["rule"], r["shift"]) for r in records] == [
+        ("solved", None, None), ("solved", None, None),
+        ("certified", "floor", 1.0 + 1e-3)]
+    assert taken == [(1.0, 0, 0, 0)]
 
 
 def _mgs_reference(B, X):
