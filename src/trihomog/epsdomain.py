@@ -42,7 +42,6 @@ load (solve_eps_poisson).  Neither builds the torus matrices.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -511,22 +510,24 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
 
     The walk solves p = 0 and p = 1 unchecked whatever the count, so the
     pair is solved before it reads them, overlapped: p = 1 on the calling
-    thread, p = 0 on one worker thread that starts once p = 1's factor is
-    set up.  Factorizations take numerics.FACTOR_LOCK one at a time, so
-    the complex p = 1 factors first and the two overlap in their solves.
-    The walk solves any later pencil itself.  The pair forms its
-    stiffness from one set of Gram offset blocks, dropped once both have
-    formed it; a later solved pencil forms its own from G, by the same
-    operations, so to the same bits.  The call returns only after the
+    thread, p = 0 on one worker thread, submitted by p = 1's stiffness
+    callable under numerics.FACTOR_LOCK (so a p = 1 that fails before it
+    forms its stiffness starts no worker).  p = 0 takes and releases the
+    lock before it starts its clock: factorizations take it one at a time,
+    so the complex p = 1 factors first and the two overlap in their solves.
+    The walk solves any later pencil itself.  The pair forms its stiffness
+    from one set of Gram offset blocks, dropped once both have formed it;
+    a later solved pencil forms its own from G, by the same operations, so
+    to the same bits.  The call returns only after the
     worker has ended, also when a pencil raises, which reaches the
     caller.
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
     refine_steps, block_solves, factorizations, after a fallback
-    formed_moves, start, rounds, residual, gate), and its ``seconds`` are
-    its own build and solve, timed on the thread that solved it, not the
-    walk's wait for it.
+    formed_moves, start, rounds, residual, gate), and its ``seconds``,
+    which the walk takes from that record, are its own build and solve,
+    timed on the thread that solved it, not the walk's wait for it.
     ``assembly_seconds`` counts the row geometry, the factor and the
     blocks; ``solve_seconds`` starts after them."""
     check_count(count)
@@ -551,18 +552,20 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     # its row tables, most of the ring's memory, are freed before the solves
     del assembly
     P = problem.params.periods
-    solved = {}
-    factoring = threading.Event()
 
     def stiffness(p):
-        # formed inside p's factor setup, under numerics.FACTOR_LOCK, so
-        # the event says that p = 1 holds the lock
+        # formed inside p's factor setup, under numerics.FACTOR_LOCK; p = 1,
+        # forming it from the pair's blocks, hands p = 0 to the worker
+        if p == 1 and p in pair_blocks:
+            pair[0] = worker.submit(pair[0]).result
         blocks = pair_blocks.pop(p, None) or _gram_blocks(G)
-        if p == 1:
-            factoring.set()
         return _hermitian(_bloch(blocks, p, P))
 
     def solve(p):
+        # the worker's p = 0 waits here until p = 1's factor setup releases
+        # the lock, so it factors second and its clock starts after the wait
+        with FACTOR_LOCK:
+            pass
         start = time.perf_counter()
         stats = {}
         lam = solve_smallest(
@@ -570,34 +573,21 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
             lambda: _hermitian(_bloch(mass, p, P)), min(count, m - 1), 0.5,
             stats=stats)[0]
         stats["seconds"] = time.perf_counter() - start
-        solved[p] = stats
-        return lam
+        return lam, stats
 
-    def solve_zero():
-        # p = 0 starts once p = 1's factor is set up (or p = 1 has failed):
-        # taking the lock waits for its release
-        factoring.wait()
-        with FACTOR_LOCK:
-            pass
-        return solve(0)
+    # the walk's solves of the pair; handing p = 0's to the worker also ends
+    # the cycle stiffness -> solve, so the matrices are freed on return
+    pair = {0: partial(solve, 0)}
 
-    def part(p, solve_part):
+    def part(p):
         return ({"p": p, "theta": 2.0 * np.pi * p / P}, None,
                 1.0 + (2.0 * np.pi * p) ** 6,
-                2 if 0 < p < P / 2 else 1, solve_part)
+                2 if 0 < p < P / 2 else 1, pair.get(p, partial(solve, p)))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        zero = worker.submit(solve_zero)
-        try:
-            one = solve(1)
-        finally:
-            factoring.set()
-        ahead = {0: zero.result, 1: lambda: one}
-        taken, pencils = walk_spectrum(
-            (part(p, ahead.get(p, partial(solve, p)))
-             for p in range(P // 2 + 1)), count)
-    for record in pencils:
-        record.update(solved.get(record["p"], {}))
+        one = solve(1)
+        pair[1] = lambda: one
+        taken, pencils = walk_spectrum(map(part, range(P // 2 + 1)), count)
     return EpsEigenResult(problem=problem,
                           eigenvalues=np.array([t[0] for t in taken]),
                           dof=P * m,

@@ -219,7 +219,7 @@ def _constrained_orders(kind):
     raise DiscretizationError("unsupported boundary condition %r" % (kind,))
 
 
-def build_space_1d(vmesh, bc_bottom="clamped1", bc_top="clamped1"):
+def build_space_1d(vmesh, bc_bottom, bc_top):
     if vmesh.n_elements < 2:
         raise DiscretizationError("need at least 2 elements")
     n_nodes = vmesh.n_elements + 1

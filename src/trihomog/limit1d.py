@@ -336,7 +336,6 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
     # which the literal sign's secular function reads
     M = assemble_quadratic(space, MASS_WEIGHTS)
     Mb = _upper_band(M) if K > 0 else None
-    solved = {}
 
     def part(m):
         xi = 2.0 * np.pi * m
@@ -358,15 +357,13 @@ def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
             return None
 
         def solve():
-            stats = solved[m] = {}
-            return solve_mode(bc, m, k, space, matrices(), stats)[0]
+            stats = {}
+            return solve_mode(bc, m, k, space, matrices(), stats)[0], stats
         if K > 0:
             return {"m": m}, certify, None, 2 if m else 1, solve
         return {"m": m}, None, floor, 2 if m else 1, solve
 
     taken, modes = walk_spectrum((part(m) for m in range(cutoff + 1)), count)
-    for record in modes:
-        record.update(solved.get(record["m"], {}))
     entries = tuple((value, m if c else -m, idx)
                     for value, m, idx, c in taken)
     return LimitSpectrum(bc=bc, entries=entries, cutoff=cutoff,

@@ -56,6 +56,8 @@ place and dropped once factored.  A Gram's formed A and its B may be
 given as callables (epsdomain's Bloch pencils are): each is then formed
 under the lock, A is dropped once D(A - sigma B)D is formed, and B is
 scaled in place into Bs, so no unscaled copy outlives the setup.
+epsdomain's p = 1 stiffness callable, run under the lock, hands p = 0 to a
+worker thread, which takes the lock before it solves and so factors second.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class _Stall(SolverError):
 #: held by every factor's setup (``FormedLU``, ``AugmentedLU``; so by
 #: ``solve_linear`` too), from its scaling to its SuperLU factorization:
 #: pencils solved on several threads factor one at a time, and overlap only
-#: in their solves and sparse products
+#: in their solves and sparse products.  The callables that form A and B
+#: run under it, so a thread they start that takes it waits for the setup
 FACTOR_LOCK = threading.Lock()
 
 
@@ -368,7 +371,8 @@ def walk_spectrum(parts, count):
     below it, or None, asked only of a part without a floor (None for a
     part with one), a lower bound of the part's spectrum (its floor, None
     where it has none), the copies of each of its values in the union (2
-    for a conjugate pair), and a callable returning its eigenvalues.
+    for a conjugate pair), and a callable returning its eigenvalues and its
+    solver record, a dict.
 
     The first two parts, and every part while fewer than ``count`` values
     (with copies) are in hand, are solved unchecked (rule and shift None):
@@ -397,7 +401,9 @@ def walk_spectrum(parts, count):
     Returns (taken, records): each copy taken as (value, part, index in the
     part, copy), and per part its label followed by status ("solved" or
     "certified"), rule, floor, shift, eigenvalues, kept (its copies taken)
-    and seconds (building the part included)."""
+    and seconds (building the part included), and then a solved part's
+    solver record: a ``seconds`` there, a solve's own time, replaces the
+    walk's in its place."""
     records, found = [], []     # every copy: (value, part, index, copy)
     start = time.perf_counter()
     for i, (label, certify, floor, mult, solve) in enumerate(parts):
@@ -413,7 +419,8 @@ def walk_spectrum(parts, count):
                   "rule": rule, "floor": floor, "shift": shift,
                   "eigenvalues": [], "kept": 0}
         if rule is None:
-            record["eigenvalues"] = [float(v) for v in solve()]
+            values, solver = solve()
+            record["eigenvalues"] = [float(v) for v in values]
             low = min(record["eigenvalues"])
             if floor is not None and low < floor:
                 raise SolverError("part %s: eigenvalue %.17g below its floor "
@@ -421,6 +428,8 @@ def walk_spectrum(parts, count):
             found += [(v, i, j, c) for j, v in enumerate(record["eigenvalues"])
                       for c in range(mult)]
         record["seconds"] = time.perf_counter() - start
+        if rule is None:
+            record.update(solver)
         records.append(record)
         start = time.perf_counter()
     taken = sorted(found)[:count]

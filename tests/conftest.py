@@ -4,6 +4,12 @@ the tests write nothing into the checkout."""
 import os
 from pathlib import Path
 
+# one OpenBLAS thread unless the caller sets a count, set before numpy loads
+# the library: on two cores the production sweep of criterion 7 takes
+# 21-31 s at two threads against 13-17 s at one, as the overlapped Bloch
+# pair then runs three compute threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

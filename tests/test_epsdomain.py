@@ -2,9 +2,11 @@
 energy, symmetry) and against the limit solver on domains where the limit
 is exact."""
 
+import gc
 import json
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -304,16 +306,21 @@ def test_overlapped_pair_equals_the_sequential_walk(critical_ring,
     # p = 1 (complex) is solved on the calling thread while p = 0 (real) is
     # solved on the worker, here with the interpreter switching threads
     # every 10 us; run inline, the worker's pencil gives the same
-    # eigenvalues and records bit for bit
+    # eigenvalues and records bit for bit.  The call leaves no reference
+    # cycle, which would hold its matrices until the garbage collector ran
     prob, ring = critical_ring
     threads = _solving_threads(monkeypatch)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    gc.collect()
+    gc.disable()
     try:
         overlapped = solve_eps_spectrum_bloch(prob, 3, assembly=ring)
     finally:
         sys.setswitchinterval(interval)
+        gc.enable()
+    assert gc.collect() == 0
     assert threading.active_count() == before
     assert threads[True] is threading.main_thread()
     assert threads[False] is not threading.main_thread()
@@ -334,11 +341,14 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
                                                         failing,
                                                         monkeypatch):
     # a SolverError in either pencil of the overlapped pair reaches the
-    # caller, and no thread outlives the call
+    # caller, and no thread outlives the call.  p = 1 failing on the calling
+    # thread before it forms its stiffness never hands p = 0 to the worker
     prob, ring = critical_ring
     solve = epsdomain.solve_smallest
+    threads = []
 
     def failing_solve(*args, **kwargs):
+        threads.append(threading.current_thread())
         if (threading.current_thread() is threading.main_thread()) == (
                 failing == "calling"):
             raise numerics.SolverError("injected failure")
@@ -349,6 +359,36 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
     with pytest.raises(numerics.SolverError, match="injected failure"):
         solve_eps_spectrum_bloch(prob, 3, assembly=ring)
     assert threading.active_count() == before
+    if failing == "calling":
+        assert threads == [threading.main_thread()]
+
+
+def test_the_complex_pencil_factors_before_the_real_one(critical_ring,
+                                                        monkeypatch):
+    # the complex p = 1 factorization ends before the real p = 0 one
+    # starts, here with the interpreter switching threads every 10 us and
+    # each factorization held open 50 ms, time in which a worker not held
+    # back by the lock would start its own
+    prob, ring = critical_ring
+    events = []
+    lu = numerics._symmetric_lu
+
+    def recorded(M):
+        events.append(("start", np.iscomplexobj(M)))
+        time.sleep(0.05)
+        factor = lu(M)
+        events.append(("end", np.iscomplexobj(M)))
+        return factor
+
+    monkeypatch.setattr(numerics, "_symmetric_lu", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    finally:
+        sys.setswitchinterval(interval)
+    assert events == [("start", True), ("end", True),
+                      ("start", False), ("end", False)]
 
 
 @pytest.mark.parametrize("p", [0, 1])

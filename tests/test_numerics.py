@@ -388,20 +388,20 @@ def _walk_diagonal_parts(solved, spec=(("a", [1.0, 2.0, 3.0], 1),
                                        ("c", [20.0, 30.0], 2),
                                        ("d", [3.001, 60.0], 1)),
                          floors=None, asked=None):
-    """walk_spectrum parts whose solves return their diagonal; ``solved``
-    collects the names of the parts solved.  ``spec`` holds each part's
-    name, diagonal and multiplicity, and ``floors`` maps a name to its
-    floor: a part with one has no certify.  A part without one is
-    certified by the rule "diagonal" when no diagonal entry lies below the
-    check shift, and ``asked``, a list, collects the shifts it is asked
-    at.  With count 4 the default parts go: a and b are solved unchecked
-    (3 values in hand, then 7); c is certified empty below the shift
-    3 + 3e-3; d is checked (one value below) and solved, but supplies
-    nothing."""
+    """walk_spectrum parts whose solves return their diagonal and an empty
+    solver record; ``solved`` collects the names of the parts solved.
+    ``spec`` holds each part's name, diagonal and multiplicity, and
+    ``floors`` maps a name to its floor: a part with one has no certify.
+    A part without one is certified by the rule "diagonal" when no
+    diagonal entry lies below the check shift, and ``asked``, a list,
+    collects the shifts it is asked at.  With count 4 the default parts
+    go: a and b are solved unchecked (3 values in hand, then 7); c is
+    certified empty below the shift 3 + 3e-3; d is checked (one value
+    below) and solved, but supplies nothing."""
     for name, diag, mult in spec:
         def solve(name=name, diag=diag):
             solved.append(name)
-            return diag
+            return diag, {}
 
         def certify(shift, diag=diag):
             if asked is not None:
@@ -439,6 +439,26 @@ def test_walk_spectrum_skips_merges_and_records():
     assert [r["rule"] for r in full] == [None] * 4
     assert [r["kept"] for r in full] == [r["kept"] for r in records]
     assert min(full[2]["eigenvalues"]) > records[2]["shift"]
+
+
+def test_walk_spectrum_merges_each_solver_record_after_seconds():
+    # a solved part's solver record follows the walk's keys; its own
+    # seconds replaces the walk's in place, and a certified part gets none
+    def part(name, diag, solver):
+        return {"name": name}, None, min(diag), 1, lambda: (diag, solver)
+
+    _, records = walk_spectrum(
+        [part("a", [1.0, 2.0], {"n": 2, "seconds": 7.5}),
+         part("b", [3.0], {"n": 1}),
+         part("c", [50.0], {"n": 1, "seconds": 7.5})], 2)
+    walk = ["name", "status", "rule", "floor", "shift", "eigenvalues",
+            "kept", "seconds"]
+    assert [list(r) for r in records] == [walk + ["n"], walk + ["n"], walk]
+    assert [r["status"] for r in records] == ["solved", "solved", "certified"]
+    assert records[0]["seconds"] == 7.5
+    assert 0.0 <= records[1]["seconds"] < 7.5
+    assert 0.0 <= records[2]["seconds"] < 7.5
+    assert [r.get("n") for r in records] == [2, 1, None]
 
 
 def test_walk_spectrum_certifies_by_the_floor_or_solves():
