@@ -25,7 +25,7 @@ from the element columns a solve needs, one element row after another in
 the calling thread.
 
 Mesh rule: elements_per_period tangential elements per oscillation period
-(spacing <= eps/4 by default) and a vertical mesh with a geometric layer in
+(at least 4, so spacing <= eps/4) and a vertical mesh with a geometric layer in
 (-2 eps, 0), resolving the boundary layer that drives the strange term.
 
 The pulled-back coefficients are eps-periodic, so the torus matrices and
@@ -101,7 +101,7 @@ class EpsProblem:
     mesh parameters."""
     profile: OscillationProfile
     params: PerturbationParams
-    elements_per_period: int = 4
+    elements_per_period: int
     n_coarse: int = 16
     n_layer: int = 8
 
@@ -362,12 +362,6 @@ class EpsAssembly:
             eb += float(np.sum(u[0] ** 2 * w))
         return ea, eb
 
-    def domain_area(self):
-        """Quadrature of 1 over the pulled-back domain; equals |Omega_eps| =
-        1 + eps^alpha b_0 up to quadrature error."""
-        return float(sum(np.sum(g["detJ"] * g["w"][None, :])
-                         for g in self._rows))
-
     def assemble_rhs(self, f):
         """Load vector of f given on the physical domain: integrates
         f(x, tau) phi |det J| with the cached row tables."""
@@ -575,8 +569,8 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         stats["seconds"] = time.perf_counter() - start
         return lam, stats
 
-    # the walk's solves of the pair; handing p = 0's to the worker also ends
-    # the cycle stiffness -> solve, so the matrices are freed on return
+    # the walk's solves of the pair, emptied on every exit: that ends the
+    # cycle stiffness -> pair -> solve, even if p = 1 fails before its hand-off
     pair = {0: partial(solve, 0)}
 
     def part(p):
@@ -585,9 +579,13 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
                 2 if 0 < p < P / 2 else 1, pair.get(p, partial(solve, p)))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        one = solve(1)
-        pair[1] = lambda: one
-        taken, pencils = walk_spectrum(map(part, range(P // 2 + 1)), count)
+        try:
+            one = solve(1)
+            pair[1] = lambda: one
+            taken, pencils = walk_spectrum(map(part, range(P // 2 + 1)),
+                                           count)
+        finally:
+            pair.clear()
     return EpsEigenResult(problem=problem,
                           eigenvalues=np.array([t[0] for t in taken]),
                           dof=P * m,

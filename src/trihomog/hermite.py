@@ -6,7 +6,8 @@ assembled fields are C^2 across element faces and the discretization is
 conforming for sixth-order forms.  The 2D space is the tensor product on a
 reference rectangle: periodic uniform mesh tangentially, an arbitrary
 (typically geometrically graded) mesh vertically, nine degrees of freedom
-d_x^a d_t^b (a, b in {0,1,2}) per node.
+d_x^a d_t^b (a, b in {0,1,2}) per node.  ``build_space_1d`` and
+``build_space_2d`` build a space whole, its free-dof maps included.
 
 Every assembler, here and in epsdomain, takes its shape values from one
 place: ``reference_table`` holds the six shapes and their first three
@@ -167,12 +168,14 @@ class TensorElementSpace:
     Global numbering is lexicographic by (node index, a, b): in 2D the full
     index of derivative d_x^a d_t^b at node (i, j) is
     (i * (n_t + 1) + j) * 9 + a * 3 + b, with i tangential (periodic).
+    ``full_to_free`` maps a full index to its free index (-1 where
+    constrained), ``free_to_full`` back.
     """
     dim: int
     vmesh: Mesh1D
-    nx: int = 0                     # tangential elements (2D only)
-    full_to_free: np.ndarray = None
-    free_to_full: np.ndarray = None
+    nx: int                         # tangential elements (2D; 0 in 1D)
+    full_to_free: np.ndarray
+    free_to_full: np.ndarray
 
     @property
     def n_free(self):
@@ -228,7 +231,7 @@ def build_space_1d(vmesh, bc_bottom, bc_top):
         constrained[a] = True
     for a in _constrained_orders(bc_top):
         constrained[3 * (n_nodes - 1) + a] = True
-    return _finish_space(TensorElementSpace(dim=1, vmesh=vmesh), constrained)
+    return TensorElementSpace(1, vmesh, 0, *_free_maps(constrained))
 
 
 def build_space_2d(nx, vmesh):
@@ -244,18 +247,16 @@ def build_space_2d(nx, vmesh):
             for b in clamped:
                 constrained[(i * nt1 + 0) * 9 + a * 3 + b] = True
                 constrained[(i * nt1 + nt1 - 1) * 9 + a * 3 + b] = True
-    return _finish_space(TensorElementSpace(dim=2, vmesh=vmesh, nx=nx),
-                         constrained)
+    return TensorElementSpace(2, vmesh, nx, *_free_maps(constrained))
 
 
-def _finish_space(space, constrained):
+def _free_maps(constrained):
+    """(full_to_free, free_to_full) of the full-dof mask ``constrained``."""
     # int32 free indices keep the COO triples of the assemblies small
     full_to_free = np.full(len(constrained), -1, dtype=np.int32)
     free = np.flatnonzero(~constrained)
     full_to_free[free] = np.arange(len(free))
-    space.full_to_free = full_to_free
-    space.free_to_full = free
-    return space
+    return full_to_free, free
 
 
 # ---------------------------------------------------------------------------

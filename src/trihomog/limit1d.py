@@ -308,7 +308,7 @@ def check_spectrum_args(count, cutoff, n_elements):
         raise LimitError("need >= 2 elements, got %d" % n_elements)
 
 
-def solve_limit_spectrum(bc, count=10, cutoff=DEFAULT_CUTOFF,
+def solve_limit_spectrum(bc, count, cutoff=DEFAULT_CUTOFF,
                          n_elements=DEFAULT_ELEMENTS, mesh=None):
     """Low spectrum of the limit operator: per tangential mode |m| <= cutoff
     the reduced eigenproblem, m != 0 entries duplicated onto -m (exact mode
@@ -402,13 +402,12 @@ class LimitPoissonSolution:
         return re
 
 
-def solve_limit_poisson(bc, f_modes, n_elements=DEFAULT_ELEMENTS,
-                        mesh=None):
+def solve_limit_poisson(bc, f_modes):
     """Solve the limit Poisson problem for a right side given by tangential
-    modes: f(xbar, t) = sum_m f_m(t) e^{2 pi i m xbar}.  ``f_modes`` maps m
-    to a callable t -> complex amplitude.  Returns per-mode solutions and
-    the w''(0) trace."""
-    space = limit_space(bc, n_elements, mesh=mesh)
+    modes: f(xbar, t) = sum_m f_m(t) e^{2 pi i m xbar}, on the default
+    graded mesh (limit_space).  ``f_modes`` maps m to a callable t ->
+    complex amplitude.  Returns per-mode solutions and the w''(0) trace."""
+    space = limit_space(bc)
     modes = {}
     traces = {}
     w2 = trace_dof(space)

@@ -478,7 +478,7 @@ def solve_smallest(A, B, count, shift, stats=None):
         fac = AugmentedLU(A, B, shift)
         lam, vec, info = _subspace_iteration(fac, _initial_block(fac, k), k)
     if stats is not None:
-        start = "dense" if _dense_seed(fac, k) else "random"
+        start = "dense" if _dense_seed(fac) else "random"
         stats.update({**fac.stats(), **record, "start": start, **info})
     # vdot's summation order (hence the last bits) follows the memory
     # layout; the returned vectors are orthonormalized in C order
@@ -489,20 +489,19 @@ def solve_smallest(A, B, count, shift, stats=None):
     return lam, _b_orthonormalize(B, np.ascontiguousarray(vec), skip=1e-10)
 
 
-def _dense_seed(fac, count):
+def _dense_seed(fac):
     """Whether the factor's pencil starts from dense eigh rather than from
-    a random block: an assembled pencil (not a Gram) that asks for nearly
-    all its eigenpairs, or whose As is stored dense, 2 nnz(As) >= n^2,
-    where dense eigh costs the n^3 of the factorization anyway.  The 1D
-    limit pencils (storage density 0.047 at n = 190-191, below 0.2 from
-    n = 47) take the random block: 3-4 rounds per mode solve of
-    ``limit-spec --count 3 --modes 8`` (3-8 from the seed), 4 at count 20
-    (7-9), and bits that do not depend on the BLAS thread count.  A fully
-    dense pencil keeps the seed: from a random block the 50 x 50 random
-    pencil of ``verify`` takes 22 rounds, past MAX_ROUNDS."""
+    a random block: an assembled pencil (not a Gram) whose As is stored
+    dense, 2 nnz(As) >= n^2, where dense eigh costs the n^3 of the
+    factorization anyway.  The 1D limit pencils (storage density 0.047 at
+    n = 190-191, below 0.2 from n = 47) take the random block: 3-4 rounds
+    per mode solve of ``limit-spec --count 3 --modes 8`` (3-8 from the
+    seed), 4 at count 20 (7-9), and bits that do not depend on the BLAS
+    thread count.  A fully dense pencil keeps the seed: from a random block
+    the 50 x 50 random pencil of ``verify`` takes 22 rounds, past
+    MAX_ROUNDS."""
     n = fac.Bs.shape[0]
-    return fac.G is None and (count > max(1, n - 2)
-                              or 2 * fac.As.nnz >= n * n)
+    return fac.G is None and 2 * fac.As.nnz >= n * n
 
 
 def _subspace_iteration(fac, vec, k):
@@ -540,9 +539,10 @@ def _initial_block(fac, count):
     eigenvectors by dense eigh where ``_dense_seed`` allows it, otherwise
     a random block of max(2 count, count + 8) columns drawn from SEED,
     whose guard columns let the count-th vector converge in a few rounds
-    from a random start."""
+    from a random start; from count > n / 2 on, that block is the whole
+    space, where the first Rayleigh-Ritz step is exact."""
     n = fac.Bs.shape[0]
-    if _dense_seed(fac, count):
+    if _dense_seed(fac):
         from scipy.linalg import eigh
         _, vec = eigh(fac.As.toarray(), fac.Bs.toarray())
         return np.ascontiguousarray(vec[:, :min(n, count + 4)])

@@ -454,7 +454,7 @@ def _verify_numerics():
 def _verify_flat_limit():
     flat = OscillationProfile(1, {(0,): 0.0})
     params = PerturbationParams(epsilon=1 / 4, alpha=2.0)
-    problem = EpsProblem(flat, params)
+    problem = EpsProblem(flat, params, elements_per_period=4)
     res = solve_eps_spectrum_bloch(problem, 3)
     vm = vertical_mesh(params.epsilon, problem.n_coarse, problem.n_layer)
     ref = solve_limit_spectrum(LimitBC("intermediate"), count=3,

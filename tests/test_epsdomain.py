@@ -47,17 +47,18 @@ def cosine_assembly():
 def test_problem_validation(cosine_profile):
     p2 = OscillationProfile(2, {(0, 0): 1.0})
     with pytest.raises(EpsError):
-        EpsProblem(p2, PerturbationParams(0.25, 2.0))
+        EpsProblem(p2, PerturbationParams(0.25, 2.0), elements_per_period=4)
     with pytest.raises(EpsError):
         EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
                    elements_per_period=2)
     with pytest.raises(EpsError):
         EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
-                   n_coarse=4, n_layer=4)
+                   elements_per_period=4, n_coarse=4, n_layer=4)
     with pytest.raises(EpsError):
         vertical_mesh(0.5, 16, 8)   # layer split at -2 eps hits the bottom
     with pytest.raises(EpsError):
-        EpsProblem(cosine_profile, PerturbationParams(0.5, 2.0))
+        EpsProblem(cosine_profile, PerturbationParams(0.5, 2.0),
+                   elements_per_period=4)
 
 
 def test_vertical_mesh_resolves_boundary_layer():
@@ -72,11 +73,12 @@ def test_vertical_mesh_resolves_boundary_layer():
 
 
 def test_domain_area_identity(cosine_assembly):
-    # |Omega_eps| = 1 + eps^alpha b_0 exactly; quadrature of |det J| must
-    # reproduce it to roundoff
+    # |Omega_eps| = 1 + eps^alpha b_0 exactly; quadrature of |det J| over
+    # the cached row tables must reproduce it to roundoff
     prob, asm = cosine_assembly
     expect = 1.0 + 0.125 ** 2 * 1.0
-    assert abs(asm.domain_area() - expect) < 1e-12
+    area = sum(np.sum(g["detJ"] * g["w"][None, :]) for g in asm._rows)
+    assert abs(area - expect) < 1e-12
 
 
 def test_quadrature_energies_match_matrix_form(cosine_assembly):
@@ -342,7 +344,9 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
                                                         monkeypatch):
     # a SolverError in either pencil of the overlapped pair reaches the
     # caller, and no thread outlives the call.  p = 1 failing on the calling
-    # thread before it forms its stiffness never hands p = 0 to the worker
+    # thread before it forms its stiffness never hands p = 0 to the worker,
+    # and leaves no reference cycle that would hold the case's matrices
+    # until the garbage collector ran
     prob, ring = critical_ring
     solve = epsdomain.solve_smallest
     threads = []
@@ -356,11 +360,17 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
 
     monkeypatch.setattr(epsdomain, "solve_smallest", failing_solve)
     before = threading.active_count()
-    with pytest.raises(numerics.SolverError, match="injected failure"):
-        solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(numerics.SolverError, match="injected failure"):
+            solve_eps_spectrum_bloch(prob, 3, assembly=ring)
+    finally:
+        gc.enable()
     assert threading.active_count() == before
     if failing == "calling":
         assert threads == [threading.main_thread()]
+        assert gc.collect() == 0
 
 
 def test_the_complex_pencil_factors_before_the_real_one(critical_ring,
@@ -368,9 +378,12 @@ def test_the_complex_pencil_factors_before_the_real_one(critical_ring,
     # the complex p = 1 factorization ends before the real p = 0 one
     # starts, here with the interpreter switching threads every 10 us and
     # each factorization held open 50 ms, time in which a worker not held
-    # back by the lock would start its own
+    # back by the lock would start its own.  The one submit of p = 0 runs on
+    # the calling thread under numerics.FACTOR_LOCK, inside p = 1's factor
+    # setup, which the race alone would not always show
     prob, ring = critical_ring
     events = []
+    submits = []
     lu = numerics._symmetric_lu
 
     def recorded(M):
@@ -380,13 +393,21 @@ def test_the_complex_pencil_factors_before_the_real_one(critical_ring,
         events.append(("end", np.iscomplexobj(M)))
         return factor
 
+    class Recording(epsdomain.ThreadPoolExecutor):
+        def submit(self, fn):
+            submits.append((threading.current_thread(),
+                            numerics.FACTOR_LOCK.locked()))
+            return super().submit(fn)
+
     monkeypatch.setattr(numerics, "_symmetric_lu", recorded)
+    monkeypatch.setattr(epsdomain, "ThreadPoolExecutor", Recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         solve_eps_spectrum_bloch(prob, 3, assembly=ring)
     finally:
         sys.setswitchinterval(interval)
+    assert submits == [(threading.main_thread(), True)]
     assert events == [("start", True), ("end", True),
                       ("start", False), ("end", False)]
 
@@ -491,7 +512,8 @@ def test_bloch_needs_three_periods(cosine_profile):
 
 
 def test_count_cap(cosine_profile):
-    prob = EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0))
+    prob = EpsProblem(cosine_profile, PerturbationParams(0.25, 2.0),
+                      elements_per_period=4)
     with pytest.raises(EpsError):
         solve_eps_spectrum_bloch(prob, 21)
     with pytest.raises(EpsError):

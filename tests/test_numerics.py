@@ -89,6 +89,23 @@ def test_verify_pencil_keeps_the_dense_seed(monkeypatch):
     assert [r["start"] for r in records] == ["dense"]
 
 
+def test_a_sparse_pencil_asked_for_nearly_all_pairs_starts_random():
+    # a banded 30 x 30 SPD pair, stored at density 0.16, asked for n - 1
+    # eigenpairs: the random block then spans the whole space, and the
+    # pairs match dense eigh
+    n = 30
+    T = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    A = (T @ T + sparse.identity(n)).tocsc()
+    B = (sparse.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n)) / 6).tocsc()
+    assert 2 * A.nnz < n * n
+    stats = {}
+    lam, vec = solve_smallest(A, B, n - 1, 0.0, stats=stats)
+    dense = eigh(A.toarray(), B.toarray(), eigvals_only=True)[:n - 1]
+    np.testing.assert_allclose(lam, dense, rtol=1e-10)
+    assert stats["start"] == "random"
+    np.testing.assert_allclose(vec.T @ (B @ vec), np.eye(n - 1), atol=1e-10)
+
+
 def test_count_validation():
     A = sparse.identity(4, format="csr")
     with pytest.raises(SolverError):
