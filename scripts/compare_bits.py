@@ -9,6 +9,9 @@ Runs the bit-identity set in each checkout, one run after another:
 * the two benchmark ``eps-spec --count 3`` calls, (alpha, eps, elements
   per period) = (1, 1/8, 32) and (3/2, 1/16, 16);
 * ``eps-spec --alpha 1.5 --eps 1/8 --elements-per-period 8 --count 12``;
+* two count-1 calls: ``eps-spec --alpha 1.5 --eps 1/16
+  --elements-per-period 16 --count 1`` and ``limit-spec --bc strange
+  --sign literal --K auto --count 1 --modes 8``;
 * the production sweep, ``converge``.
 
 Each run uses OPENBLAS_NUM_THREADS=1, that checkout's src/ and a new
@@ -45,6 +48,12 @@ RUNS = (
     ("eps-spec 3/2 1/8 8 count 12", ("eps-spec", "--alpha", "1.5", "--eps",
                                      "1/8", "--elements-per-period", "8",
                                      "--count", "12")),
+    ("eps-spec 3/2 1/16 16 count 1", ("eps-spec", "--alpha", "1.5", "--eps",
+                                      "1/16", "--elements-per-period", "16",
+                                      "--count", "1")),
+    ("limit-spec literal -K count 1", ("limit-spec", "--bc", "strange",
+                                       "--sign", "literal", "--K", "auto",
+                                       "--count", "1", "--modes", "8")),
     ("converge convergence.csv", ("converge", "--out", "sweep")),
 )
 

@@ -502,19 +502,20 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
     walk checks every pencil it solves against its floor, and the tests
     every pencil of a ring.
 
-    The walk solves p = 0 and p = 1 unchecked whatever the count, so the
-    pair is solved before it reads them, overlapped: p = 1 on the calling
-    thread, p = 0 on one worker thread, submitted by p = 1's stiffness
-    callable under numerics.FACTOR_LOCK (so a p = 1 that fails before it
-    forms its stiffness starts no worker).  p = 0 takes and releases the
-    lock before it starts its clock: factorizations take it one at a time,
-    so the complex p = 1 factors first and the two overlap in their solves.
-    The walk solves any later pencil itself.  The pair forms its stiffness
-    from one set of Gram offset blocks, dropped once both have formed it;
-    a later solved pencil forms its own from G, by the same operations, so
-    to the same bits.  The call returns only after the
-    worker has ended, also when a pencil raises, which reaches the
-    caller.
+    At count 1 the walk solves p = 0 and checks p = 1 at 1.001 lam_0, below
+    p = 1's floor 61,529 when lam_0 keeps the min-max bound lam_Dir =
+    36,234.57; a row that breaks it solves p = 1 after p = 0.  At count > 1
+    the count-th value after p = 0 is at least its second (near 3.5e5),
+    above that floor, so the walk solves p = 1 too, and the pair is solved
+    before it reads them, overlapped: p = 1 on the calling thread, p = 0 on
+    a worker thread, submitted by p = 1's stiffness callable under
+    numerics.FACTOR_LOCK (a p = 1 that fails before it forms its stiffness
+    starts no worker).  p = 0 takes and releases the lock before it starts
+    its clock, so the complex p = 1 factors first and the two overlap in
+    their solves.  The pencils solved first share one set of Gram offset
+    blocks, dropped once each has formed its stiffness; a later pencil forms
+    its own from G, to the same bits.  The call returns only after the
+    worker has ended, also when a pencil raises, which reaches the caller.
     ``pencils`` of the result holds the walk's records, labelled by p and
     theta; a solved pencil's record also holds the solver record of
     numerics.solve_smallest (n, nnz of G_theta, fill, factor, move,
@@ -534,9 +535,8 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         raise EpsError("Bloch extraction needs >= 3 assembled periods")
     G = _offset_blocks(
         assembly._factor(np.arange(problem.elements_per_period)), m, periods)
-    # the unchecked pair forms its stiffness from one set of Gram blocks,
-    # dropped once both have; any later pencil forms its own from G
-    pair_blocks = dict.fromkeys((0, 1), _gram_blocks(G))
+    # p = 0, and p = 1 when count > 1, share one set of Gram blocks
+    pair_blocks = dict.fromkeys(range(min(count, 2)), _gram_blocks(G))
     # as CSC, the format of the Gram blocks, so that _hermitian converts
     # neither sum
     mass = {k: b.tocsc() for k, b in _period_rows(assembly, "mass").items()}
@@ -569,19 +569,22 @@ def solve_eps_spectrum_bloch(problem, count, assembly=None):
         stats["seconds"] = time.perf_counter() - start
         return lam, stats
 
-    # the walk's solves of the pair, emptied on every exit: that ends the
-    # cycle stiffness -> pair -> solve, even if p = 1 fails before its hand-off
-    pair = {0: partial(solve, 0)}
+    # the pair's solves, popped as the walk reads them (a failed future kept
+    # by the walk's frame would form a cycle with its traceback), and emptied
+    # on every exit: that ends the cycle stiffness -> pair -> solve
+    pair = {}
 
     def part(p):
         return ({"p": p, "theta": 2.0 * np.pi * p / P}, None,
-                1.0 + (2.0 * np.pi * p) ** 6,
-                2 if 0 < p < P / 2 else 1, pair.get(p, partial(solve, p)))
+                1.0 + (2.0 * np.pi * p) ** 6, 2 if 0 < p < P / 2 else 1,
+                lambda: pair.pop(p)() if p in pair else solve(p))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            one = solve(1)
-            pair[1] = lambda: one
+            if count > 1:
+                pair[0] = partial(solve, 0)
+                one = solve(1)
+                pair[1] = lambda: one
             taken, pencils = walk_spectrum(map(part, range(P // 2 + 1)),
                                            count)
         finally:

@@ -45,8 +45,8 @@ eps * lambda_max * ||x|| rounding noise for these pencils no matter how
 accurate the pair is.  ``solve_linear`` solves on the ``FormedLU`` of its
 matrix too, with one refinement step.
 
-Pencils may be solved on several threads at once (epsdomain overlaps the
-two unchecked Bloch pencils of a case), but they factor one at a time:
+Pencils may be solved on several threads at once (epsdomain overlaps a
+case's Bloch pencils p = 0, 1 when count > 1), but they factor one at a time:
 every factor's setup, from its scaling to its SuperLU factorization, holds
 ``FACTOR_LOCK``, so only the triangular solves and sparse products, which
 release the GIL, overlap, and at most one factorization's workspace is
@@ -56,8 +56,6 @@ place and dropped once factored.  A Gram's formed A and its B may be
 given as callables (epsdomain's Bloch pencils are): each is then formed
 under the lock, A is dropped once D(A - sigma B)D is formed, and B is
 scaled in place into Bs, so no unscaled copy outlives the setup.
-epsdomain's p = 1 stiffness callable, run under the lock, hands p = 0 to a
-worker thread, which takes the lock before it solves and so factors second.
 """
 
 from __future__ import annotations
@@ -374,10 +372,8 @@ def walk_spectrum(parts, count):
     for a conjugate pair), and a callable returning its eigenvalues and its
     solver record, a dict.
 
-    The first two parts, and every part while fewer than ``count`` values
-    (with copies) are in hand, are solved unchecked (rule and shift None):
-    a lam* read from the first part alone lies above values the next part
-    supplies, so a check there would not certify.  Otherwise the part is
+    Every part while fewer than ``count`` values (with copies) are in hand
+    is solved unchecked (rule and shift None), and every later part is
     checked at s = lam* + 1e-3 |lam*|, where lam* is the count-th smallest
     value so far; the margin covers the rounding by which a part's values
     (quadrature-energy quotients in limit1d) may sit from the assembled
@@ -408,7 +404,7 @@ def walk_spectrum(parts, count):
     start = time.perf_counter()
     for i, (label, certify, floor, mult, solve) in enumerate(parts):
         rule = shift = None
-        if i >= 2 and len(found) >= count:
+        if len(found) >= count:
             lam_star = sorted(found)[count - 1][0]
             shift = lam_star + 1e-3 * abs(lam_star)
             if floor is None:

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import trihomog
-from trihomog import cli
+from trihomog import cli, epsdomain
 
 #: the TINY sweep of tests/test_sweep.py as a converge config
 TINY_CONFIG = {"alphas": [2.0], "eps_values": [0.25], "count": 1,
@@ -122,11 +123,44 @@ def test_eps_spec(capsys, tmp_path):
     assert code == 0
     lam = float(stdout.splitlines()[0].split()[1])
     assert 1.0 < lam < 1e6
-    # P = 4: p = 0, 1 are solved, and the floor of p = 2 clears the shift
+    # P = 4: p = 0 is solved, and the floors of p = 1, 2 clear the shift
     assert stdout.splitlines()[-1].endswith(
-        "pencils 2 solved, 1 floor-certified")
+        "pencils 1 solved, 2 floor-certified")
     data = json.loads(out.read_text())
     assert data["alpha"] == 2.0 and data["eps"] == 0.25
+
+
+def test_eps_spec_count_1_solves_p0_alone_on_the_calling_thread(capsys,
+                                                               monkeypatch):
+    # count 1 needs p = 0 alone: the floors of p = 1, 2 clear the shift, so
+    # nothing is handed to the worker and no thread starts.  Its lambda is
+    # the first line of count 3, which hands p = 0 to the worker, up to the
+    # last bits: each pencil is solved for min(count, m - 1) pairs, so its
+    # subspace block, and the rounding in it, follows the count
+    submits, starts = [], []
+
+    class Recording(epsdomain.ThreadPoolExecutor):
+        def submit(self, fn):
+            submits.append(fn)
+            return super().submit(fn)
+
+    start = threading.Thread.start
+
+    def recorded(thread):
+        starts.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(epsdomain, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    argv = ("eps-spec", "--alpha", "2", "--eps", "1/4",
+            "--elements-per-period", "4", "--count")
+    code, one, _ = run_cli(capsys, *argv, "1")
+    assert code == 0 and submits == [] and starts == []
+    assert one.splitlines()[-1].endswith("pencils 1 solved, 2 floor-certified")
+    code, three, _ = run_cli(capsys, *argv, "3")
+    assert code == 0 and len(submits) == len(starts) == 1
+    lam = [float(out.splitlines()[0].split()[1]) for out in (one, three)]
+    assert abs(lam[0] - lam[1]) <= 1e-12 * lam[1]
 
 
 def test_eps_spec_bad_eps_exits_2(capsys):

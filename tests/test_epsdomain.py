@@ -216,8 +216,10 @@ def critical_ring():
     return prob, EpsAssembly(prob, columns=3 * prob.elements_per_period)
 
 
-# count 3 takes its last eigenvalue from the p = 1 band, count 8 from p = 2
-@pytest.mark.parametrize("count", [3, 8])
+# count 1 takes p = 0's lowest eigenvalue alone, count 3 its last from the
+# p = 1 band, count 8 from p = 2.  On this coarse ring lam_0 = 67,534 lies
+# above p = 1's floor, so count 1 checks p = 1 and solves it in the walk
+@pytest.mark.parametrize("count", [1, 3, 8])
 def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
                                                 monkeypatch):
     prob, ring = critical_ring
@@ -244,11 +246,14 @@ def test_pruned_bloch_spectrum_is_bit_identical(critical_ring, count,
             # what a full solve finds there lies above the shift
             assert min(ref["eigenvalues"]) > rec["shift"] > lam_star
     assert sum(r["kept"] for r in pruned.pencils) == count
-    # count 3: p = 2 .. 4 lie above their floors' shift; count 8 reaches
-    # p = 2, whose floor (4 pi)^6 + 1 lies below the shift: it is solved
+    # p = 0 alone is unchecked; count 1 and 3: p = 2 .. 4 lie above their
+    # floors' shift; count 8 reaches p = 2, whose floor (4 pi)^6 + 1 lies
+    # below the shift: it is solved
+    assert pruned.pencils[0]["shift"] is None
+    assert all(r["shift"] > lam_star for r in pruned.pencils[1:])
     assert [r["rule"] for r in pruned.pencils] == (
-        [None, None, "floor", "floor", "floor"] if count == 3
-        else [None, None, None, "floor", "floor"])
+        [None, None, None, "floor", "floor"] if count == 8
+        else [None, None, "floor", "floor", "floor"])
 
 
 def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
@@ -266,10 +271,12 @@ def test_bloch_result_json_records_each_pencil(critical_ring, tmp_path):
               "gate"]
     assert list(data["pencils"][0]) == walk + solver
     assert list(data["pencils"][2]) == walk
-    # the first two pencils are solved unchecked, the rest certified by
-    # their floors
+    # p = 0 is solved unchecked, p = 1 solved at a shift above its floor,
+    # and the rest certified by their floors
     assert [r["rule"] for r in data["pencils"]] == \
         [None, None, "floor", "floor", "floor"]
+    assert data["pencils"][0]["shift"] is None
+    assert data["pencils"][1]["shift"] > data["pencils"][1]["floor"]
 
 
 class _Inline:
@@ -344,9 +351,9 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
                                                         monkeypatch):
     # a SolverError in either pencil of the overlapped pair reaches the
     # caller, and no thread outlives the call.  p = 1 failing on the calling
-    # thread before it forms its stiffness never hands p = 0 to the worker,
-    # and leaves no reference cycle that would hold the case's matrices
-    # until the garbage collector ran
+    # thread before it forms its stiffness never hands p = 0 to the worker.
+    # Neither failure leaves a reference cycle that would hold the case's
+    # matrices until the garbage collector ran
     prob, ring = critical_ring
     solve = epsdomain.solve_smallest
     threads = []
@@ -370,7 +377,7 @@ def test_a_failed_pencil_of_the_pair_reaches_the_caller(critical_ring,
     assert threading.active_count() == before
     if failing == "calling":
         assert threads == [threading.main_thread()]
-        assert gc.collect() == 0
+    assert gc.collect() == 0
 
 
 def test_the_complex_pencil_factors_before_the_real_one(critical_ring,
@@ -454,8 +461,8 @@ def test_flat_factored_ground_state_matches_the_limit(den):
                       elements_per_period=4)
     res = solve_eps_spectrum_bloch(prob, 1)
     assert [r["status"] for r in res.pencils] == \
-        ["solved"] * 2 + ["certified"] * (den // 2 - 1)
-    assert {r["rule"] for r in res.pencils[2:]} == {"floor"}
+        ["solved"] + ["certified"] * (den // 2)
+    assert {r["rule"] for r in res.pencils[1:]} == {"floor"}
     ref = solve_limit_spectrum(
         LimitBC("intermediate"), count=1,
         mesh=vertical_mesh(eps, prob.n_coarse, prob.n_layer)).eigenvalues()

@@ -467,7 +467,7 @@ def test_walk_spectrum_merges_each_solver_record_after_seconds():
     _, records = walk_spectrum(
         [part("a", [1.0, 2.0], {"n": 2, "seconds": 7.5}),
          part("b", [3.0], {"n": 1}),
-         part("c", [50.0], {"n": 1, "seconds": 7.5})], 2)
+         part("c", [50.0], {"n": 1, "seconds": 7.5})], 3)
     walk = ["name", "status", "rule", "floor", "shift", "eigenvalues",
             "kept", "seconds"]
     assert [list(r) for r in records] == [walk + ["n"], walk + ["n"], walk]
@@ -502,29 +502,28 @@ def test_walk_spectrum_refuses_a_solved_value_below_its_floor():
         walk_spectrum(_walk_diagonal_parts([], floors={"a": 1.5}), 4)
 
 
-def test_walk_spectrum_checks_no_part_before_the_third():
-    # a holds all three wanted values, but a check of b at lam* = 3 would
-    # find b's 1.5 below it: b is solved unchecked, and c is checked at
-    # lam* = 2 from a and b
+def test_walk_spectrum_checks_every_part_once_count_values_are_in_hand():
+    # a holds all three wanted values, so b is checked at lam* = 3; its 1.5
+    # lies below that shift, so the check does not certify b and b is
+    # solved; c is checked at lam* = 2 from a and b
     solved, asked = [], []
     taken, records = walk_spectrum(_walk_diagonal_parts(
         solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [1.5, 9.0], 1),
                  ("c", [20.0, 30.0], 1)), asked=asked), 3)
-    assert solved == ["a", "b"] and asked == [2.0 + 2e-3]
+    assert solved == ["a", "b"] and asked == [3.0 + 3e-3, 2.0 + 2e-3]
     assert [(r["status"], r["rule"], r["shift"]) for r in records] == [
-        ("solved", None, None), ("solved", None, None),
+        ("solved", None, None), ("solved", None, 3.0 + 3e-3),
         ("certified", "diagonal", 2.0 + 2e-3)]
     assert taken == [(1.0, 0, 0, 0), (1.5, 1, 0, 0), (2.0, 0, 1, 0)]
-    # count 1: b's floor 5 lies above a's value 1, and b is still solved
-    # unchecked, so a solve of the second part started early is never
-    # wasted
+    # count 1: b's floor 5 lies above a's value 1, so b is certified by its
+    # floor, as c is, and only a is solved
     solved = []
     taken, records = walk_spectrum(_walk_diagonal_parts(
         solved, (("a", [1.0, 2.0, 3.0], 1), ("b", [6.0, 9.0], 1),
                  ("c", [20.0, 30.0], 1)), floors={"b": 5.0, "c": 7.0}), 1)
-    assert solved == ["a", "b"]
+    assert solved == ["a"]
     assert [(r["status"], r["rule"], r["shift"]) for r in records] == [
-        ("solved", None, None), ("solved", None, None),
+        ("solved", None, None), ("certified", "floor", 1.0 + 1e-3),
         ("certified", "floor", 1.0 + 1e-3)]
     assert taken == [(1.0, 0, 0, 0)]
 
